@@ -7,29 +7,22 @@
 // simulation itself did not change.
 //
 //   ./bench_runner [output.json] [--threads N] [--assert-scaling]
-//                  [--assert-fusion] [--assert-streams]
+//                  [--assert-streams]
+//
+// An unknown flag prints the usage and exits 2.
 //
 // --threads N overrides the kernel pool size for the multi-threaded
 // cases (default: CATRSM_KERNEL_THREADS / hardware_concurrency). The
 // plain kernel/* cases always run single-threaded so their trajectory
 // stays comparable across machines; kernel/gemm_mt sweeps the pool over
-// {1, 2, 4, hw} next to a same-shape single-threaded baseline, and the
-// batch case runs once with the slab pool and once without, so both
-// tentpole wins are committed numbers. Every record carries the
-// detected hardware concurrency, so a committed speedup can always be
-// read against the cores that produced it.
+// {1, 2, 4, hw} next to a same-shape single-threaded baseline. Every
+// record carries the detected hardware concurrency, so a committed
+// speedup can always be read against the cores that produced it.
 //
 // --assert-scaling exits non-zero when the pooled GEMM at n = 1024 is
 // slower than 1.05x the single-threaded wall at the configured pool
 // size — the CI tripwire that keeps the pool from silently regressing
 // to a slowdown again.
-//
-// --assert-fusion exits non-zero when the fused batch
-// (batch/it_trsm_32x_p64_fused, the whole panel stream as ONE simulated
-// run) is slower than 1.05x the unfused pooled batch — the same kind of
-// tripwire for the Program-fusion win. Independently of the flag, the
-// fused batch's solutions are always compared bit for bit against the
-// unfused ones and any mismatch fails the run.
 //
 // --assert-streams exits non-zero when the concurrent-streams pass of
 // streams/mixed_tenant delivers less than 1.05x the serial loop's
@@ -58,7 +51,6 @@
 #include "la/tri_inv.hpp"
 #include "la/trsm.hpp"
 #include "model/tuning.hpp"
-#include "sim/slab.hpp"
 
 namespace {
 
@@ -240,67 +232,19 @@ void run_crossover_cases(std::vector<Record>& records) {
   }
 }
 
-/// The scenario the zero-copy buffers, persistent scheduler, and slab
-/// pool target: one plan, 32 iterative-TRSM solves at p = 64, executed
-/// as a batch — once with the slab pool recycling message storage across
-/// runs, once with every payload freshly allocated, so the pooling win is
-/// a committed number. Modeled cost is per solve and must be identical in
-/// both records (allocation strategy cannot perturb the cost model).
-///
-/// Timed as one warmup batch plus the median of 3: a single-shot timing
-/// of a ~1.4 s batch once committed an inversion of the pooled/nopool
-/// ordering (1412 vs 1337 ms) that a rerun inverted right back —
-/// scheduler noise, not a slab regression (see ROADMAP).
-double run_batch_case(std::vector<Record>& records, bool pooled,
-                      std::vector<api::ExecResult>* out_results = nullptr) {
-  const int p = 64;
-  const index_t n = 96, k = 48;
-  const int items = 32;
-  sim::set_slab_pool_enabled(pooled);
-  const la::Matrix l = la::make_lower_triangular(11, n);
-  std::vector<la::Matrix> bs;
-  bs.reserve(items);
-  for (int i = 0; i < items; ++i)
-    bs.push_back(la::make_rhs(100 + static_cast<std::uint64_t>(i), n, k));
-
-  // The whole cold path — fresh Context, plan build, first-solve diag
-  // inversion — is inside the timed body: a warm plan cache would both
-  // shrink the wall and report the cheap re-solve stats instead of the
-  // committed cold-batch cost model.
-  std::vector<api::ExecResult> results;
-  api::CacheStats cs;
-  const double wall = bench::median_wall_ms(1, 3, [&] {
-    api::Context ctx(p);
-    api::TrsmSpec spec;
-    spec.force_algorithm = true;
-    spec.algorithm = model::Algorithm::kIterative;
-    auto plan = ctx.plan(api::trsm_op(n, k, spec));
-    results = plan->execute_batch(l, bs);
-    cs = ctx.cache_stats();
-  });
-  const std::string name = pooled ? "batch/it_trsm_32x_p64"
-                                  : "batch/it_trsm_32x_p64_nopool";
-  records.push_back({name, p, n, k, wall, double(items),
-                     results.front().algorithm_cost(),
-                     results.front().stats.critical_time});
-  std::cout << name << ": " << wall << " ms for " << items << " solves ("
-            << wall / items << " ms/solve); plan-cache hits=" << cs.hits
-            << " misses=" << cs.misses << " entries=" << cs.entries << "\n";
-  sim::set_slab_pool_enabled(true);
-  if (out_results != nullptr) *out_results = std::move(results);
-  return wall;
-}
-
-/// The fused form of the same scenario: the whole 32-panel stream as ONE
+/// The scenario the zero-copy buffers, persistent scheduler, slab pool
+/// and diagonal-inverse reuse target: one plan, a 32-panel stream of
+/// iterative-TRSM solves at p = 64, run by execute_batch as ONE
 /// api::Program in ONE Machine::run — L uploaded once, intermediates
 /// resident in the HandleStore, the diagonal inversion shared across
 /// panels inside the run, one describe-only communicator realization per
 /// layout. Modeled cost is the whole run's algorithm phase (iterations
-/// says it covers all 32 solves). Solutions must match the unfused batch
-/// bit for bit — checked here on every bench run, not just under the
-/// tripwire flag.
-double run_fused_batch_case(std::vector<Record>& records,
-                            const std::vector<api::ExecResult>& unfused) {
+/// says it covers all 32 solves).
+///
+/// Timed as one warmup batch plus the median of 3: the whole cold path —
+/// fresh Context, plan build, first-panel diag inversion — is inside the
+/// timed body, since a warm plan cache would shrink the wall.
+void run_batch_case(std::vector<Record>& records) {
   const int p = 64;
   const index_t n = 96, k = 48;
   const int items = 32;
@@ -318,7 +262,7 @@ double run_fused_batch_case(std::vector<Record>& records,
     spec.force_algorithm = true;
     spec.algorithm = model::Algorithm::kIterative;
     auto plan = ctx.plan(api::trsm_op(n, k, spec));
-    result = plan->execute_batch_fused(l, bs);
+    result = plan->execute_batch(l, bs);
     cs = ctx.cache_stats();
   });
   records.push_back({"batch/it_trsm_32x_p64_fused", p, n, k, wall,
@@ -331,24 +275,12 @@ double run_fused_batch_case(std::vector<Record>& records,
             << " elided=" << ps.nodes_elided << " redist="
             << ps.redistributes_inserted << "; plan-cache hits=" << cs.hits
             << " misses=" << cs.misses << " entries=" << cs.entries << "\n";
-
-  for (int i = 0; i < items; ++i) {
-    if (!result.xs[static_cast<std::size_t>(i)].equals(
-            unfused[static_cast<std::size_t>(i)].x)) {
-      std::cerr << "FUSED MISMATCH: panel " << i
-                << " differs bitwise from the unfused batch\n";
-      std::exit(1);
-    }
-  }
-  return wall;
 }
 
-/// The resident-operand A/B of the same scenario: upload L ONCE, then 32
-/// execute_dist calls (per-item B upload + X download included — that is
-/// the serving traffic pattern), versus batch/it_trsm_32x_p64, whose
-/// execute calls additionally compare L against the plan's resident copy
-/// and check the residual. Modeled cost must be identical to the batch
-/// record (the same execute_dist run underneath).
+/// The resident-operand form of the same scenario: upload L ONCE, then 32
+/// execute_dist calls, one run each (per-item B upload + X download
+/// included — that is the serving traffic pattern). Its modeled cost is
+/// one solve's: the first call's, which inverts the diagonal blocks.
 void run_resident_batch_case(std::vector<Record>& records) {
   const int p = 64;
   const index_t n = 96, k = 48;
@@ -693,26 +625,28 @@ std::pair<double, double> run_stream_cases(std::vector<Record>& records) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: bench_runner [output.json] [--threads N] [--assert-scaling] "
+      "[--assert-streams] (N >= 1)\n";
   std::string path = "BENCH_sim.json";
   int threads_override = 0;
   bool assert_scaling = false;
-  bool assert_fusion = false;
   bool assert_streams = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
       threads_override = i + 1 < argc ? std::atoi(argv[++i]) : 0;
       if (threads_override < 1) {
-        std::cerr << "usage: bench_runner [output.json] [--threads N] "
-                     "[--assert-scaling] [--assert-fusion] (N >= 1)\n";
+        std::cerr << kUsage;
         return 2;
       }
     } else if (arg == "--assert-scaling") {
       assert_scaling = true;
-    } else if (arg == "--assert-fusion") {
-      assert_fusion = true;
     } else if (arg == "--assert-streams") {
       assert_streams = true;
+    } else if (arg.starts_with("-")) {
+      std::cerr << "bench_runner: unknown flag " << arg << "\n" << kUsage;
+      return 2;
     } else {
       path = arg;
     }
@@ -727,11 +661,7 @@ int main(int argc, char** argv) {
   run_kernel_cases(records);
   const auto [st_1024, mt_1024] = run_kernel_mt_cases(records, pool_threads);
   run_crossover_cases(records);
-  std::vector<api::ExecResult> unfused;
-  const double batch_wall = run_batch_case(records, /*pooled=*/true,
-                                           &unfused);
-  run_batch_case(records, /*pooled=*/false);
-  const double fused_wall = run_fused_batch_case(records, unfused);
+  run_batch_case(records);
   run_resident_batch_case(records);
   run_program_case(records);
   run_program_opt_cases(records);
@@ -753,12 +683,6 @@ int main(int argc, char** argv) {
               << mt_1024 << " ms with " << pool_threads
               << " threads vs " << st_1024
               << " ms single-threaded (limit: 1.05x)\n";
-    return 1;
-  }
-  if (assert_fusion && fused_wall > batch_wall * 1.05) {
-    std::cerr << "FUSION REGRESSION: batch/it_trsm_32x_p64_fused took "
-              << fused_wall << " ms vs " << batch_wall
-              << " ms unfused (limit: 1.05x)\n";
     return 1;
   }
   // Concurrent streams must beat the serial loop in solves/sec by at

@@ -16,7 +16,7 @@
 //   auto plan = ctx.plan(catrsm::api::trsm_op(n, k));
 //   auto r1 = plan->execute(l, b1);        // inverts the diagonal blocks
 //   auto r2 = plan->execute(l, b2);        // reuses them
-//   auto rs = plan->execute_batch(l, bs);  // ... across a whole batch
+//   auto rs = plan->execute_batch(l, bs);  // a whole panel stream, one run
 //
 // Supported operations: TRSM in all BLAS variants (uplo / side /
 // transpose) over all four distributed algorithms, triangular inversion,
@@ -60,6 +60,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -264,8 +265,8 @@ class DistTicket {
 
 struct ExecResult {
   la::Matrix x;
-  /// Stats of the execute_dist run behind the call. Upload and download
-  /// are host-side and charge nothing, so the run holds only the
+  /// Stats of the one run behind the call. Upload and download are
+  /// host-side and charge nothing, so the run holds only the
   /// "algorithm" phase (compare THIS against the paper's formulas); the
   /// iterative TRSM additionally reports "inversion" / "solve" /
   /// "update", and the Cholesky pipeline "cholesky" / "forward-trsm" /
@@ -302,10 +303,10 @@ struct ProgramStats {
   bool optimized = false;
 };
 
-/// Result of a fused batch (Plan::execute_batch_fused): the entire panel
-/// stream ran as ONE Machine::run, so there is a single RunStats for the
-/// whole batch. Residuals are computed host-side per panel, exactly like
-/// the unfused path.
+/// Result of Plan::execute_batch: the entire panel stream ran as ONE
+/// Machine::run, so there is a single RunStats for the whole batch.
+/// Solutions and residuals are per panel, bitwise what execute() returns
+/// for that panel alone.
 struct BatchResult {
   std::vector<la::Matrix> xs;
   std::vector<double> residuals;
@@ -334,18 +335,14 @@ class Plan : public std::enable_shared_from_this<Plan> {
   ///   kCholesky:      a = SPD A (n x n), b ignored
   ///   kCholeskySolve: a = SPD A (n x n), b = B (n x k)
   ///   kMatmul3D/2D:   a = A (n x inner), b = X (inner x k)
-  /// The call is upload -> execute_dist -> download plus a host-side
-  /// residual: TRSM variants are first reduced on the host to the
-  /// lower-left kernel and run on the lower-left plan of the same shape
-  /// (Context::plan; same config), then both operands are uploaded in
-  /// the plan's input layouts. For the iterative TRSM the plan keeps the
-  /// last uploaded `a` resident, and a byte-identical `a` on the next
-  /// call reuses that handle, so repeated solves against one matrix
-  /// upload it once and invert its diagonal blocks once.
+  /// For the ops that take a right-hand side this is execute_batch(a, {b}),
+  /// a batch of one; tri-inv and Cholesky run the same upload -> one-step
+  /// program -> download path on `a` alone.
   ExecResult execute(const la::Matrix& a, const la::Matrix& b = {});
 
-  /// Execute against RESIDENT operands: no scatter, no collect — the
-  /// whole point for batched solves against a fixed factor. A handle
+  /// Execute against RESIDENT operands: the one-panel stream_program on
+  /// handles, with no scatter and no collect — the whole point for
+  /// repeated solves against a fixed factor. A handle
   /// whose layout differs from the required input_layout() is
   /// redistributed automatically (charged to the "redistribute" phase).
   /// TRSM on this path supports the normalized kernel variants only
@@ -370,23 +367,20 @@ class Plan : public std::enable_shared_from_this<Plan> {
   Layout input_layout(int slot) const;
   Layout output_layout() const;
 
-  /// Execute over many right-hand-side panels, amortizing planning and —
-  /// for the iterative TRSM — the diagonal-block inversion, which runs
-  /// exactly once per distinct operand matrix.
-  std::vector<ExecResult> execute_batch(const la::Matrix& a,
-                                        const std::vector<la::Matrix>& bs);
-
-  /// The same panel stream as ONE simulated run: every panel is uploaded
-  /// once (one describe-only realization per operand layout, shared across
-  /// the batch), all solves execute as a single Program inside a single
-  /// Machine::run with intermediates resident in the HandleStore, and —
-  /// for the iterative TRSM — the diagonal-block inversion runs once and
-  /// is reused by every panel IN that run (and across calls against the
-  /// same operand bytes, like execute_batch). Supports kTrsm in the
-  /// normalized lower-left variants (transpose requires the iterative
-  /// algorithm) and the matmul ops; other ops: use execute_batch.
-  BatchResult execute_batch_fused(const la::Matrix& a,
-                                  const std::vector<la::Matrix>& bs);
+  /// Execute over many right-hand-side panels as ONE simulated run. TRSM
+  /// variants are first reduced on the host to the lower-left kernel,
+  /// panel by panel, and run on the lower-left plan of the same shape
+  /// (Context::plan; same config). Then `a` and every panel are uploaded
+  /// in the plan's input layouts and the whole stream runs as one Program
+  /// (stream_program) in one Machine::run; kCholeskySolve factors `a`
+  /// once and solves every panel against that factor. For the iterative
+  /// TRSM the plan keeps the last uploaded `a` resident, and a
+  /// byte-identical `a` on the next call reuses that handle, so the
+  /// diagonal blocks of one matrix are inverted once across all batches
+  /// and executes. Rejects tri-inv and Cholesky, which take no
+  /// right-hand side (use execute).
+  BatchResult execute_batch(const la::Matrix& a,
+                            std::span<const la::Matrix> bs);
 
   /// Element generator over GLOBAL indices (namespace-level api::Gen).
   using Gen = api::Gen;
@@ -416,13 +410,23 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// How one run uses the diagonal-inverse cache (defined in plan.cpp).
   struct DiagUse;
 
-  /// Reduce a TRSM variant on the host to the lower-left kernel and run
-  /// it on the lower-left plan (execute's kTrsm case).
-  ExecResult run_trsm(const la::Matrix& t, const la::Matrix& b,
-                      const TrsmSpec& spec);
-  /// Upload (a via operand_handle) -> execute_dist -> download.
-  ExecResult run_matrices(const la::Matrix& a, const la::Matrix& b);
-  ExecResult run_handles(const DistHandle& a, const DistHandle& b);
+  /// The one Program behind every entry point: input A, then per
+  /// right-hand-side panel one input, the op's steps and one marked
+  /// output. kCholeskySolve factors A once and wires one forward and one
+  /// backward solve per panel. A unary op (tri-inv, Cholesky) takes no
+  /// panels: its program is one step on A.
+  Program stream_program(std::size_t panels);
+  /// Launch stream_program over `inputs` (A, then one handle per panel)
+  /// with the diagonal-inverse cache bound, as one execution stream.
+  DistTicket launch(const std::vector<DistHandle>& inputs);
+  /// Upload `a` (via operand_handle) and every panel, run the stream in
+  /// one Machine::run, download every output. No residuals.
+  BatchResult run_stream(const la::Matrix& a, std::span<const la::Matrix> bs);
+  /// Reduce a TRSM variant on the host to the lower-left kernel, panel by
+  /// panel, and run the reduced stream on the lower-left plan. No
+  /// residuals.
+  BatchResult run_trsm(const la::Matrix& t, std::span<const la::Matrix> bs,
+                       const TrsmSpec& spec);
   /// The handle of operand `a` for one call. When the run inverts
   /// diagonal blocks, it is the memoized handle if `a`'s bytes equal the
   /// last call's (else a fresh memoized upload); otherwise a transient
@@ -440,11 +444,6 @@ class Plan : public std::enable_shared_from_this<Plan> {
   void unbind_diag(const DiagUse& diag);
   /// After a successful run: adopt the blocks a cache miss computed.
   void adopt_diag(DiagUse& diag);
-
-  /// The Cholesky pipeline as a 3-op Program over resident operands:
-  /// factor, forward solve, reversed backward solve — one Machine::run,
-  /// no intermediate collects.
-  Program make_cholesky_program();
 
   Context* ctx_;
   OpDesc desc_;
@@ -465,8 +464,8 @@ class Plan : public std::enable_shared_from_this<Plan> {
   bool diag_valid_ = false;
   std::uint64_t diag_inversions_ = 0;
 
-  // The operand memo of execute() and execute_batch_fused when runs
-  // invert diagonal blocks: the last uploaded `a` and its handle. The
+  // The operand memo of execute() and execute_batch() when runs invert
+  // diagonal blocks: the last uploaded `a` and its handle. The
   // byte comparison against operand_src_ is the only content check on
   // any path; the diagonal-inverse cache keys on the handle.
   std::shared_ptr<const la::Matrix> operand_src_;
@@ -558,7 +557,7 @@ class Context {
 
   /// Upload/download against a caller-realized distribution, so a batch
   /// realizes each layout's describe-only communicator set ONCE instead of
-  /// once per panel (Plan::execute_batch_fused). `d` must be
+  /// once per panel (Plan::execute_batch). `d` must be
   /// detail::realize_host(layout, rows, cols, nprocs()) for the same
   /// shape/layout the call passes. The matrix overload keeps `m` itself
   /// as the handle's recovery source (no further copy).

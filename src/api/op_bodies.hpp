@@ -1,10 +1,9 @@
 #pragma once
 // Internal: the per-op distributed bodies behind api::Program — one
 // implementation of each algorithm invocation. Every Plan entry point
-// runs through a Program: execute_dist is a one-step program, execute is
-// upload -> execute_dist -> download, and the fused batch and the
-// Cholesky pipeline are multi-step programs (a chain of bodies in ONE
-// run, redistributing between steps only on layout mismatch). Bodies
+// runs through the one Program Plan::stream_program builds: a step per
+// right-hand-side panel, and for the Cholesky pipeline a chain of bodies
+// in ONE run, redistributing between steps only on layout mismatch. Bodies
 // load per-rank blocks from the machine's sim::HandleStore and store
 // result blocks back — no scatter, no collect.
 //
@@ -51,6 +50,12 @@ struct DistHandle::State {
 };
 
 namespace detail {
+
+/// Operand count of an op (see Plan::execute operand roles): tri-inv and
+/// Cholesky take only A, every other op also a right-hand side.
+inline int op_arity(Op op) {
+  return op == Op::kTriInv || op == Op::kCholesky ? 1 : 2;
+}
 
 /// Throws unless the layout's grid fits a p-rank machine.
 void check_layout_fits(const Layout& lay, int p);

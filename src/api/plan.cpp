@@ -1,8 +1,8 @@
 // api::Plan — planning, and the one execution path under it. Every entry
-// point runs a Program: execute_dist is a one-step program, execute is
-// upload -> execute_dist -> download (TRSM variants reduced host-side to
-// the lower-left kernel first), execute_batch_fused is one program over a
-// whole panel stream, and kCholeskySolve is the three-step pipeline.
+// point runs the Program stream_program builds: execute_dist runs it over
+// one panel of handles, execute_batch uploads A and every panel and runs
+// the whole stream in one Machine::run (TRSM variants reduced host-side to
+// the lower-left kernel first), and execute is a batch of one.
 
 #include <cmath>
 #include <cstring>
@@ -41,11 +41,6 @@ Matrix reversed_both(const Matrix& t) {
   return out;
 }
 
-/// The operand actually applied to X, op(T) in BLAS terms.
-Matrix effective_operand(const Matrix& t, const TrsmSpec& spec) {
-  return spec.transpose ? t.transposed() : t;
-}
-
 /// Relative residual of an SPD solve: ||A X - B|| / (||A|| ||X|| + ||B||).
 double spd_residual(const Matrix& a, const Matrix& b, const Matrix& x) {
   Matrix resid = la::matmul(a, x);
@@ -69,6 +64,11 @@ std::shared_ptr<const Matrix> borrowed(const Matrix& m) {
   return std::shared_ptr<const Matrix>(std::shared_ptr<const Matrix>(), &m);
 }
 
+/// Column count of operand A (the row count of every right-hand side).
+index_t inner_dim(const OpDesc& d) {
+  return d.op == Op::kMatmul3D || d.op == Op::kMatmul2D ? d.inner : d.n;
+}
+
 /// Largest q with q * q <= p: the square subgrid the Cholesky ops run on.
 int square_side(int p) {
   int q = static_cast<int>(std::sqrt(static_cast<double>(p)));
@@ -88,6 +88,37 @@ struct Plan::DiagUse {
   std::uint64_t id = 0;                        // ... and the operand they
   std::uint64_t epoch = 0;                     //     belong to
   bool reader = false;                         // hit
+};
+
+// One launched stream program plus its use of the diagonal-inverse cache,
+// settled once: the first settle() adopts a miss's blocks or records the
+// failure, and every later one returns the same outcome.
+struct DistTicket::Shared {
+  std::shared_ptr<Plan> plan;
+  Program::AsyncResult async;
+  ProgramStats program_stats;
+  Plan::DiagUse diag;
+
+  std::mutex mu;
+  bool settled = false;
+  Program::Result result;
+  std::exception_ptr outcome;
+
+  const Program::Result& settle() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!settled) {
+      settled = true;
+      try {
+        result = async.wait();
+        plan->adopt_diag(diag);
+      } catch (...) {
+        outcome = std::current_exception();
+      }
+      diag.fresh.reset();
+    }
+    if (outcome) std::rethrow_exception(outcome);
+    return result;
+  }
 };
 
 Plan::Plan(Context& ctx, OpDesc desc) : ctx_(&ctx), desc_(desc) {
@@ -236,71 +267,95 @@ Layout Plan::output_layout() const {
 }
 
 ExecResult Plan::execute(const Matrix& a, const Matrix& b) {
-  const index_t n = desc_.n;
-  switch (desc_.op) {
-    case Op::kTrsm: {
-      CATRSM_CHECK(a.rows() == n && a.cols() == n,
-                   "execute: T must match the planned n x n shape");
-      if (desc_.trsm.side == Side::kRight) {
-        CATRSM_CHECK(b.rows() == desc_.k && b.cols() == n,
-                     "execute: right-side B must be k x n");
-      } else {
-        CATRSM_CHECK(b.rows() == n && b.cols() == desc_.k,
-                     "execute: B must match the planned n x k shape");
-      }
-      return run_trsm(a, b, desc_.trsm);
-    }
-    case Op::kTriInv: {
-      CATRSM_CHECK(a.rows() == n && a.cols() == n,
-                   "execute: L must match the planned n x n shape");
-      ExecResult r = run_matrices(a, {});
-      r.residual = la::inv_residual(a, r.x);
-      return r;
-    }
-    case Op::kCholesky: {
-      CATRSM_CHECK(a.rows() == n && a.cols() == n,
-                   "execute: A must match the planned n x n shape");
-      ExecResult r = run_matrices(a, {});
-      // Factorization residual: ||L L^T - A|| / ||A||.
-      Matrix llt = la::matmul(r.x, r.x.transposed());
-      llt.sub(a);
-      r.residual = la::frobenius_norm(llt) / (la::frobenius_norm(a) + 1e-300);
-      return r;
-    }
-    case Op::kCholeskySolve: {
-      CATRSM_CHECK(a.rows() == n && a.cols() == n,
-                   "execute: A must match the planned n x n shape");
-      CATRSM_CHECK(b.rows() == n && b.cols() == desc_.k,
-                   "execute: B must match the planned n x k shape");
-      ExecResult r = run_matrices(a, b);
-      r.residual = spd_residual(a, b, r.x);
-      return r;
-    }
-    case Op::kMatmul3D:
-    case Op::kMatmul2D:
-      CATRSM_CHECK(a.rows() == n && a.cols() == desc_.inner,
-                   "execute: A must match the planned shape");
-      CATRSM_CHECK(b.rows() == desc_.inner && b.cols() == desc_.k,
-                   "execute: X must match the planned shape");
-      return run_matrices(a, b);
+  if (detail::op_arity(desc_.op) == 2) {
+    BatchResult r = execute_batch(a, {&b, 1});
+    return {std::move(r.xs[0]), std::move(r.stats), r.config,
+            r.residuals[0]};
   }
-  throw Error("execute: unknown op");
+  CATRSM_CHECK(a.rows() == desc_.n && a.cols() == desc_.n,
+               "execute: the operand must match the planned n x n shape");
+  BatchResult r = run_stream(a, {});
+  ExecResult out{std::move(r.xs[0]), std::move(r.stats), r.config, 0.0};
+  if (desc_.op == Op::kTriInv) {
+    out.residual = la::inv_residual(a, out.x);
+  } else {
+    // Factorization residual: ||L L^T - A|| / ||A||.
+    Matrix llt = la::matmul(out.x, out.x.transposed());
+    llt.sub(a);
+    out.residual =
+        la::frobenius_norm(llt) / (la::frobenius_norm(a) + 1e-300);
+  }
+  return out;
 }
 
-ExecResult Plan::run_trsm(const Matrix& t, const Matrix& b,
-                          const TrsmSpec& spec) {
+BatchResult Plan::execute_batch(const Matrix& a, std::span<const Matrix> bs) {
+  CATRSM_CHECK(detail::op_arity(desc_.op) == 2,
+               "execute_batch: tri-inv and cholesky take no right-hand "
+               "side — use execute");
+  const index_t n = desc_.n;
+  const index_t k = desc_.k;
+  const index_t inner = inner_dim(desc_);
+  const bool right =
+      desc_.op == Op::kTrsm && desc_.trsm.side == Side::kRight;
+  CATRSM_CHECK(a.rows() == n && a.cols() == inner,
+               "execute: the operand must match the planned shape");
+  for (const Matrix& b : bs)
+    CATRSM_CHECK(right ? b.rows() == k && b.cols() == n
+                       : b.rows() == inner && b.cols() == k,
+                 "execute: B must match the planned shape (k x n for a "
+                 "right-side solve)");
+  if (bs.empty()) {
+    BatchResult r;
+    r.config = config_;
+    return r;
+  }
+
+  BatchResult r = desc_.op == Op::kTrsm ? run_trsm(a, bs, desc_.trsm)
+                                        : run_stream(a, bs);
+  r.residuals.reserve(bs.size());
+  if (desc_.op == Op::kTrsm) {
+    // op(T), the operand applied to X; no copy of T when it is T itself.
+    Matrix at;
+    if (desc_.trsm.transpose) at = a.transposed();
+    const Matrix& op = desc_.trsm.transpose ? at : a;
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      if (!right) {
+        r.residuals.push_back(la::trsm_residual(op, r.xs[i], bs[i]));
+        continue;
+      }
+      Matrix prod = la::matmul(r.xs[i], op);
+      prod.sub(bs[i]);
+      r.residuals.push_back(la::frobenius_norm(prod) /
+                            (la::frobenius_norm(a) *
+                                 la::frobenius_norm(r.xs[i]) +
+                             la::frobenius_norm(bs[i]) + 1e-300));
+    }
+  } else {
+    for (std::size_t i = 0; i < bs.size(); ++i)
+      r.residuals.push_back(desc_.op == Op::kCholeskySolve
+                                ? spd_residual(a, bs[i], r.xs[i])
+                                : 0.0);
+  }
+  return r;
+}
+
+BatchResult Plan::run_trsm(const Matrix& t, std::span<const Matrix> bs,
+                           const TrsmSpec& spec) {
+  const auto each = [&bs](Matrix (*f)(const Matrix&)) {
+    std::vector<Matrix> out;
+    out.reserve(bs.size());
+    for (const Matrix& b : bs) out.push_back(f(b));
+    return out;
+  };
+  const auto transposed = [](const Matrix& m) { return m.transposed(); };
+
   // --- Normalize right-side solves: X op(T) = B  <=>  op(T)^T X^T = B^T.
   if (spec.side == Side::kRight) {
     TrsmSpec inner = spec;
     inner.side = Side::kLeft;
     inner.transpose = !spec.transpose;
-    ExecResult r = run_trsm(t, b.transposed(), inner);
-    r.x = r.x.transposed();
-    Matrix prod = la::matmul(r.x, effective_operand(t, spec));
-    prod.sub(b);
-    r.residual = la::frobenius_norm(prod) /
-                 (la::frobenius_norm(t) * la::frobenius_norm(r.x) +
-                  la::frobenius_norm(b) + 1e-300);
+    BatchResult r = run_trsm(t, each(transposed), inner);
+    for (Matrix& x : r.xs) x = x.transposed();
     return r;
   }
 
@@ -311,14 +366,11 @@ ExecResult Plan::run_trsm(const Matrix& t, const Matrix& b,
     if (spec.transpose) {
       // U^T is already lower-triangular: solve directly with it.
       inner.transpose = false;
-      ExecResult r = run_trsm(t.transposed(), b, inner);
-      r.residual = la::trsm_residual(t.transposed(), r.x, b);
-      return r;
+      return run_trsm(t.transposed(), bs, inner);
     }
     // U X = B: J U J is lower, X = J * lower_solve(J U J, J B).
-    ExecResult r = run_trsm(reversed_both(t), reversed_rows(b), inner);
-    r.x = reversed_rows(r.x);
-    r.residual = la::trsm_residual(t, r.x, b);
+    BatchResult r = run_trsm(reversed_both(t), each(reversed_rows), inner);
+    for (Matrix& x : r.xs) x = reversed_rows(x);
     return r;
   }
 
@@ -326,10 +378,9 @@ ExecResult Plan::run_trsm(const Matrix& t, const Matrix& b,
   if (spec.transpose) {
     TrsmSpec inner = spec;
     inner.transpose = false;
-    ExecResult r =
-        run_trsm(reversed_both(t.transposed()), reversed_rows(b), inner);
-    r.x = reversed_rows(r.x);
-    r.residual = la::trsm_residual(t.transposed(), r.x, b);
+    BatchResult r = run_trsm(reversed_both(t.transposed()),
+                             each(reversed_rows), inner);
+    for (Matrix& x : r.xs) x = reversed_rows(x);
     return r;
   }
 
@@ -341,30 +392,33 @@ ExecResult Plan::run_trsm(const Matrix& t, const Matrix& b,
   if (own.side != Side::kLeft || own.uplo != la::Uplo::kLower ||
       own.transpose)
     lower_left = ctx_->plan(trsm_op(desc_.n, desc_.k, spec));
-  ExecResult r = lower_left->run_matrices(t, b);
-  r.residual = la::trsm_residual(t, r.x, b);
-  return r;
+  return lower_left->run_stream(t, bs);
 }
 
-ExecResult Plan::run_matrices(const Matrix& a, const Matrix& b) {
-  const bool needs_b = desc_.op != Op::kTriInv && desc_.op != Op::kCholesky;
-  const DistHandle ha = operand_handle(a);
-  DistHandle hb;
-  if (needs_b) {
+BatchResult Plan::run_stream(const Matrix& a, std::span<const Matrix> bs) {
+  // ONE describe-only realization per panel layout, shared by every
+  // upload and download in the batch.
+  const int p = ctx_->nprocs();
+  std::vector<DistHandle> handles{operand_handle(a)};
+  handles.reserve(bs.size() + 1);
+  if (!bs.empty()) {
     const Layout lay = input_layout(1);
-    hb = ctx_->upload_on(
-        borrowed(b), lay,
-        detail::realize_host(lay, b.rows(), b.cols(), ctx_->nprocs()));
+    const auto d = detail::realize_host(lay, bs[0].rows(), bs[0].cols(), p);
+    for (const Matrix& b : bs)
+      handles.push_back(ctx_->upload_on(borrowed(b), lay, d));
   }
-  return run_handles(ha, hb);
-}
+  DistTicket ticket = launch(handles);
+  const Program::Result& run = ticket.s_->settle();
 
-ExecResult Plan::run_handles(const DistHandle& a, const DistHandle& b) {
-  DistExecResult d = execute_dist(a, b);
-  ExecResult r;
-  r.x = ctx_->download(d.x);
-  r.stats = std::move(d.stats);
+  BatchResult r;
   r.config = config_;
+  r.stats = run.stats;
+  r.program_stats = ticket.s_->program_stats;
+  r.xs.reserve(run.outputs.size());
+  const DistHandle& x0 = run.outputs.front();
+  const auto dx = detail::realize_host(x0.layout(), x0.rows(), x0.cols(), p);
+  for (const DistHandle& x : run.outputs)
+    r.xs.push_back(ctx_->download_on(x, dx));
   return r;
 }
 
@@ -384,95 +438,8 @@ DistHandle Plan::operand_handle(const Matrix& a) {
   return operand_;
 }
 
-std::vector<ExecResult> Plan::execute_batch(const Matrix& a,
-                                            const std::vector<Matrix>& bs) {
-  std::vector<ExecResult> out;
-  out.reserve(bs.size());
-  for (const Matrix& b : bs) out.push_back(execute(a, b));
-  return out;
-}
-
 sim::Cost BatchResult::algorithm_cost() const {
   return stats.phase_cost("algorithm");
-}
-
-BatchResult Plan::execute_batch_fused(const Matrix& a,
-                                      const std::vector<Matrix>& bs) {
-  CATRSM_CHECK(desc_.op == Op::kTrsm || desc_.op == Op::kMatmul3D ||
-                   desc_.op == Op::kMatmul2D,
-               "execute_batch_fused: fuses trsm and matmul panel streams — "
-               "other ops: use execute_batch");
-  if (desc_.op == Op::kTrsm) {
-    CATRSM_CHECK(desc_.trsm.side == Side::kLeft &&
-                     desc_.trsm.uplo == la::Uplo::kLower,
-                 "execute_batch_fused: normalized lower-left distributed "
-                 "kernel only (no right/upper variants)");
-  }
-  BatchResult result;
-  result.config = config_;
-  if (bs.empty()) return result;
-
-  const bool is_trsm = desc_.op == Op::kTrsm;
-  const index_t arows = desc_.n;
-  const index_t acols = is_trsm ? desc_.n : desc_.inner;
-  const index_t brows = is_trsm ? desc_.n : desc_.inner;
-  const index_t bcols = desc_.k;
-  CATRSM_CHECK(a.rows() == arows && a.cols() == acols,
-               "execute_batch_fused: operand must match the planned shape");
-  for (const Matrix& b : bs)
-    CATRSM_CHECK(b.rows() == brows && b.cols() == bcols,
-                 "execute_batch_fused: panel must match the planned shape");
-
-  // ONE describe-only realization per panel layout, shared by every
-  // upload and download in the batch.
-  const int p = ctx_->nprocs();
-  const Layout lay_b = input_layout(1);
-  const auto db = detail::realize_host(lay_b, brows, bcols, p);
-  const auto dx = detail::realize_host(output_layout(), desc_.n, bcols, p);
-
-  // The whole panel stream as one Program: input A once, one step + one
-  // marked output per panel, executed in a single Machine::run with
-  // every intermediate resident in the HandleStore.
-  Program prog(*ctx_);
-  std::vector<DistHandle> handles;
-  handles.reserve(bs.size() + 1);
-  handles.push_back(operand_handle(a));
-  const Program::NodeId na = prog.input(arows, acols);
-  for (const Matrix& b : bs) {
-    handles.push_back(ctx_->upload_on(borrowed(b), lay_b, db));
-    const Program::NodeId nb = prog.input(brows, bcols);
-    prog.mark_output(prog.add(shared_from_this(), {na, nb}));
-  }
-
-  // Iterative TRSM: the first panel's step inverts the diagonal blocks
-  // (unless the cache already holds them for this operand handle), every
-  // later panel reuses them IN the same simulated run.
-  DiagUse diag;
-  Program::AsyncResult run;
-  try {
-    run = prog.run_async(handles, bind_diag(prog, handles[0], diag));
-  } catch (...) {
-    unbind_diag(diag);
-    throw;
-  }
-  Program::Result r = run.wait();
-  adopt_diag(diag);
-
-  result.stats = std::move(r.stats);
-  result.program_stats = prog.stats();
-  result.xs.reserve(bs.size());
-  result.residuals.reserve(bs.size());
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    Matrix x = ctx_->download_on(r.outputs[i], dx);
-    double resid = 0.0;
-    if (is_trsm)
-      resid = desc_.trsm.transpose
-                  ? la::trsm_residual(a.transposed(), x, bs[i])
-                  : la::trsm_residual(a, x, bs[i]);
-    result.residuals.push_back(resid);
-    result.xs.push_back(std::move(x));
-  }
-  return result;
 }
 
 ExecResult Plan::execute_generated(const Gen& a_gen, const Gen& b_gen,
@@ -481,9 +448,10 @@ ExecResult Plan::execute_generated(const Gen& a_gen, const Gen& b_gen,
                "execute_generated: only the cholesky-solve op accepts "
                "generator inputs");
   // Generator-fed uploads: no rank ever materializes a global operand.
-  ExecResult r = run_handles(
-      ctx_->upload(a_gen, desc_.n, desc_.n, input_layout(0)),
-      ctx_->upload(b_gen, desc_.n, desc_.k, input_layout(1)));
+  DistExecResult d =
+      execute_dist(ctx_->upload(a_gen, desc_.n, desc_.n, input_layout(0)),
+                   ctx_->upload(b_gen, desc_.n, desc_.k, input_layout(1)));
+  ExecResult r{ctx_->download(d.x), std::move(d.stats), config_, 0.0};
   if (verify) {
     // Verification only: materialize the global system once, host-side.
     Matrix a(desc_.n, desc_.n);
@@ -557,21 +525,73 @@ void Plan::adopt_diag(DiagUse& diag) {
   diag.fresh.reset();
 }
 
-// --- Resident execution -----------------------------------------------------
+// --- The stream program and its launch ------------------------------------
 
-// One in-flight execute_dist stream: the launched Program run plus its use
-// of the diagonal-inverse cache, settled at wait().
-struct DistTicket::Shared {
-  std::shared_ptr<Plan> plan;
-  model::Config config;
-  Program::AsyncResult async;
-  Plan::DiagUse diag;
+Program Plan::stream_program(std::size_t panels) {
+  const index_t inner = inner_dim(desc_);
+  Program prog(*ctx_);
+  const Program::NodeId na = prog.input(desc_.n, inner);
+  if (detail::op_arity(desc_.op) == 1) {
+    prog.mark_output(prog.add(shared_from_this(), {na}));
+    return prog;
+  }
+  if (desc_.op != Op::kCholeskySolve) {
+    for (std::size_t i = 0; i < panels; ++i) {
+      const Program::NodeId nb = prog.input(inner, desc_.k);
+      prog.mark_output(prog.add(shared_from_this(), {na, nb}));
+    }
+    return prog;
+  }
 
-  std::mutex mu;
-  bool assembled = false;
-  DistExecResult result;
-  std::exception_ptr outcome;
-};
+  // The Cholesky pipeline: factor, forward solve, reversed backward solve
+  // on the q x q subgrid, one Machine::run, no intermediate collects. The
+  // building-block plans are cache hits after the first call.
+  const int q = config_.p1;
+  auto factor_plan = ctx_->plan(cholesky_op(desc_.n, q));
+  TrsmSpec fwd_spec;
+  fwd_spec.force_algorithm = true;
+  fwd_spec.algorithm = model::Algorithm::kIterative;
+  fwd_spec.nblocks = config_.nblocks;
+  fwd_spec.grid_p1 = q;
+  fwd_spec.grid_p2 = 1;
+  auto fwd_plan = ctx_->plan(trsm_op(desc_.n, desc_.k, fwd_spec));
+  TrsmSpec bwd_spec = fwd_spec;
+  bwd_spec.transpose = true;
+  auto bwd_plan = ctx_->plan(trsm_op(desc_.n, desc_.k, bwd_spec));
+
+  const Program::NodeId nl = prog.add(factor_plan, {na}, "cholesky");
+  for (std::size_t i = 0; i < panels; ++i) {
+    const Program::NodeId nb = prog.input(desc_.n, desc_.k);
+    const Program::NodeId ny = prog.add(fwd_plan, {nl, nb}, "forward-trsm");
+    prog.mark_output(prog.add(bwd_plan, {nl, ny}, "backward-trsm"));
+  }
+  return prog;
+}
+
+DistTicket Plan::launch(const std::vector<DistHandle>& inputs) {
+  // ALL validation (variant rules, shapes, machine ownership) and all
+  // orchestration (slot load/restore with exception unwinding, grid
+  // subsetting, redistribute-on-mismatch, output materialization) live in
+  // Program::add/run_async — one implementation. run_async snapshots the
+  // DAG, so the local Program may die while the stream flies.
+  Program prog = stream_program(inputs.size() - 1);
+  auto sh = std::make_shared<DistTicket::Shared>();
+  sh->plan = shared_from_this();
+  // The cache is bound only after stream_program accepted the steps, so
+  // a rejected call cannot touch it. On a miss the first panel's step
+  // inverts the diagonal blocks and every later panel reuses them IN the
+  // same run.
+  try {
+    sh->async = prog.run_async(inputs, bind_diag(prog, inputs[0], sh->diag));
+  } catch (...) {
+    // run_async throws only before the submission exists, so on_complete
+    // never fires — undo the reader count here.
+    unbind_diag(sh->diag);
+    throw;
+  }
+  sh->program_stats = prog.stats();
+  return DistTicket(std::move(sh));
+}
 
 DistExecResult Plan::execute_dist(const DistHandle& a, const DistHandle& b) {
   return execute_dist_async(a, b).wait();
@@ -580,45 +600,9 @@ DistExecResult Plan::execute_dist(const DistHandle& a, const DistHandle& b) {
 DistTicket Plan::execute_dist_async(const DistHandle& a,
                                     const DistHandle& b) {
   CATRSM_CHECK(a.valid(), "execute_dist: operand handle is empty");
-  const bool needs_b = desc_.op != Op::kTriInv && desc_.op != Op::kCholesky;
-  CATRSM_CHECK(!needs_b || b.valid(),
-               "execute_dist: op needs a second operand handle");
-
-  auto sh = std::make_shared<DistTicket::Shared>();
-  sh->plan = shared_from_this();
-  sh->config = config_;
-
-  if (desc_.op == Op::kCholeskySolve) {
-    Program prog = make_cholesky_program();
-    sh->async = prog.run_async({a, b});
-    return DistTicket(std::move(sh));
-  }
-
-  // One-step program: ALL validation (variant rules, shapes, machine
-  // ownership) and all orchestration (slot load/restore with exception
-  // unwinding, grid subsetting, redistribute-on-mismatch, output
-  // materialization) live in Program::add/run_async — one
-  // implementation. run_async snapshots the DAG, so the local Program
-  // may die while the stream flies.
-  Program prog(*ctx_);
-  std::vector<Program::NodeId> args{prog.input(a.rows(), a.cols())};
-  std::vector<DistHandle> inputs{a};
-  if (needs_b) {
-    args.push_back(prog.input(b.rows(), b.cols()));
-    inputs.push_back(b);
-  }
-  prog.mark_output(prog.add(shared_from_this(), std::move(args)));
-  // The cache is bound only after add() accepted the step, so a rejected
-  // call cannot touch it.
-  try {
-    sh->async = prog.run_async(inputs, bind_diag(prog, a, sh->diag));
-  } catch (...) {
-    // run_async throws only before the submission exists, so on_complete
-    // never fires — undo the reader count here.
-    unbind_diag(sh->diag);
-    throw;
-  }
-  return DistTicket(std::move(sh));
+  if (detail::op_arity(desc_.op) == 1) return launch({a});
+  CATRSM_CHECK(b.valid(), "execute_dist: op needs a second operand handle");
+  return launch({a, b});
 }
 
 bool DistTicket::done() const {
@@ -628,51 +612,12 @@ bool DistTicket::done() const {
 
 DistExecResult DistTicket::wait() {
   CATRSM_CHECK(s_ != nullptr, "DistTicket: empty ticket");
-  std::lock_guard<std::mutex> lock(s_->mu);
-  Shared& sh = *s_;
-  if (!sh.assembled) {
-    sh.assembled = true;
-    try {
-      Program::Result r = sh.async.wait();
-      sh.result.config = sh.config;
-      sh.result.x = std::move(r.outputs[0]);
-      sh.result.stats = std::move(r.stats);
-      sh.plan->adopt_diag(sh.diag);
-    } catch (...) {
-      sh.outcome = std::current_exception();
-    }
-    sh.diag.fresh.reset();
-  }
-  if (sh.outcome) std::rethrow_exception(sh.outcome);
-  return sh.result;
-}
-
-Program Plan::make_cholesky_program() {
-  const index_t n = desc_.n;
-  const index_t k = desc_.k;
-  const int q = config_.p1;
-
-  // The three building-block plans (cache hits after the first execute).
-  auto factor_plan = ctx_->plan(cholesky_op(n, q));
-  TrsmSpec fwd_spec;
-  fwd_spec.force_algorithm = true;
-  fwd_spec.algorithm = model::Algorithm::kIterative;
-  fwd_spec.nblocks = config_.nblocks;
-  fwd_spec.grid_p1 = q;
-  fwd_spec.grid_p2 = 1;
-  auto fwd_plan = ctx_->plan(trsm_op(n, k, fwd_spec));
-  TrsmSpec bwd_spec = fwd_spec;
-  bwd_spec.transpose = true;
-  auto bwd_plan = ctx_->plan(trsm_op(n, k, bwd_spec));
-
-  Program prog(*ctx_);
-  const auto na = prog.input(n, n);
-  const auto nb = prog.input(n, k);
-  const auto nl = prog.add(factor_plan, {na}, "cholesky");
-  const auto ny = prog.add(fwd_plan, {nl, nb}, "forward-trsm");
-  const auto nx = prog.add(bwd_plan, {nl, ny}, "backward-trsm");
-  prog.mark_output(nx);
-  return prog;
+  const Program::Result& r = s_->settle();
+  DistExecResult out;
+  out.x = r.outputs[0];
+  out.stats = r.stats;
+  out.config = s_->plan->config();
+  return out;
 }
 
 }  // namespace catrsm::api

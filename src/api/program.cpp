@@ -27,15 +27,6 @@ namespace catrsm::api {
 
 using dist::DistMatrix;
 
-namespace {
-
-/// Operand count of an op's body (see Plan::execute operand roles).
-int op_arity(Op op) {
-  return op == Op::kTriInv || op == Op::kCholesky ? 1 : 2;
-}
-
-}  // namespace
-
 sim::Cost Program::Result::algorithm_cost() const {
   return stats.phase_cost("algorithm");
 }
@@ -72,7 +63,7 @@ Program::NodeId Program::add(std::shared_ptr<Plan> plan,
                    "program: transposed trsm steps require the iterative "
                    "algorithm");
   }
-  const int arity = op_arity(d.op);
+  const int arity = detail::op_arity(d.op);
   CATRSM_CHECK(static_cast<int>(args.size()) == arity,
                "program: wrong operand count for op");
   for (const NodeId a : args)
@@ -320,7 +311,7 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs,
       // Layout transitions, as planned by the schedule: direct reference,
       // a cached conversion (run once, reused), or — optimizer off — a
       // per-use transient, exactly the as-written behavior.
-      const int arity = op_arity(plan.desc().op);
+      const int arity = detail::op_arity(plan.desc().op);
       const DistMatrix* arg[2] = {nullptr, nullptr};
       DistMatrix moved[2];
       for (int slot = 0; slot < arity; ++slot) {

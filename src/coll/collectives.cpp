@@ -244,6 +244,8 @@ Buffer reduce_scatter(const sim::Comm& comm, Buffer full,
   const double* wsrc = work.data();
   std::size_t gpos = 0;
   const auto append = [&](std::size_t lo, std::size_t hi) {
+    // An empty payload has no storage: memcpy must not see its null data.
+    if (hi == lo) return;
     std::memcpy(gout + gpos, wsrc + lo, (hi - lo) * sizeof(double));
     gpos += hi - lo;
   };

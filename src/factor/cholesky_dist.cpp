@@ -134,8 +134,8 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
     // operand. Trailing columns beyond o+sz that I own are exactly the
     // mirror's trailing rows, in the same ascending order.
     // Build the TRANSPOSED mirror operand directly — from the frozen
-    // received view when exchanging (no take() copy off the slab), or
-    // from my own panel on the diagonal.
+    // received view when exchanging (no copy off the slab), or from my
+    // own panel on the diagonal.
     Matrix mirror_t;
     if (gi != gj) {
       const int peer = face.at(gj, gi);

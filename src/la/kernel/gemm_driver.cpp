@@ -1,13 +1,7 @@
 #include <algorithm>
-#include <cstdint>
 
 #include "la/kernel/kernel.hpp"
 #include "la/kernel/pool.hpp"
-#include "support/env.hpp"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace catrsm::la::kernel {
 
@@ -38,49 +32,17 @@ constexpr index_t kSmallProduct = 16 * 1024;
 // still gains, so the threshold sits between the two.
 constexpr double kMtFlopThreshold = 3.0e8;
 
-// Auto threshold for non-temporal C stores: a result larger than this
-// would only flush useful lines from the LLC on its way out, so stream
-// it past the hierarchy instead. Only consulted for the beta == 0
-// single-K-pass shape, where C is written exactly once and never read.
-constexpr std::size_t kNtAutoBytes = 8u << 20;
-
 // Largest micro-tile any backend uses (AVX-512: 8 x 16); the partial tile
 // scratch is sized once for all of them.
 constexpr index_t kMaxMr = 8;
 constexpr index_t kMaxNr = 16;
 
-std::atomic<int> g_nt_test_mode{-1};
-
 index_t round_up(index_t x, index_t to) { return ((x + to - 1) / to) * to; }
 
-/// How the macro-kernel writes the C tile. All modes compute identical
-/// values; kAssign/kStream additionally let the driver skip the beta==0
+/// How the macro-kernel writes the C tile. Both modes compute identical
+/// values; kAssign additionally lets the driver skip the beta==0
 /// zero-fill pass because the first K pass overwrites C outright.
-enum class Store { kAccum, kAssign, kStream };
-
-bool nt_policy(std::size_t c_bytes) {
-  const int forced = g_nt_test_mode.load(std::memory_order_relaxed);
-  int mode = forced;
-  if (mode < 0) {
-    static const int env_mode = env::int_or("CATRSM_KERNEL_NT", -1, -1, 1);
-    mode = env_mode;
-  }
-  if (mode == 0) return false;
-  if (mode == 1) return true;
-  return c_bytes > kNtAutoBytes;
-}
-
-template <class T>
-bool nt_aligned(const T* c, index_t ldc) {
-  return (reinterpret_cast<std::uintptr_t>(c) % 64 == 0) &&
-         ((static_cast<std::size_t>(ldc) * sizeof(T)) % 64 == 0);
-}
-
-void store_fence() {
-#if defined(__x86_64__)
-  _mm_sfence();
-#endif
-}
+enum class Store { kAccum, kAssign };
 
 /// Pack mr-row strips [s0, s1) of A(m x k, stride lda), column-major
 /// within each strip, alpha folded in; rows past m are zero so the inner
@@ -151,9 +113,8 @@ void gemm_naive(index_t m, index_t n, index_t k, T alpha, const T* a,
 
 /// One jr strip of the macro-kernel: every ir strip of the mc x nc block
 /// against packed panels. The store mode never changes the computed tile
-/// values — accumulate adds them to C, assign/stream overwrite C (legal
-/// only on the first K pass of a beta == 0 product, where the old C is
-/// dead).
+/// values — accumulate adds them to C, assign overwrites C (legal only on
+/// the first K pass of a beta == 0 product, where the old C is dead).
 template <class T>
 void macro_strip(const MicroKernelT<T>& uk, index_t kc, index_t mc,
                  index_t nc, const T* apack, const T* bpack, T* c,
@@ -168,16 +129,10 @@ void macro_strip(const MicroKernelT<T>& uk, index_t kc, index_t mc,
     const T* ap = apack + ir * kc;
     T* ct = c + ir * ldc + jr;
     if (mr == mr_full && nr == nr_full) {
-      switch (mode) {
-        case Store::kAccum:
-          uk.run(kc, ap, bp, ct, ldc);
-          break;
-        case Store::kAssign:
-          uk.run_store(kc, ap, bp, ct, ldc);
-          break;
-        case Store::kStream:
-          uk.run_nt(kc, ap, bp, ct, ldc);
-          break;
+      if (mode == Store::kAccum) {
+        uk.run(kc, ap, bp, ct, ldc);
+      } else {
+        uk.run_store(kc, ap, bp, ct, ldc);
       }
     } else {
       // Partial tile: compute a full-size local tile (the packed panels
@@ -210,7 +165,6 @@ struct TeamCtx {
   T* c;
   T* bpack;
   bool beta_zero;   // first K pass may overwrite C
-  bool stream;      // ... with non-temporal stores
   TeamBarrier* barrier;
 };
 
@@ -254,9 +208,8 @@ void gemm_team_body(int tid, int nt, void* p) {
                     tc.bpack, bstrips * tid / nt, bstrips * (tid + 1) / nt);
       tc.barrier->wait(nt);
 
-      const Store mode = (tc.beta_zero && pc == 0)
-                             ? (tc.stream ? Store::kStream : Store::kAssign)
-                             : Store::kAccum;
+      const Store mode =
+          tc.beta_zero && pc == 0 ? Store::kAssign : Store::kAccum;
       for (index_t ic = band0; ic < band1; ic += kMc) {
         const index_t mc = std::min(kMc, band1 - ic);
         pack_a_strips(tc.a + ic * tc.lda + pc, tc.lda, mc, kc, tc.alpha,
@@ -269,7 +222,6 @@ void gemm_team_body(int tid, int nt, void* p) {
       tc.barrier->wait(nt);
     }
   }
-  if (tc.stream) store_fence();
 }
 
 template <class T>
@@ -282,17 +234,9 @@ void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
 
   // beta == 0 skips the zero-fill pass entirely: the first K pass of the
   // macro-kernel overwrites C (same values — 0 + x == x for every x an
-  // accumulator can produce). A C too big to be worth caching goes out
-  // through non-temporal stores when the policy and alignment allow; the
-  // stream path needs the single-pass overwrite, valid on the pc == 0
-  // pass regardless of k, but only PAYS when C is not re-read, so it is
-  // further gated to k <= KC (one pass total).
+  // accumulator can produce).
   const bool beta_zero = beta == T(0);
   if (!beta_zero) apply_beta(beta, m, n, c, ldc);
-  const bool stream =
-      beta_zero && k <= kKc && uk.run_nt != nullptr && nt_aligned(c, ldc) &&
-      nt_policy(static_cast<std::size_t>(m) * static_cast<std::size_t>(n) *
-                sizeof(T));
 
   // Packing scratch comes from thread-local arenas: no allocation (and
   // no value-init) per call, 64-byte aligned, reused across calls. Ranks
@@ -305,8 +249,8 @@ void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
       std::min(kKc, k) * round_up(std::min(kNc, n), nr_full)));
 
   TeamBarrier barrier;
-  TeamCtx<T> ctx{&uk, m,     n,         k,      lda,    ldb, ldc, alpha,
-                 a,   b,     c,         bpack,  beta_zero, stream, &barrier};
+  TeamCtx<T> ctx{&uk, m, n, k, lda, ldb, ldc, alpha,
+                 a,   b, c, bpack, beta_zero, &barrier};
 
   ThreadPool& pool = ThreadPool::instance();
   const index_t mstrips = (m + uk.mr - 1) / uk.mr;
@@ -354,11 +298,6 @@ void gemm_with(const MicroKernel& uk, index_t m, index_t n, index_t k,
                index_t ldb, double beta, double* c, index_t ldc) {
   gemm_entry(uk, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
              /*allow_naive=*/false);
-}
-
-void set_nt_for_testing(int mode) {
-  g_nt_test_mode.store(mode < 0 ? -1 : (mode > 0 ? 1 : 0),
-                       std::memory_order_relaxed);
 }
 
 }  // namespace catrsm::la::kernel

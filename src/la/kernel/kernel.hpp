@@ -22,11 +22,9 @@
 // callers fan out.
 //
 // Single-core micro-wins: the inner kernels software-prefetch the packed
-// panels a few iterations ahead, and when beta == 0 with a single
-// K-blocking pass the C tile is written with plain (or, for a C that
-// exceeds the LLC, non-temporal) stores instead of read-modify-write —
-// same values to the bit, less traffic. CATRSM_KERNEL_NT=0|1 overrides
-// the size heuristic.
+// panels a few iterations ahead, and on the first K-blocking pass of a
+// beta == 0 product the C tile is written with plain stores instead of
+// read-modify-write — same values to the bit, less traffic.
 //
 // Modeled costs (S, W, F) are charged by the distributed layers from
 // closed-form flop formulas, so nothing in this layer affects the
@@ -47,12 +45,8 @@ enum class Backend { kScalar, kAvx2, kAvx512 };
 /// bp is a B panel packed row-major within an nr-column strip.
 ///
 /// run_store writes the tile instead of accumulating (c = tile; C may be
-/// uninitialized), used when beta == 0 and the K loop has a single
-/// blocking pass. run_nt is the same with non-temporal stores (bypassing
-/// the cache for a C that would only pollute it); it requires c and ldc
-/// scaled by the element size to be 64-byte aligned and may be null
-/// (driver falls back to run_store). All three compute bit-identical
-/// values — only the store instruction differs.
+/// uninitialized), used on the first K-blocking pass when beta == 0. Both
+/// compute bit-identical values — only the final tile write differs.
 template <class T>
 struct MicroKernelT {
   Backend backend;
@@ -61,7 +55,6 @@ struct MicroKernelT {
   int nr;
   void (*run)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
   void (*run_store)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
-  void (*run_nt)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
 };
 
 using MicroKernel = MicroKernelT<double>;
@@ -96,14 +89,5 @@ void gemm(index_t m, index_t n, index_t k, double alpha, const double* a,
 void gemm_with(const MicroKernel& uk, index_t m, index_t n, index_t k,
                double alpha, const double* a, index_t lda, const double* b,
                index_t ldb, double beta, double* c, index_t ldc);
-
-/// Non-temporal-store policy for the beta == 0 single-K-pass fast path:
-/// by default C uses streaming stores when it exceeds a fixed
-/// last-level-cache-sized threshold (and the alignment precondition
-/// holds); CATRSM_KERNEL_NT=0 disables, =1 forces them for any size.
-/// Values are bit-identical either way — the policy is purely a cache
-/// hint. Test hook mirroring the env var: -1 restores the environment
-/// setting, 0 forces off, 1 forces on.
-void set_nt_for_testing(int mode);
 
 }  // namespace catrsm::la::kernel

@@ -37,10 +37,7 @@ int env_threads() {
 /// sched_yield. 120 us comfortably covers the gap between consecutive
 /// GEMM panels of a blocked triangular sweep while costing at most one
 /// idle core-slice after the last kernel call of a burst.
-int spin_us() {
-  static const int v = env::int_or("CATRSM_KERNEL_SPIN_US", 120, 0, 100000);
-  return v;
-}
+constexpr std::chrono::microseconds kSpin{120};
 
 inline void cpu_pause() {
 #if defined(__x86_64__)
@@ -52,12 +49,11 @@ inline void cpu_pause() {
 
 using SpinClock = std::chrono::steady_clock;
 
-/// Spin on `done` with pause hints for ~spin_us, then yield between
+/// Spin on `done` with pause hints for ~kSpin, then yield between
 /// checks. Returns when done() is true.
 template <class F>
 void spin_then_yield(F&& done) {
-  const auto deadline =
-      SpinClock::now() + std::chrono::microseconds(spin_us());
+  const auto deadline = SpinClock::now() + kSpin;
   int slice = 0;
   while (!done()) {
     cpu_pause();
@@ -155,8 +151,7 @@ struct ThreadPool::Impl {
   /// Wait for the job word's sequence to move past seen_seq (or for
   /// shutdown); returns the freshly observed word.
   std::uint64_t spin_then_park(std::uint64_t seen_seq) {
-    const auto deadline =
-        SpinClock::now() + std::chrono::microseconds(spin_us());
+    const auto deadline = SpinClock::now() + kSpin;
     int slice = 0;
     while (true) {
       const std::uint64_t w = job_word.load(std::memory_order_acquire);

@@ -19,13 +19,12 @@
 //    microseconds on some kernels — measured 255 us here — which is why
 //    the PR 4 per-loop fork-join never scaled).
 //
-// Workers SPIN briefly (CATRSM_KERNEL_SPIN_US, default 120 us) waiting
-// for the next job before parking on a condvar, so back-to-back kernel
-// calls — a blocked TRSM issues one GEMM panel every few hundred
-// microseconds — never pay the wake latency. The master likewise
-// spin-waits for the join (it has its own chunk to run, so the wait is
-// short when the split is balanced) and degrades to yielding when
-// oversubscribed.
+// Workers SPIN briefly (120 us) waiting for the next job before parking
+// on a condvar, so back-to-back kernel calls — a blocked TRSM runs one
+// GEMM panel every few hundred microseconds — never pay the wake
+// latency. The master likewise spin-waits for the join (it has its own
+// chunk to run, so the wait is short when the split is balanced) and
+// degrades to yielding when oversubscribed.
 //
 // Determinism contract: every index's work item is self-contained and
 // writes a disjoint output region, so results are BIT-IDENTICAL for any

@@ -1,7 +1,8 @@
 #pragma once
 // Internal: per-backend micro-kernel registrations. Each TU owns one inner
-// kernel family (accumulate / store / non-temporal store variants) so the SIMD ones can be built with function-level target
-// attributes without leaking wider ISAs into the rest of the library.
+// kernel family (accumulate / store variants) so the SIMD ones can be
+// built with function-level target attributes without leaking wider ISAs
+// into the rest of the library.
 
 #include "la/kernel/kernel.hpp"
 

@@ -2,10 +2,10 @@
 
 // The AVX2/FMA tiles are compiled via function-level target attributes so
 // the rest of the library keeps its baseline ISA and the binary still runs
-// on CPUs without AVX2 (dispatch guards execution at runtime). The three
-// store variants (accumulate / plain store / non-temporal store) are
-// stamped from one body macro — only the final tile write differs, so the
-// accumulated values are bit-identical across variants by construction.
+// on CPUs without AVX2 (dispatch guards execution at runtime). The two
+// store variants (accumulate / plain store) are stamped from one body
+// macro — only the final tile write differs, so the accumulated values
+// are bit-identical across variants by construction.
 
 #ifdef CATRSM_UKR_X86
 #include <immintrin.h>
@@ -58,7 +58,6 @@ constexpr int kNr64 = 8;
   _mm256_storeu_pd((crow) + (off),        \
                    _mm256_add_pd(_mm256_loadu_pd((crow) + (off)), (v)))
 #define CATRSM_WRITE_ST_PD(crow, off, v) _mm256_storeu_pd((crow) + (off), (v))
-#define CATRSM_WRITE_NT_PD(crow, off, v) _mm256_stream_pd((crow) + (off), (v))
 
 __attribute__((target("avx2,fma"))) void run_f64(index_t kc, const double* ap,
                                                  const double* bp, double* c,
@@ -74,20 +73,11 @@ __attribute__((target("avx2,fma"))) void run_store_f64(index_t kc,
   CATRSM_AVX2_F64_BODY(CATRSM_WRITE_ST_PD)
 }
 
-// Caller guarantees c and ldc * sizeof(double) are 64-byte aligned, so
-// every 32-byte lane store here is aligned as _mm256_stream_pd requires.
-__attribute__((target("avx2,fma"))) void run_nt_f64(index_t kc,
-                                                    const double* ap,
-                                                    const double* bp,
-                                                    double* c, index_t ldc) {
-  CATRSM_AVX2_F64_BODY(CATRSM_WRITE_NT_PD)
-}
-
 }  // namespace
 
 const MicroKernel* avx2_microkernel() {
   static const MicroKernel k{Backend::kAvx2, "avx2",       kMr64, kNr64,
-                             run_f64,        run_store_f64, run_nt_f64};
+                             run_f64,        run_store_f64};
   return &k;
 }
 

@@ -1,6 +1,6 @@
 #include "la/kernel/ukr.hpp"
 
-// AVX-512F tiles, stamped like the AVX2 TU: one body macro, three store
+// AVX-512F tiles, stamped like the AVX2 TU: one body macro, two store
 // variants that differ only in the final tile write. Only
 // avx512f is required, which every AVX-512 CPU provides.
 
@@ -57,7 +57,6 @@ constexpr int kNr64 = 16;
   _mm512_storeu_pd((crow) + (off),        \
                    _mm512_add_pd(_mm512_loadu_pd((crow) + (off)), (v)))
 #define CATRSM_WRITE_ST_PD(crow, off, v) _mm512_storeu_pd((crow) + (off), (v))
-#define CATRSM_WRITE_NT_PD(crow, off, v) _mm512_stream_pd((crow) + (off), (v))
 
 __attribute__((target("avx512f"))) void run_f64(index_t kc, const double* ap,
                                                 const double* bp, double* c,
@@ -72,20 +71,11 @@ __attribute__((target("avx512f"))) void run_store_f64(index_t kc,
   CATRSM_AVX512_F64_BODY(CATRSM_WRITE_ST_PD)
 }
 
-// Caller guarantees c and ldc * sizeof(double) are 64-byte aligned, so
-// every 64-byte store here is aligned as _mm512_stream_pd requires.
-__attribute__((target("avx512f"))) void run_nt_f64(index_t kc,
-                                                   const double* ap,
-                                                   const double* bp, double* c,
-                                                   index_t ldc) {
-  CATRSM_AVX512_F64_BODY(CATRSM_WRITE_NT_PD)
-}
-
 }  // namespace
 
 const MicroKernel* avx512_microkernel() {
   static const MicroKernel k{Backend::kAvx512, "avx512",     kMr64, kNr64,
-                             run_f64,          run_store_f64, run_nt_f64};
+                             run_f64,          run_store_f64};
   return &k;
 }
 

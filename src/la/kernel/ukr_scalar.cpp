@@ -47,11 +47,8 @@ void run_impl(index_t kc, const double* ap, const double* bp, double* c,
 }  // namespace
 
 const MicroKernel* scalar_microkernel() {
-  // No non-temporal variant: the portable tile has no streaming-store
-  // instruction to use; the driver falls back to run_store.
   static const MicroKernel k{Backend::kScalar, "scalar", kMr, kNr,
-                             run_impl<true>, run_impl<false>,
-                             nullptr};
+                             run_impl<true>, run_impl<false>};
   return &k;
 }
 

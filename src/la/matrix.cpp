@@ -11,7 +11,7 @@ Matrix::Matrix(index_t rows, index_t cols)
   CATRSM_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
 }
 
-Matrix::Matrix(index_t rows, index_t cols, const std::vector<double>& data)
+Matrix::Matrix(index_t rows, index_t cols, std::span<const double> data)
     : rows_(rows), cols_(cols), data_(data.begin(), data.end()) {
   CATRSM_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
   CATRSM_CHECK(static_cast<index_t>(data_.size()) == rows * cols,

@@ -17,10 +17,8 @@ namespace catrsm::la {
 
 using index_t = long long;
 
-/// Minimal allocator giving matrix storage cache-line (64-byte) alignment.
-/// SIMD kernels get aligned loads for free, and the non-temporal store
-/// fast path — which hard-requires 64-byte-aligned rows — can engage on
-/// Matrix-backed outputs instead of only on incidental allocations.
+/// Minimal allocator giving matrix storage cache-line (64-byte) alignment,
+/// so SIMD kernels get aligned loads for free.
 template <class T>
 struct CacheAlignedAlloc {
   using value_type = T;
@@ -55,10 +53,9 @@ class Matrix {
   /// rows x cols matrix, zero-initialized.
   Matrix(index_t rows, index_t cols);
 
-  /// rows x cols matrix from existing row-major data (size must match).
-  /// Copies into the matrix's aligned storage — a std::vector's buffer
-  /// cannot be adopted at 64-byte alignment.
-  Matrix(index_t rows, index_t cols, const std::vector<double>& data);
+  /// rows x cols matrix from existing row-major data (size must match),
+  /// copied into the matrix's aligned storage.
+  Matrix(index_t rows, index_t cols, std::span<const double> data);
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }

@@ -183,7 +183,7 @@ DistMatrix mm3d(const DistMatrix& a, const DistMatrix& x,
     sim::Comm yf = grid.y_fiber();
     coll::Buffer mine = coll::reduce_scatter(yf, grouped.data(), counts);
     const index_t my_share_rows = strided_count(a_rows, p1, my);
-    breduced = la::Matrix(my_share_rows, panel_cols, std::move(mine).take());
+    breduced = la::Matrix(my_share_rows, panel_cols, mine.span());
   }
   if (alpha != 1.0) breduced.scale(alpha);
 

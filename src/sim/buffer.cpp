@@ -35,18 +35,6 @@ double* Buffer::mutable_data() {
   return slab_->data() + off_;
 }
 
-std::vector<double> Buffer::take() && {
-  if (!slab_) return {};
-  if (slab_->adopted() && slab_.use_count() == 1 && off_ == 0 &&
-      len_ == slab_->size()) {
-    std::vector<double> out = slab_->release_vector();
-    slab_.reset();
-    len_ = 0;
-    return out;
-  }
-  return to_vector();
-}
-
 Buffer concat(std::span<const Buffer> parts) {
   std::size_t total = 0;
   for (const Buffer& p : parts) total += p.size();

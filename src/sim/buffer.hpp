@@ -85,13 +85,6 @@ class Buffer {
     return std::vector<double>(begin(), end());
   }
 
-  /// Destructive extraction: moves the slab's vector out when this view
-  /// is the sole owner of a whole ADOPTED slab, otherwise copies (pooled
-  /// slabs have no vector to surrender — keep reading the view instead
-  /// where the consumer only needs const access). The cheap bridge from
-  /// transport buffers into la::Matrix storage.
-  std::vector<double> take() &&;
-
  private:
   friend Buffer concat(std::span<const Buffer> parts);
 

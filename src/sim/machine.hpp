@@ -27,9 +27,9 @@
 // runs). Overlap is real: a worker whose fibers are all blocked in one
 // stream runs runnable fibers of another instead of parking.
 //
-// This is the substitution for MPI on a real cluster (see DESIGN.md §2):
-// the paper's claims are statements about S, W, F along the critical path,
-// and this machine measures exactly those for real executions on real data.
+// This is the substitution for MPI on a real cluster: the paper's claims
+// are statements about S, W, F along the critical path, and this machine
+// measures exactly those for real executions on real data.
 
 #include <atomic>
 #include <condition_variable>

@@ -31,11 +31,12 @@ int bucket_index(std::size_t cap) {
   return i < kBuckets ? i : -1;
 }
 
+// Freelists are LIFO: a release followed by an acquisition of the same
+// size class gets the just-released (cache-warm) storage back.
 struct Pool {
   std::mutex mu;
   std::vector<double*> free_lists[kBuckets];
   std::size_t retained_bytes = 0;
-  SlabPoolStats stats;
 };
 
 // Leaked on purpose: Buffer/Slab objects in static storage (or released
@@ -45,8 +46,6 @@ Pool& pool() {
   static Pool* p = new Pool;
   return *p;
 }
-
-std::atomic<bool> g_pool_enabled{true};
 
 std::atomic<bool> g_poison{env::flag_or("CATRSM_SLAB_POISON", false)};
 
@@ -61,7 +60,7 @@ void free_aligned(double* p) {
 
 double* acquire(std::size_t cap) {
   const int bucket = bucket_index(cap);
-  if (bucket >= 0 && g_pool_enabled.load(std::memory_order_relaxed)) {
+  if (bucket >= 0) {
     Pool& po = pool();
     std::lock_guard<std::mutex> lock(po.mu);
     auto& list = po.free_lists[bucket];
@@ -69,30 +68,23 @@ double* acquire(std::size_t cap) {
       double* p = list.back();
       list.pop_back();
       po.retained_bytes -= cap * sizeof(double);
-      ++po.stats.hits;
       return p;
     }
-    ++po.stats.misses;
-  } else {
-    std::lock_guard<std::mutex> lock(pool().mu);
-    ++pool().stats.misses;
   }
   return allocate_aligned(cap);
 }
 
 void release(double* p, std::size_t cap) {
   const int bucket = bucket_index(cap);
-  if (bucket >= 0 && g_pool_enabled.load(std::memory_order_relaxed)) {
+  if (bucket >= 0) {
     Pool& po = pool();
     std::lock_guard<std::mutex> lock(po.mu);
     const std::size_t bytes = cap * sizeof(double);
     if (po.retained_bytes + bytes <= kMaxPooledBytes) {
       po.free_lists[bucket].push_back(p);
       po.retained_bytes += bytes;
-      ++po.stats.returned;
       return;
     }
-    ++po.stats.dropped;
   }
   free_aligned(p);
 }
@@ -118,48 +110,15 @@ std::shared_ptr<Slab> Slab::adopt(std::vector<double> v) {
   slab->vec_ = std::move(v);
   slab->data_ = slab->vec_.data();
   slab->size_ = slab->vec_.size();
-  slab->adopted_ = true;
   return slab;
 }
 
 Slab::~Slab() {
-  if (!adopted_ && data_ != nullptr) release(data_, capacity_);
-}
-
-std::vector<double> Slab::release_vector() {
-  std::vector<double> out = std::move(vec_);
-  data_ = nullptr;
-  size_ = 0;
-  adopted_ = false;
-  return out;
-}
-
-void set_slab_pool_enabled(bool enabled) {
-  g_pool_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool slab_pool_enabled() {
-  return g_pool_enabled.load(std::memory_order_relaxed);
+  if (capacity_ != 0) release(data_, capacity_);
 }
 
 void set_slab_poison(bool enabled) {
   g_poison.store(enabled, std::memory_order_relaxed);
-}
-
-void clear_slab_pool() {
-  Pool& po = pool();
-  std::lock_guard<std::mutex> lock(po.mu);
-  for (auto& list : po.free_lists) {
-    for (double* p : list) free_aligned(p);
-    list.clear();
-  }
-  po.retained_bytes = 0;
-}
-
-SlabPoolStats slab_pool_stats() {
-  Pool& po = pool();
-  std::lock_guard<std::mutex> lock(po.mu);
-  return po.stats;
 }
 
 }  // namespace catrsm::sim

@@ -11,7 +11,7 @@
 //     release (recycled across Machine runs), or
 //   - ADOPTED: a std::vector<double> moved in by user code (the zero-copy
 //     adoption path of Buffer(std::vector&&)); adopted storage never
-//     touches the pool, and Buffer::take() can move it back out.
+//     touches the pool.
 //
 // Debug aid: with CATRSM_SLAB_POISON=1 (or set_slab_poison(true)), every
 // pooled acquisition is filled with a NaN pattern, so a consumer that
@@ -19,7 +19,6 @@
 // stale message bytes.
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -42,40 +41,17 @@ class Slab {
   const double* data() const noexcept { return data_; }
   std::size_t size() const noexcept { return size_; }
 
-  /// True when this slab owns an adopted vector that take() may move out.
-  bool adopted() const noexcept { return adopted_; }
-  /// Move the adopted vector out (only valid when adopted()).
-  std::vector<double> release_vector();
-
  private:
   Slab() = default;
 
-  std::vector<double> vec_;       // engaged when adopted_
+  std::vector<double> vec_;       // adopted storage
   double* data_ = nullptr;
   std::size_t size_ = 0;
-  std::size_t capacity_ = 0;      // pooled bucket capacity (doubles)
-  bool adopted_ = false;
+  std::size_t capacity_ = 0;      // pooled bucket capacity; 0 when adopted
 };
-
-/// Turn pooled recycling on/off (off: every pooled slab is a fresh
-/// aligned allocation and is freed on release). For A/B benchmarking;
-/// defaults to on.
-void set_slab_pool_enabled(bool enabled);
-bool slab_pool_enabled();
 
 /// Poison-fill mode (see header comment). Also enabled by the
 /// CATRSM_SLAB_POISON=1 environment variable, read once at startup.
 void set_slab_poison(bool enabled);
-
-/// Drop every cached slab (test isolation; frees retained memory).
-void clear_slab_pool();
-
-struct SlabPoolStats {
-  std::uint64_t hits = 0;      // acquisitions served from the freelist
-  std::uint64_t misses = 0;    // acquisitions that had to allocate
-  std::uint64_t returned = 0;  // releases that re-entered the freelist
-  std::uint64_t dropped = 0;   // releases freed because the pool was full
-};
-SlabPoolStats slab_pool_stats();
 
 }  // namespace catrsm::sim

@@ -43,7 +43,7 @@ index_t strided_count(index_t n, int m, int res) {
 }
 
 /// A received payload viewed as a frozen row-major rows x cols panel.
-/// The data stays on the transport slab — no take()/to_vector copy; every
+/// The data stays on the transport slab — no to_vector copy; every
 /// consumer below only reads, so the view is all that is needed.
 struct Panel {
   sim::Buffer buf;
@@ -181,8 +181,10 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
     const Panel byp = transpose_exchange(std::move(bx), rows_x, rows_y,
                                          kTagBExchange);
     CATRSM_ASSERT(byp.rows == rows_y, "it_inv_trsm: B panel shape mismatch");
-    std::memcpy(by_panel.ptr(), byp.ptr(),
-                static_cast<std::size_t>(rows_y * kz) * sizeof(double));
+    // A rank that owns no rows holds no storage (null data) to copy.
+    if (rows_y * kz > 0)
+      std::memcpy(by_panel.ptr(), byp.ptr(),
+                  static_cast<std::size_t>(rows_y * kz) * sizeof(double));
   }
 
   Matrix x_panel(rows_x, kz);
@@ -242,8 +244,9 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
       const auto [sx0, sx1] = local_range(oi, oi + sz, x, p1);
       CATRSM_ASSERT(sx1 - sx0 == xred.rows,
                     "it_inv_trsm: X slice mismatch");
-      std::memcpy(x_panel.ptr() + sx0 * kz, xred.ptr(),
-                  static_cast<std::size_t>(xred.rows * kz) * sizeof(double));
+      if (xred.rows * kz > 0)
+        std::memcpy(x_panel.ptr() + sx0 * kz, xred.ptr(),
+                    static_cast<std::size_t>(xred.rows * kz) * sizeof(double));
     }
 
     if (i + 1 >= nblocks) break;

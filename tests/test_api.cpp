@@ -1,11 +1,12 @@
 // Tests for the handle-based plan/execute API: plan caching, diagonal-
-// inverse reuse across executes and batches, the BLAS option matrix
-// through Context/Plan, and the non-TRSM ops (triangular inverse, the
-// Cholesky pipeline, 3D/2D matmul).
+// inverse reuse across executes and batches, one run per batch, the BLAS
+// option matrix through Context/Plan, and the non-TRSM ops (triangular
+// inverse, the Cholesky pipeline, 3D/2D matmul).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -145,12 +146,11 @@ TEST(DiagReuse, BatchMatchesIndependentSolvesBitwise) {
   spec.algorithm = model::Algorithm::kIterative;
   Context ctx(p);
   auto plan = ctx.plan(trsm_op(n, k, spec));
-  const std::vector<ExecResult> batch = plan->execute_batch(l, panels);
-  ASSERT_EQ(batch.size(), panels.size());
+  const BatchResult batch = plan->execute_batch(l, panels);
+  ASSERT_EQ(batch.xs.size(), panels.size());
   // Diagonal inversion ran exactly once for the whole batch...
   EXPECT_EQ(plan->diag_inversions(), 1u);
-  for (std::size_t i = 1; i < batch.size(); ++i)
-    EXPECT_EQ(batch[i].stats.phase_max.count("inversion"), 0u);
+  EXPECT_EQ(batch.stats.phase_max.count("inversion"), 1u);
 
   // ...yet every panel's solution and residual match an independent
   // solve on a fresh context bit for bit.
@@ -158,9 +158,145 @@ TEST(DiagReuse, BatchMatchesIndependentSolvesBitwise) {
     Context ref_ctx(p);
     const ExecResult ref =
         ref_ctx.plan(trsm_op(n, k, spec))->execute(l, panels[i]);
-    EXPECT_TRUE(batch[i].x.equals(ref.x)) << "panel " << i;
-    EXPECT_EQ(batch[i].residual, ref.residual) << "panel " << i;
+    EXPECT_TRUE(batch.xs[i].equals(ref.x)) << "panel " << i;
+    EXPECT_EQ(batch.residuals[i], ref.residual) << "panel " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// execute_batch: the whole panel stream in one Machine::run
+
+/// Plan `desc` on `ctx` and batch-execute `bs`: the batch must be exactly
+/// one scheduler run, and each panel's solution and residual must equal
+/// execute() of that panel alone (on a fresh machine) bit for bit.
+BatchResult expect_one_run_matching_execute(Context& ctx, const OpDesc& desc,
+                                            const Matrix& a,
+                                            const std::vector<Matrix>& bs,
+                                            const std::string& what) {
+  const std::uint64_t runs = ctx.scheduler().runs();
+  BatchResult batch = ctx.plan(desc)->execute_batch(a, bs);
+  EXPECT_EQ(ctx.scheduler().runs(), runs + 1) << what;
+  EXPECT_EQ(batch.xs.size(), bs.size()) << what;
+  EXPECT_EQ(batch.residuals.size(), bs.size()) << what;
+  Context ref_ctx(ctx.nprocs());
+  auto ref_plan = ref_ctx.plan(desc);
+  for (std::size_t i = 0; i < bs.size() && i < batch.xs.size(); ++i) {
+    const ExecResult one = ref_plan->execute(a, bs[i]);
+    EXPECT_TRUE(batch.xs[i].equals(one.x)) << what << ", panel " << i;
+    EXPECT_EQ(batch.residuals[i], one.residual) << what << ", panel " << i;
+  }
+  return batch;
+}
+
+TEST(ExecuteBatch, OneRunPerBatchBitwiseEqualToPerPanelExecute) {
+  const index_t n = 24, k = 5;
+  const int p = 4;
+  const int panels = 3;
+  for (const model::Algorithm alg :
+       {model::Algorithm::kIterative, model::Algorithm::kRecursive,
+        model::Algorithm::kTrsm2D, model::Algorithm::kTrsv1D}) {
+    for (const la::Uplo uplo : {la::Uplo::kLower, la::Uplo::kUpper}) {
+      for (const Side side : {Side::kLeft, Side::kRight}) {
+        for (const bool trans : {false, true}) {
+          TrsmSpec spec;
+          spec.force_algorithm = true;
+          spec.algorithm = alg;
+          spec.uplo = uplo;
+          spec.side = side;
+          spec.transpose = trans;
+          const Matrix t = uplo == la::Uplo::kLower
+                               ? la::make_lower_triangular(351, n)
+                               : la::make_upper_triangular(352, n);
+          std::vector<Matrix> bs;
+          for (int i = 0; i < panels; ++i) {
+            const std::uint64_t seed = 353 + static_cast<std::uint64_t>(i);
+            bs.push_back(side == Side::kLeft ? la::make_rhs(seed, n, k)
+                                             : la::make_rhs(seed, k, n));
+          }
+          const std::string what =
+              std::string(model::algorithm_name(alg)) +
+              (uplo == la::Uplo::kLower ? " lower" : " upper") +
+              (side == Side::kLeft ? " left" : " right") +
+              (trans ? " transposed" : "");
+          Context ctx(p);
+          const BatchResult batch =
+              expect_one_run_matching_execute(ctx, trsm_op(n, k, spec), t,
+                                              bs, what);
+          for (const double r : batch.residuals) EXPECT_LT(r, 1e-10) << what;
+          if (alg == model::Algorithm::kIterative) {
+            // Every variant runs on the lower-left plan, which inverted the
+            // diagonal blocks once for the whole stream.
+            TrsmSpec lower_left;
+            lower_left.force_algorithm = true;
+            lower_left.algorithm = alg;
+            EXPECT_EQ(ctx.plan(trsm_op(n, k, lower_left))->diag_inversions(),
+                      1u)
+                << what;
+            EXPECT_EQ(batch.stats.phase_max.count("inversion"), 1u) << what;
+          }
+        }
+      }
+    }
+  }
+
+  {
+    // Cholesky-solve factors A once and solves every panel against it.
+    const index_t m = 20;
+    const Matrix a = la::make_spd(361, m);
+    std::vector<Matrix> bs;
+    for (int i = 0; i < panels; ++i)
+      bs.push_back(la::make_rhs(362 + static_cast<std::uint64_t>(i), m, k));
+    Context ctx(p);
+    const BatchResult batch = expect_one_run_matching_execute(
+        ctx, cholesky_solve_op(m, k), a, bs, "cholesky-solve");
+    EXPECT_EQ(batch.program_stats.steps_executed,
+              static_cast<std::uint64_t>(1 + 2 * panels));
+    for (const double r : batch.residuals) EXPECT_LT(r, 1e-10);
+  }
+  {
+    const index_t m = 16, inner = 12;
+    const Matrix a = la::make_dense(371, m, inner);
+    std::vector<Matrix> xs;
+    for (int i = 0; i < panels; ++i)
+      xs.push_back(
+          la::make_dense(372 + static_cast<std::uint64_t>(i), inner, k));
+    Context ctx(8);
+    const BatchResult batch = expect_one_run_matching_execute(
+        ctx, matmul3d_op(m, inner, k), a, xs, "matmul-3d");
+    for (int i = 0; i < panels; ++i)
+      EXPECT_LT(la::max_abs_diff(batch.xs[static_cast<std::size_t>(i)],
+                                 la::matmul(a, xs[static_cast<std::size_t>(i)])),
+                1e-11);
+  }
+  {
+    const index_t m = 16;
+    const Matrix a = la::make_dense(381, m, m);
+    std::vector<Matrix> xs;
+    for (int i = 0; i < panels; ++i)
+      xs.push_back(la::make_dense(382 + static_cast<std::uint64_t>(i), m, k));
+    Context ctx(6);
+    const BatchResult batch = expect_one_run_matching_execute(
+        ctx, matmul2d_op(m, k), a, xs, "matmul-2d");
+    for (int i = 0; i < panels; ++i)
+      EXPECT_LT(la::max_abs_diff(batch.xs[static_cast<std::size_t>(i)],
+                                 la::matmul(a, xs[static_cast<std::size_t>(i)])),
+                1e-11);
+  }
+}
+
+TEST(ExecuteBatch, RejectsOpsWithoutRightHandSideBeforeAnyRun) {
+  const index_t n = 16;
+  Context ctx(4);
+  const std::vector<Matrix> bs{la::make_rhs(391, n, 4)};
+  const std::uint64_t runs = ctx.scheduler().runs();
+  EXPECT_THROW((void)ctx.plan(tri_inv_op(n))
+                   ->execute_batch(la::make_lower_triangular(392, n), bs),
+               Error);
+  EXPECT_THROW(
+      (void)ctx.plan(cholesky_op(n))->execute_batch(la::make_spd(393, n), bs),
+      Error);
+  EXPECT_EQ(ctx.scheduler().runs(), runs);
+  EXPECT_EQ(ctx.machine().handle_store().resident_bytes(), 0u);
 }
 
 TEST(ExecutePath, MatrixExecuteIsUploadExecuteDistDownload) {
@@ -419,10 +555,10 @@ TEST(ApiScheduler, ExecuteBatchesReuseTheSameWorkerThreads) {
   const std::uint64_t runs_after = ctx.scheduler().runs();
   const auto after = capture();
 
-  // Both batches dispatched onto the persistent pool (one run per item),
+  // Both batches dispatched onto the persistent pool (one run per batch),
   // and the pool's workers are the very same OS threads afterwards: no
   // thread was spawned or torn down between the two batches.
-  EXPECT_EQ(runs_after - runs_before, 6u);
+  EXPECT_EQ(runs_after - runs_before, 2u);
   EXPECT_EQ(before, after);
   EXPECT_EQ(ctx.scheduler().size(), p);
 }

@@ -1,6 +1,6 @@
 // Tests for sim::Buffer: view aliasing, refcount release, copy-on-write,
-// destructive extraction, and the concat adjacency fast path — the
-// semantics the zero-copy transport stack depends on.
+// slab recycling, and the concat adjacency fast path — the semantics the
+// zero-copy transport stack depends on.
 
 #include <gtest/gtest.h>
 
@@ -70,19 +70,6 @@ TEST(Buffer, MutatesInPlaceWhenUnique) {
   EXPECT_DOUBLE_EQ(a[1], 7.0);
 }
 
-TEST(Buffer, TakeMovesWhenUniqueCopiesWhenShared) {
-  Buffer unique(std::vector<double>{5.0, 6.0});
-  const double* storage = unique.data();
-  std::vector<double> moved = std::move(unique).take();
-  EXPECT_EQ(moved.data(), storage);  // the slab's vector moved out
-
-  Buffer shared(std::vector<double>{7.0, 8.0});
-  Buffer other = shared;
-  std::vector<double> copied = std::move(shared).take();
-  EXPECT_EQ(copied, (std::vector<double>{7.0, 8.0}));
-  EXPECT_DOUBLE_EQ(other[0], 7.0);  // surviving view still intact
-}
-
 TEST(Buffer, ConcatAdjacentSlicesIsZeroCopy) {
   Buffer b(std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0, 5.0});
   std::vector<Buffer> parts{b.slice(0, 2), b.slice(2, 3)};
@@ -112,53 +99,33 @@ TEST(Buffer, ConcatSkipsEmptyPartsAndForwardsSingletons) {
 }
 
 TEST(Buffer, UninitSlabPoolRecyclesSameStorage) {
-  clear_slab_pool();
   const double* storage = nullptr;
   {
     Buffer a = Buffer::uninit(1000);
     storage = a.data();
     ASSERT_NE(storage, nullptr);
   }  // last view dropped: the slab re-enters the pool
-  // Same power-of-two size class (1024 doubles): the freelist hands the
-  // identical storage back instead of allocating.
-  const SlabPoolStats before = slab_pool_stats();
+  // Same power-of-two size class (1024 doubles): the LIFO freelist hands
+  // the identical storage back instead of allocating.
   Buffer b = Buffer::uninit(900);
   EXPECT_EQ(b.data(), storage);
-  EXPECT_EQ(slab_pool_stats().hits, before.hits + 1);
-}
-
-TEST(Buffer, SlabPoolDisabledAllocatesFresh) {
-  clear_slab_pool();
-  const double* storage = nullptr;
-  {
-    Buffer a = Buffer::uninit(512);
-    storage = a.data();
-  }
-  set_slab_pool_enabled(false);
-  {
-    // With recycling off the retained slab must not be handed out...
-    Buffer b = Buffer::uninit(512);
-    EXPECT_NE(b.data(), storage);
-  }
-  set_slab_pool_enabled(true);
-  // ...but it is still waiting in the pool once recycling resumes.
-  Buffer c = Buffer::uninit(512);
-  EXPECT_EQ(c.data(), storage);
 }
 
 TEST(Buffer, PoisonFillExposesUnwrittenWords) {
   // Under poison mode a recycled slab arrives NaN-filled, so any consumer
   // that reads a word it never wrote propagates NaN instead of silently
   // reusing stale message bytes. A fully-written payload is NaN-free.
-  clear_slab_pool();
+  const double* recycled = nullptr;
   {
     Buffer dirty = Buffer::uninit(256);
     double* w = dirty.mutable_data();
     for (std::size_t i = 0; i < dirty.size(); ++i) w[i] = 1.0;
-  }  // recycled: stale 1.0s now sit in the pool
+    recycled = dirty.data();
+  }  // recycled: stale 1.0s now sit on top of the LIFO freelist
   set_slab_poison(true);
   Buffer a = Buffer::uninit(256);
-  EXPECT_TRUE(std::isnan(a[0]));    // the stale bytes were overwritten
+  ASSERT_EQ(a.data(), recycled);    // the same slab came back...
+  EXPECT_TRUE(std::isnan(a[0]));    // ...with the stale bytes overwritten
   EXPECT_TRUE(std::isnan(a[255]));  // ... out to the full view
   double* w = a.mutable_data();
   for (std::size_t i = 0; i < a.size(); ++i) w[i] = 2.0;
@@ -171,17 +138,6 @@ TEST(Buffer, PoisonFillExposesUnwrittenWords) {
   for (std::size_t i = 0; i < joined.size(); ++i)
     ASSERT_FALSE(std::isnan(joined[i]));
   set_slab_poison(false);
-}
-
-TEST(Buffer, TakeCopiesFromPooledSlabWithoutDisturbingIt) {
-  Buffer a = Buffer::uninit(8);
-  double* w = a.mutable_data();
-  for (std::size_t i = 0; i < a.size(); ++i) w[i] = static_cast<double>(i);
-  Buffer alias = a;
-  std::vector<double> out = std::move(a).take();  // pooled: must copy
-  ASSERT_EQ(out.size(), 8u);
-  EXPECT_DOUBLE_EQ(out[3], 3.0);
-  EXPECT_DOUBLE_EQ(alias[3], 3.0);  // surviving view untouched
 }
 
 TEST(Buffer, SpanAndVectorInterop) {

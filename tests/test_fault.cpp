@@ -472,10 +472,10 @@ TEST(FaultApi, AutoRepairRetriesTransparently) {
   EXPECT_FALSE(hb.poisoned());
 }
 
-TEST(FaultApi, FaultedFusedBatchPoisonsWholeRunAndRepairRecovers) {
-  // A fused batch is ONE simulated run over many panels: a fault during
-  // any panel poisons EVERY operand the run touched (the caller cannot
-  // know how far the stream got), and repair + rerun recovers bitwise.
+TEST(FaultApi, FaultedBatchPoisonsWholeRunAndRepairRecovers) {
+  // A batch is ONE simulated run over many panels: a fault during any
+  // panel poisons EVERY operand the run touched (the caller cannot know
+  // how far the stream got), and repair + rerun recovers bitwise.
   const index_t n = 32, k = 8;
   const int items = 3;
   const Matrix l = catrsm::la::make_lower_triangular(631, n);
@@ -486,7 +486,7 @@ TEST(FaultApi, FaultedFusedBatchPoisonsWholeRunAndRepairRecovers) {
 
   api::Context ctx(4);
   auto plan = ctx.plan(api::trsm_op(n, k));
-  const api::BatchResult ref = plan->execute_batch_fused(l, bs);
+  const api::BatchResult ref = plan->execute_batch(l, bs);
 
   // The handle-level form of the same stream, so poisoning is observable.
   api::Program prog(ctx);
@@ -502,7 +502,7 @@ TEST(FaultApi, FaultedFusedBatchPoisonsWholeRunAndRepairRecovers) {
   ctx.machine().arm_fault(FaultPlan{FaultClass::kKillRank, 45});
   try {
     (void)prog.run(handles);
-    FAIL() << "fused batch completed under an armed kill fault";
+    FAIL() << "batch completed under an armed kill fault";
   } catch (const std::exception& e) {
     const auto report = check::report_fault(ctx.machine(), e);
     EXPECT_EQ(report.detector, "rank-abort") << report.to_string();
@@ -524,11 +524,11 @@ TEST(FaultApi, FaultedFusedBatchPoisonsWholeRunAndRepairRecovers) {
 
   // And the convenience wrapper recovers by itself: it never reuses a
   // poisoned operand (the plan re-uploads it), so a faulted
-  // execute_batch_fused just needs a retry.
+  // execute_batch just needs a retry.
   ctx.machine().arm_fault(FaultPlan{FaultClass::kKillRank, 45});
-  EXPECT_THROW((void)plan->execute_batch_fused(l, bs), std::exception);
+  EXPECT_THROW((void)plan->execute_batch(l, bs), std::exception);
   ctx.machine().disarm_fault();
-  const api::BatchResult again = plan->execute_batch_fused(l, bs);
+  const api::BatchResult again = plan->execute_batch(l, bs);
   for (int i = 0; i < items; ++i)
     EXPECT_TRUE(again.xs[static_cast<std::size_t>(i)]
                     .equals(ref.xs[static_cast<std::size_t>(i)]));

@@ -575,9 +575,9 @@ TEST(Programs, OptimizerEnvKnobParsesStrictly) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused batches: the whole panel stream as one Machine::run
+// Batches: the whole panel stream as one Machine::run
 
-TEST(Programs, FusedBatchMatchesUnfusedBitwiseInOneRun) {
+TEST(Programs, BatchIsOneProgramRunMatchingPerPanelSolvesBitwise) {
   const index_t n = 48, k = 12;
   const int p = 16;
   const int items = 4;
@@ -588,12 +588,13 @@ TEST(Programs, FusedBatchMatchesUnfusedBitwiseInOneRun) {
 
   Context ref_ctx(p);
   auto ref_plan = ref_ctx.plan(trsm_op(n, k, iterative_spec()));
-  const std::vector<ExecResult> refs = ref_plan->execute_batch(l, bs);
+  std::vector<ExecResult> refs;
+  for (const Matrix& b : bs) refs.push_back(ref_plan->execute(l, b));
 
   Context ctx(p);
   auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
   const std::uint64_t runs_before = ctx.scheduler().runs();
-  const BatchResult br = plan->execute_batch_fused(l, bs);
+  const BatchResult br = plan->execute_batch(l, bs);
   // The whole batch — including the shared diagonal inversion — was ONE
   // simulated run.
   EXPECT_EQ(ctx.scheduler().runs(), runs_before + 1);
@@ -610,68 +611,14 @@ TEST(Programs, FusedBatchMatchesUnfusedBitwiseInOneRun) {
     EXPECT_EQ(br.residuals[j], refs[j].residual);
   }
 
-  // A second fused batch against the same operand bytes reuses the
-  // inverted diagonals, like execute_batch does.
-  const BatchResult br2 = plan->execute_batch_fused(l, bs);
+  // A second batch against the same operand bytes reuses the inverted
+  // diagonals, like repeated executes do.
+  const BatchResult br2 = plan->execute_batch(l, bs);
   EXPECT_EQ(plan->diag_inversions(), 1u);
   EXPECT_EQ(br2.stats.phase_max.count("inversion"), 0u);
   for (int i = 0; i < items; ++i)
     EXPECT_TRUE(br2.xs[static_cast<std::size_t>(i)]
                     .equals(refs[static_cast<std::size_t>(i)].x));
-}
-
-TEST(Programs, FusedBatchSupportsTransposedAndMatmulStreams) {
-  // Reference is the per-panel handle path (execute_dist): the same
-  // distributed kernels the fused program runs, one run per panel.
-  const int p = 4;
-  {
-    const index_t n = 32, k = 8;
-    const Matrix l = la::make_lower_triangular(761, n);
-    std::vector<Matrix> bs{la::make_rhs(762, n, k),
-                           la::make_rhs(763, n, k)};
-    TrsmSpec spec = iterative_spec();
-    spec.transpose = true;
-    Context ref_ctx(p);
-    auto ref_plan = ref_ctx.plan(trsm_op(n, k, spec));
-    const DistHandle hl = ref_ctx.upload(l, ref_plan->input_layout(0));
-    Context ctx(p);
-    const BatchResult br =
-        ctx.plan(trsm_op(n, k, spec))->execute_batch_fused(l, bs);
-    for (std::size_t i = 0; i < bs.size(); ++i) {
-      const DistHandle hb =
-          ref_ctx.upload(bs[i], ref_plan->input_layout(1));
-      const Matrix x_ref =
-          ref_ctx.download(ref_plan->execute_dist(hl, hb).x);
-      EXPECT_TRUE(br.xs[i].equals(x_ref));
-      EXPECT_EQ(br.residuals[i],
-                la::trsm_residual(l.transposed(), x_ref, bs[i]));
-    }
-  }
-  {
-    const index_t n = 24, k = 12;
-    const Matrix a = la::make_dense(771, n, n);
-    std::vector<Matrix> xs{la::make_dense(772, n, k),
-                           la::make_dense(773, n, k)};
-    Context ref_ctx(p);
-    auto ref_plan = ref_ctx.plan(matmul2d_op(n, k));
-    const DistHandle ha = ref_ctx.upload(a, ref_plan->input_layout(0));
-    Context ctx(p);
-    const BatchResult br =
-        ctx.plan(matmul2d_op(n, k))->execute_batch_fused(a, xs);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const DistHandle hx =
-          ref_ctx.upload(xs[i], ref_plan->input_layout(1));
-      EXPECT_TRUE(br.xs[i].equals(
-          ref_ctx.download(ref_plan->execute_dist(ha, hx).x)));
-      EXPECT_EQ(br.residuals[i], 0.0);
-    }
-  }
-  // Unsupported streams are rejected up front, before any upload.
-  Context ctx(p);
-  EXPECT_THROW((void)ctx.plan(cholesky_solve_op(16, 4))
-                   ->execute_batch_fused(la::make_spd(781, 16),
-                                         {la::make_rhs(782, 16, 4)}),
-               Error);
 }
 
 // ---------------------------------------------------------------------------

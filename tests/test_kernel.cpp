@@ -293,28 +293,6 @@ TEST(KernelPool, TrsmAndTriInvBitIdenticalAcrossPoolSizes) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Non-temporal stores
-
-TEST(Kernel, NtStoresBitIdenticalToRegularStores) {
-  // The streaming path differs ONLY in the store instruction; forced on
-  // and forced off must produce the same bits for a beta == 0 single-
-  // K-pass product. Matrix storage is 64-byte aligned and n * 8 is a
-  // multiple of 64, so the alignment precondition holds and the forced-on
-  // run genuinely exercises run_nt on SIMD backends.
-  const index_t m = 512, n = 512, kk = 200;  // one K pass (kk <= KC)
-  const Matrix a = make_dense(921, m, kk);
-  const Matrix b = make_dense(922, kk, n);
-  Matrix c_nt(m, n), c_reg(m, n);
-  kernel::set_nt_for_testing(1);
-  kernel::gemm(m, n, kk, 1.0, a.ptr(), kk, b.ptr(), n, 0.0, c_nt.ptr(), n);
-  kernel::set_nt_for_testing(0);
-  kernel::gemm(m, n, kk, 1.0, a.ptr(), kk, b.ptr(), n, 0.0, c_reg.ptr(), n);
-  kernel::set_nt_for_testing(-1);
-  EXPECT_TRUE(c_nt.equals(c_reg));
-  EXPECT_EQ(frobenius_distance(c_nt, c_reg), 0.0);
-}
-
 TEST(Kernel, TriInvStillExactlyTriangular) {
   // The packed path must preserve the exact zeros of the strict opposite
   // triangle (FMA with zero operands stays zero).
