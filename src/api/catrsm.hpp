@@ -6,11 +6,11 @@
 // parameters). A Plan is a frozen configuration — the Section VIII regime
 // classification, algorithm choice, grid factorization and block counts
 // are decided exactly once, at plan time — plus reusable execution state:
-// grid membership and, for the iterative TRSM, the inverted diagonal
-// blocks, which are computed on the first execute against an operand and
-// reused for every further solve against the same matrix (the FFTW /
-// cuBLAS plan-and-execute pattern the paper's a-priori cost analysis
-// enables).
+// grid membership and, for the iterative TRSM, Ltilde (the operand with
+// its diagonal blocks inverted), kept resident from the first execute
+// against an operand and reused for every further solve against the same
+// matrix (the FFTW / cuBLAS plan-and-execute pattern the paper's a-priori
+// cost analysis enables).
 //
 //   catrsm::api::Context ctx(/*p=*/64);
 //   auto plan = ctx.plan(catrsm::api::trsm_op(n, k));
@@ -399,7 +399,10 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// evidence that repeated executes and batches reuse the inverted
   /// diagonal blocks. execute() of a TRSM variant counts on its
   /// lower-left plan, which runs the reduced system.
-  std::uint64_t diag_inversions() const { return diag_inversions_; }
+  std::uint64_t diag_inversions() const {
+    std::lock_guard<std::mutex> lock(diag_mu_);
+    return diag_inversions_;
+  }
 
  private:
   friend class Context;
@@ -407,18 +410,20 @@ class Plan : public std::enable_shared_from_this<Plan> {
   friend class DistTicket;
   Plan(Context& ctx, OpDesc desc);
 
-  /// How one run uses the diagonal-inverse cache (defined in plan.cpp).
-  struct DiagUse;
-
   /// The one Program behind every entry point: input A, then per
   /// right-hand-side panel one input, the op's steps and one marked
-  /// output. kCholeskySolve factors A once and wires one forward and one
-  /// backward solve per panel. A unary op (tri-inv, Cholesky) takes no
-  /// panels: its program is one step on A.
-  Program stream_program(std::size_t panels);
+  /// output. The iterative TRSM solves every panel against Ltilde: with
+  /// `ltilde_bound` the cached one is the input after the panels,
+  /// otherwise one inversion step computes it and is the last output.
+  /// kCholeskySolve factors A once, inverts the factor's diagonal blocks
+  /// once, and wires one forward and one backward solve per panel. A
+  /// unary op (tri-inv, Cholesky) takes no panels: its program is one
+  /// step on A.
+  Program stream_program(std::size_t panels, bool ltilde_bound);
   /// Launch stream_program over `inputs` (A, then one handle per panel)
-  /// with the diagonal-inverse cache bound, as one execution stream.
-  DistTicket launch(const std::vector<DistHandle>& inputs);
+  /// as one execution stream, binding the cached Ltilde when it belongs
+  /// to A.
+  DistTicket launch(std::vector<DistHandle> inputs);
   /// Upload `a` (via operand_handle) and every panel, run the stream in
   /// one Machine::run, download every output. No residuals.
   BatchResult run_stream(const la::Matrix& a, std::span<const la::Matrix> bs);
@@ -433,35 +438,24 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// upload.
   DistHandle operand_handle(const la::Matrix& a);
   /// Whether runs of this plan invert diagonal blocks (the iterative
-  /// non-transposed TRSM kernel), i.e. use the diagonal-inverse cache.
+  /// non-transposed TRSM kernel), i.e. run as an inversion step and solve
+  /// steps and use the diagonal-inverse cache.
   bool inverts_diag() const;
-
-  /// Wire every step of `prog` (each solving against operand `a`) to the
-  /// diagonal-inverse cache when this plan uses it. Returns the run's
-  /// on_complete hook; if the launch throws instead, call unbind_diag.
-  std::function<void()> bind_diag(Program& prog, const DistHandle& a,
-                                  DiagUse& diag);
-  void unbind_diag(const DiagUse& diag);
-  /// After a successful run: adopt the blocks a cache miss computed.
-  void adopt_diag(DiagUse& diag);
 
   Context* ctx_;
   OpDesc desc_;
   model::Config config_;
 
-  // Iterative-TRSM diagonal-inverse cache: each rank's local Ltilde block,
-  // valid for the operand handle (diag_id_, diag_epoch_) — handles are
-  // never rewritten in place, so that pair pins the bytes. diag_mu_
-  // serializes the cache decisions of concurrent streams: an in-flight
-  // reuse run reads diag_locals_ (diag_readers_ > 0), and a completed
-  // miss adopts its privately computed blocks only when no reader is in
-  // flight, so the shared vector is never rewritten under a running fiber.
+  // Iterative-TRSM diagonal-inverse cache: Ltilde, the resident output of
+  // the last run that inverted, valid for the operand handle (diag_id_,
+  // diag_epoch_) — handles are never rewritten in place, so that pair pins
+  // the bytes. diag_mu_ guards these fields against the settles of
+  // concurrent streams. A run reading ltilde_ holds its own reference and
+  // run-use mark, so a miss may replace it while that run is in flight.
   mutable std::mutex diag_mu_;
-  int diag_readers_ = 0;
-  std::vector<la::Matrix> diag_locals_;
+  DistHandle ltilde_;
   std::uint64_t diag_id_ = 0;
   std::uint64_t diag_epoch_ = 0;
-  bool diag_valid_ = false;
   std::uint64_t diag_inversions_ = 0;
 
   // The operand memo of execute() and execute_batch() when runs invert
@@ -585,6 +579,13 @@ class Context {
 
 class Program;
 
+namespace detail {
+/// What a Program step runs of its plan: the whole op, or one half of the
+/// iterative TRSM — the Diagonal-Inverter on L (its output is Ltilde, L
+/// with inverted diagonal blocks) or the solve loop against an Ltilde.
+enum class Stage { kOp, kInvert, kSolveInverted };
+}  // namespace detail
+
 namespace opt {
 struct Schedule;
 
@@ -601,7 +602,8 @@ Schedule compile(const Program& prog, bool enabled);
 /// as per-rank blocks, and a consumer whose required layout differs from
 /// its producer's gets a dist::redistribute inserted automatically.
 /// Op::kCholeskySolve is internally this: factor -> solve -> reversed
-/// solve.
+/// solve, with the forward solve run as an inversion step and a solve
+/// step (Plan::stream_program).
 ///
 ///   api::Program prog(ctx);
 ///   auto a = prog.input(n, n);
@@ -678,11 +680,8 @@ class Program {
   /// be mutated (or destroyed) while the run is in flight, and several
   /// launches of the same Program may overlap. A launch sharing an input
   /// handle with any in-flight run blocks until that run completes
-  /// (results stay bitwise identical to serial order). `on_complete`,
-  /// when given, fires on a machine worker thread the moment the last
-  /// rank finishes — before wait() can return.
-  AsyncResult run_async(const std::vector<DistHandle>& inputs,
-                        std::function<void()> on_complete = nullptr);
+  /// (results stay bitwise identical to serial order).
+  AsyncResult run_async(const std::vector<DistHandle>& inputs);
 
   using Stats = ProgramStats;
   /// What the optimizer did on the most recent run() (see ProgramStats).
@@ -697,6 +696,12 @@ class Program {
   friend class Plan;  // execute_dist runs as a one-step program
   friend opt::Schedule opt::compile(const Program&, bool);
 
+  /// add() for one stage of the iterative TRSM (Plan::stream_program):
+  /// kInvert takes {L} and yields Ltilde, n x n in the plan's
+  /// input_layout(0); kSolveInverted takes {Ltilde, B}.
+  NodeId add_stage(std::shared_ptr<Plan> plan, std::vector<NodeId> args,
+                   std::string phase, detail::Stage stage);
+
   struct Node {
     index_t rows = 0;
     index_t cols = 0;
@@ -708,10 +713,7 @@ class Program {
     std::vector<NodeId> args;
     std::string phase;
     NodeId out = -1;
-    // Cross-execute state threaded into the iterative TRSM body (the
-    // plan's diagonal-inverse cache; see detail::TrsmBodyOptions).
-    std::vector<la::Matrix>* ltilde_store = nullptr;
-    bool reuse_ltilde = false;
+    detail::Stage stage = detail::Stage::kOp;
   };
 
   Context* ctx_;

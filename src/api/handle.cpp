@@ -195,6 +195,8 @@ void Context::pin(const DistHandle& h) {
 
 void Context::unpin(const DistHandle& h) {
   CATRSM_CHECK(h.valid(), "unpin: empty handle");
+  CATRSM_CHECK(h.state_->machine == machine_,
+               "unpin: handle belongs to a different machine");
   machine_->handle_store().unpin(h.id());
 }
 

@@ -95,13 +95,11 @@ int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p) {
 
 DistMatrix trsm_solve(const OpDesc& desc, const model::Config& cfg,
                       const sim::Comm& grid, const DistMatrix& dl,
-                      const DistMatrix& db, const TrsmBodyOptions& opts) {
+                      const DistMatrix& db) {
   switch (cfg.algorithm) {
     case model::Algorithm::kIterative: {
       trsm::ItInvOptions iio;
       iio.nblocks = cfg.nblocks;
-      iio.ltilde_store = opts.ltilde_store;
-      iio.reuse_ltilde = opts.reuse_ltilde;
       return trsm::it_inv_trsm(dl, db, grid, cfg.p1, cfg.p2, iio);
     }
     case model::Algorithm::kRecursive: {
@@ -132,13 +130,25 @@ DistMatrix trsm_transposed_solve(const model::Config& cfg,
 }
 
 DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
-                   const sim::Comm& grid, const DistMatrix& a,
-                   const DistMatrix& b, const TrsmBodyOptions& opts) {
+                   Stage stage, const sim::Comm& grid, const DistMatrix& a,
+                   const DistMatrix& b) {
   if (!grid.is_member()) return {};
+  switch (stage) {
+    case Stage::kInvert: {
+      sim::PhaseScope scope(grid.ctx(), "inversion");
+      return trsm::diag_inverter(
+          a, grid,
+          trsm::it_inv_block_count(desc.n, desc.k, grid.size(), cfg.nblocks));
+    }
+    case Stage::kSolveInverted:
+      return trsm::it_inv_solve(a, b, grid, cfg.p1, cfg.p2, cfg.nblocks);
+    case Stage::kOp:
+      break;
+  }
   switch (desc.op) {
     case Op::kTrsm:
       return desc.trsm.transpose ? trsm_transposed_solve(cfg, grid, a, b)
-                                 : trsm_solve(desc, cfg, grid, a, b, opts);
+                                 : trsm_solve(desc, cfg, grid, a, b);
     case Op::kTriInv:
       return trsm::tri_inv_dist(a, grid);
     case Op::kCholesky:

@@ -77,19 +77,11 @@ std::shared_ptr<const dist::Distribution> realize_host(const Layout& lay,
 /// body — the Cholesky pipeline's square subgrid on a non-square p).
 int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p);
 
-/// Cross-execute state of the iterative TRSM (the plan's diagonal-inverse
-/// cache threads through here).
-struct TrsmBodyOptions {
-  std::vector<la::Matrix>* ltilde_store = nullptr;
-  bool reuse_ltilde = false;
-};
-
 /// Solve L X = B with the planned algorithm (the normalized lower-left
 /// non-transposed kernel; dl/db in the plan's input layouts).
 dist::DistMatrix trsm_solve(const OpDesc& desc, const model::Config& cfg,
                             const sim::Comm& grid, const dist::DistMatrix& dl,
-                            const dist::DistMatrix& db,
-                            const TrsmBodyOptions& opts);
+                            const dist::DistMatrix& db);
 
 /// L^T X = B entirely in the distributed domain: J L^T J is lower, so
 /// transpose + reverse, solve iteratively, reverse back — the Cholesky
@@ -99,13 +91,14 @@ dist::DistMatrix trsm_transposed_solve(const model::Config& cfg,
                                        const dist::DistMatrix& dl,
                                        const dist::DistMatrix& db);
 
-/// Dispatch `desc.op` against already-distributed operands. Ranks outside
-/// `grid` return an empty DistMatrix without communicating. `b` is
-/// ignored by the unary ops.
+/// Dispatch `stage` of `desc.op` against already-distributed operands:
+/// the whole op, or the iterative TRSM's inversion of `a` (under the
+/// "inversion" phase) or solve of `b` against the Ltilde `a`. Ranks
+/// outside `grid` return an empty DistMatrix without communicating. `b`
+/// is ignored by the unary ops and the inversion.
 dist::DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
-                         const sim::Comm& grid, const dist::DistMatrix& a,
-                         const dist::DistMatrix& b,
-                         const TrsmBodyOptions& opts);
+                         Stage stage, const sim::Comm& grid,
+                         const dist::DistMatrix& a, const dist::DistMatrix& b);
 
 /// Move rank `me`'s resident block out of the store into a DistMatrix
 /// view under `d` (shape-checked); restore_slot moves it back. Never

@@ -107,11 +107,9 @@ Schedule compile(const Program& prog, bool enabled) {
     if (!live[static_cast<std::size_t>(step.out)]) ++s.stats.nodes_elided;
 
   // --- Pass 2: common-sub-DAG merging. Identity = (plan object, resolved
-  // args, the step's cross-execute TRSM state) — the plan cache makes the
-  // plan pointer a structural key; the ltilde wiring is included so steps
-  // with different diag-inverse roles never merge.
-  std::map<std::tuple<const Plan*, NodeId, NodeId, const void*, bool>,
-           NodeId>
+  // args, stage) — the plan cache makes the plan pointer a structural key;
+  // the stage keeps an inversion apart from a whole solve on the same L.
+  std::map<std::tuple<const Plan*, NodeId, NodeId, detail::Stage>, NodeId>
       seen;
   std::vector<int> kept;
   for (std::size_t si = 0; si < steps.size(); ++si) {
@@ -122,10 +120,7 @@ Schedule compile(const Program& prog, bool enabled) {
         step.args.size() > 1
             ? s.resolve[static_cast<std::size_t>(step.args[1])]
             : -1;
-    const auto key = std::make_tuple(step.plan.get(), a0, a1,
-                                     static_cast<const void*>(
-                                         step.ltilde_store),
-                                     step.reuse_ltilde);
+    const auto key = std::make_tuple(step.plan.get(), a0, a1, step.stage);
     const auto it = seen.find(key);
     if (it != seen.end()) {
       s.resolve[static_cast<std::size_t>(step.out)] = it->second;

@@ -78,26 +78,17 @@ int square_side(int p) {
 
 }  // namespace
 
-// A cache hit makes the run a READER of the plan's shared blocks, counted
-// until the run completes so no concurrent adopt rewrites the vector
-// under its fibers. A miss computes into a PRIVATE store (never the
-// shared one — a concurrent reader may be using it) that adopt_diag
-// merges after the run succeeded.
-struct Plan::DiagUse {
-  std::unique_ptr<std::vector<Matrix>> fresh;  // miss: the run's own blocks
-  std::uint64_t id = 0;                        // ... and the operand they
-  std::uint64_t epoch = 0;                     //     belong to
-  bool reader = false;                         // hit
-};
-
-// One launched stream program plus its use of the diagonal-inverse cache,
-// settled once: the first settle() adopts a miss's blocks or records the
-// failure, and every later one returns the same outcome.
+// One launched stream program, settled once: the first settle() records
+// the outcome — for a run that inverted, its last output is Ltilde of the
+// operand (diag_id, diag_epoch), which becomes the plan's cache — and
+// every later one returns the same outcome.
 struct DistTicket::Shared {
   std::shared_ptr<Plan> plan;
   Program::AsyncResult async;
   ProgramStats program_stats;
-  Plan::DiagUse diag;
+  bool inverts = false;
+  std::uint64_t diag_id = 0;
+  std::uint64_t diag_epoch = 0;
 
   std::mutex mu;
   bool settled = false;
@@ -110,11 +101,17 @@ struct DistTicket::Shared {
       settled = true;
       try {
         result = async.wait();
-        plan->adopt_diag(diag);
+        if (inverts) {
+          std::lock_guard<std::mutex> cache_lock(plan->diag_mu_);
+          ++plan->diag_inversions_;
+          plan->ltilde_ = std::move(result.outputs.back());
+          plan->diag_id_ = diag_id;
+          plan->diag_epoch_ = diag_epoch;
+          result.outputs.pop_back();
+        }
       } catch (...) {
         outcome = std::current_exception();
       }
-      diag.fresh.reset();
     }
     if (outcome) std::rethrow_exception(outcome);
     return result;
@@ -465,87 +462,48 @@ ExecResult Plan::execute_generated(const Gen& a_gen, const Gen& b_gen,
   return r;
 }
 
-// --- Diagonal-inverse cache -------------------------------------------------
-
 bool Plan::inverts_diag() const {
   return desc_.op == Op::kTrsm &&
          config_.algorithm == model::Algorithm::kIterative &&
          !desc_.trsm.transpose;
 }
 
-std::function<void()> Plan::bind_diag(Program& prog, const DistHandle& a,
-                                      DiagUse& diag) {
-  if (!inverts_diag()) return nullptr;
-  std::vector<Matrix>* store = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    if (diag_valid_ && diag_id_ == a.id() && diag_epoch_ == a.epoch()) {
-      ++diag_readers_;
-      diag.reader = true;
-      store = &diag_locals_;
-    } else {
-      diag.fresh = std::make_unique<std::vector<Matrix>>(
-          static_cast<std::size_t>(ctx_->nprocs()));
-      diag.id = a.id();
-      diag.epoch = a.epoch();
-      store = diag.fresh.get();
-    }
-  }
-  // A miss inverts in the first step; later steps of the same run reuse.
-  for (std::size_t i = 0; i < prog.steps_.size(); ++i) {
-    prog.steps_[i].ltilde_store = store;
-    prog.steps_[i].reuse_ltilde = diag.reader || i > 0;
-  }
-  if (!diag.reader) return nullptr;
-  // Fires on a worker thread the moment the run completes.
-  return [self = shared_from_this()] {
-    std::lock_guard<std::mutex> lock(self->diag_mu_);
-    --self->diag_readers_;
-  };
-}
-
-void Plan::unbind_diag(const DiagUse& diag) {
-  if (!diag.reader) return;
-  std::lock_guard<std::mutex> lock(diag_mu_);
-  --diag_readers_;
-}
-
-void Plan::adopt_diag(DiagUse& diag) {
-  if (diag.fresh == nullptr) return;
-  std::lock_guard<std::mutex> lock(diag_mu_);
-  ++diag_inversions_;  // the inverter DID run, adopted or not
-  // A reader in flight pins the shared blocks; dropping the private ones
-  // costs one future re-inversion, never correctness.
-  if (diag_readers_ == 0) {
-    diag_locals_ = std::move(*diag.fresh);
-    diag_id_ = diag.id;
-    diag_epoch_ = diag.epoch;
-    diag_valid_ = true;
-  }
-  diag.fresh.reset();
-}
-
 // --- The stream program and its launch ------------------------------------
 
-Program Plan::stream_program(std::size_t panels) {
+Program Plan::stream_program(std::size_t panels, bool ltilde_bound) {
+  using detail::Stage;
   const index_t inner = inner_dim(desc_);
+  const auto self = shared_from_this();
   Program prog(*ctx_);
   const Program::NodeId na = prog.input(desc_.n, inner);
   if (detail::op_arity(desc_.op) == 1) {
-    prog.mark_output(prog.add(shared_from_this(), {na}));
+    prog.mark_output(prog.add(self, {na}));
     return prog;
   }
   if (desc_.op != Op::kCholeskySolve) {
-    for (std::size_t i = 0; i < panels; ++i) {
-      const Program::NodeId nb = prog.input(inner, desc_.k);
-      prog.mark_output(prog.add(shared_from_this(), {na, nb}));
+    std::vector<Program::NodeId> nbs;
+    for (std::size_t i = 0; i < panels; ++i)
+      nbs.push_back(prog.input(inner, desc_.k));
+    if (!inverts_diag()) {
+      for (const Program::NodeId nb : nbs)
+        prog.mark_output(prog.add(self, {na, nb}));
+      return prog;
     }
+    const Program::NodeId nlt =
+        ltilde_bound ? prog.input(desc_.n, desc_.n)
+                     : prog.add_stage(self, {na}, {}, Stage::kInvert);
+    for (const Program::NodeId nb : nbs)
+      prog.mark_output(
+          prog.add_stage(self, {nlt, nb}, {}, Stage::kSolveInverted));
+    if (!ltilde_bound) prog.mark_output(nlt);
     return prog;
   }
 
   // The Cholesky pipeline: factor, forward solve, reversed backward solve
   // on the q x q subgrid, one Machine::run, no intermediate collects. The
-  // building-block plans are cache hits after the first call.
+  // factor's diagonal blocks are inverted once for every forward solve;
+  // the backward solve inverts its own (reversed, transposed) operand.
+  // The building-block plans are cache hits after the first call.
   const int q = config_.p1;
   auto factor_plan = ctx_->plan(cholesky_op(desc_.n, q));
   TrsmSpec fwd_spec;
@@ -560,35 +518,41 @@ Program Plan::stream_program(std::size_t panels) {
   auto bwd_plan = ctx_->plan(trsm_op(desc_.n, desc_.k, bwd_spec));
 
   const Program::NodeId nl = prog.add(factor_plan, {na}, "cholesky");
+  const Program::NodeId nlt =
+      prog.add_stage(fwd_plan, {nl}, "forward-trsm", Stage::kInvert);
   for (std::size_t i = 0; i < panels; ++i) {
     const Program::NodeId nb = prog.input(desc_.n, desc_.k);
-    const Program::NodeId ny = prog.add(fwd_plan, {nl, nb}, "forward-trsm");
+    const Program::NodeId ny = prog.add_stage(
+        fwd_plan, {nlt, nb}, "forward-trsm", Stage::kSolveInverted);
     prog.mark_output(prog.add(bwd_plan, {nl, ny}, "backward-trsm"));
   }
   return prog;
 }
 
-DistTicket Plan::launch(const std::vector<DistHandle>& inputs) {
+DistTicket Plan::launch(std::vector<DistHandle> inputs) {
   // ALL validation (variant rules, shapes, machine ownership) and all
   // orchestration (slot load/restore with exception unwinding, grid
   // subsetting, redistribute-on-mismatch, output materialization) live in
   // Program::add/run_async — one implementation. run_async snapshots the
   // DAG, so the local Program may die while the stream flies.
-  Program prog = stream_program(inputs.size() - 1);
   auto sh = std::make_shared<DistTicket::Shared>();
   sh->plan = shared_from_this();
-  // The cache is bound only after stream_program accepted the steps, so
-  // a rejected call cannot touch it. On a miss the first panel's step
-  // inverts the diagonal blocks and every later panel reuses them IN the
-  // same run.
-  try {
-    sh->async = prog.run_async(inputs, bind_diag(prog, inputs[0], sh->diag));
-  } catch (...) {
-    // run_async throws only before the submission exists, so on_complete
-    // never fires — undo the reader count here.
-    unbind_diag(sh->diag);
-    throw;
+  const std::size_t panels = inputs.size() - 1;
+  bool hit = false;
+  if (inverts_diag()) {
+    std::lock_guard<std::mutex> lock(diag_mu_);
+    hit = ltilde_.valid() && diag_id_ == inputs[0].id() &&
+          diag_epoch_ == inputs[0].epoch();
+    if (hit) {
+      inputs.push_back(ltilde_);
+    } else {
+      sh->inverts = true;
+      sh->diag_id = inputs[0].id();
+      sh->diag_epoch = inputs[0].epoch();
+    }
   }
+  Program prog = stream_program(panels, hit);
+  sh->async = prog.run_async(inputs);
   sh->program_stats = prog.stats();
   return DistTicket(std::move(sh));
 }

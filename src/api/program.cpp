@@ -47,6 +47,13 @@ Program::NodeId Program::input(index_t rows, index_t cols) {
 
 Program::NodeId Program::add(std::shared_ptr<Plan> plan,
                              std::vector<NodeId> args, std::string phase) {
+  return add_stage(std::move(plan), std::move(args), std::move(phase),
+                   detail::Stage::kOp);
+}
+
+Program::NodeId Program::add_stage(std::shared_ptr<Plan> plan,
+                                   std::vector<NodeId> args,
+                                   std::string phase, detail::Stage stage) {
   CATRSM_CHECK(plan != nullptr, "program: null plan");
   CATRSM_CHECK(plan->ctx_ == ctx_,
                "program: plan belongs to a different Context");
@@ -63,7 +70,12 @@ Program::NodeId Program::add(std::shared_ptr<Plan> plan,
                    "program: transposed trsm steps require the iterative "
                    "algorithm");
   }
-  const int arity = detail::op_arity(d.op);
+  const bool invert = stage == detail::Stage::kInvert;
+  if (stage != detail::Stage::kOp)
+    CATRSM_CHECK(plan->inverts_diag(),
+                 "program: only the iterative non-transposed trsm runs as "
+                 "an inversion and a solve");
+  const int arity = invert ? 1 : detail::op_arity(d.op);
   CATRSM_CHECK(static_cast<int>(args.size()) == arity,
                "program: wrong operand count for op");
   for (const NodeId a : args)
@@ -77,6 +89,11 @@ Program::NodeId Program::add(std::shared_ptr<Plan> plan,
     case Op::kTrsm:
       CATRSM_CHECK(a0.rows == d.n && a0.cols == d.n,
                    "program: trsm operand must be the planned n x n");
+      if (invert) {
+        out.rows = d.n;
+        out.cols = d.n;
+        break;
+      }
       CATRSM_CHECK(nodes_[static_cast<std::size_t>(args[1])].rows == d.n &&
                        nodes_[static_cast<std::size_t>(args[1])].cols == d.k,
                    "program: trsm rhs must be the planned n x k");
@@ -104,7 +121,7 @@ Program::NodeId Program::add(std::shared_ptr<Plan> plan,
     case Op::kCholeskySolve:
       throw Error("program: unreachable");
   }
-  out.layout = plan->output_layout();
+  out.layout = invert ? plan->input_layout(0) : plan->output_layout();
 
   nodes_.push_back(out);
   const NodeId out_id = static_cast<NodeId>(nodes_.size()) - 1;
@@ -113,6 +130,7 @@ Program::NodeId Program::add(std::shared_ptr<Plan> plan,
   step.args = std::move(args);
   step.phase = std::move(phase);
   step.out = out_id;
+  step.stage = stage;
   steps_.push_back(std::move(step));
   compiled_.reset();
   return out_id;
@@ -163,8 +181,7 @@ Program::Result Program::run(const std::vector<DistHandle>& inputs) {
   return run_async(inputs).wait();
 }
 
-Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs,
-                                        std::function<void()> on_complete) {
+Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
   CATRSM_CHECK(static_cast<int>(inputs.size()) == n_inputs_,
                "program: wrong number of input handles");
   sim::Machine& machine = ctx_->machine();
@@ -311,7 +328,7 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs,
       // Layout transitions, as planned by the schedule: direct reference,
       // a cached conversion (run once, reused), or — optimizer off — a
       // per-use transient, exactly the as-written behavior.
-      const int arity = detail::op_arity(plan.desc().op);
+      const int arity = static_cast<int>(step.args.size());
       const DistMatrix* arg[2] = {nullptr, nullptr};
       DistMatrix moved[2];
       for (int slot = 0; slot < arity; ++slot) {
@@ -348,11 +365,8 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs,
         sim::PhaseScope algorithm_scope(r, "algorithm");
         std::optional<sim::PhaseScope> label;
         if (!step.phase.empty()) label.emplace(r, step.phase);
-        detail::TrsmBodyOptions opts;
-        opts.ltilde_store = step.ltilde_store;
-        opts.reuse_ltilde = step.reuse_ltilde;
-        out = detail::op_body(plan.desc(), plan.config(), grid, *arg[0],
-                              arity == 2 ? *arg[1] : empty, opts);
+        out = detail::op_body(plan.desc(), plan.config(), step.stage, grid,
+                              *arg[0], arity == 2 ? *arg[1] : empty);
       }
       const Node& out_node = nodes_[static_cast<std::size_t>(step.out)];
       if (out.dist_ptr() == nullptr) {
@@ -403,11 +417,8 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs,
   // Release the run-use marks the moment the last rank finishes (on a
   // worker thread), so a host blocked acquiring them — or waiting any
   // other ticket — never depends on this ticket being wait()ed first.
-  const std::vector<std::uint64_t> in_ids = sh->in_ids;
-  sim::HandleStore* store_ptr = &store;
-  auto complete = [store_ptr, in_ids, user = std::move(on_complete)] {
+  auto complete = [store_ptr = &store, in_ids = sh->in_ids] {
     store_ptr->release_run_use(in_ids);
-    if (user) user();
   };
   try {
     sh->ticket = machine.run_async(rank_body, std::move(complete));

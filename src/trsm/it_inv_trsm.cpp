@@ -97,12 +97,31 @@ int it_inv_auto_nblocks(index_t n, index_t k, int p) {
   return std::clamp(blocks, 1, static_cast<int>(std::min<index_t>(n, p)));
 }
 
+int it_inv_block_count(index_t n, index_t k, int p, int nblocks) {
+  if (nblocks <= 0) nblocks = it_inv_auto_nblocks(n, k, p);
+  // Recompute the real block count for ragged sizes.
+  return static_cast<int>(ceil_div(n, ceil_div(n, nblocks)));
+}
+
 DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
                        const sim::Comm& comm, int p1, int p2,
                        ItInvOptions opts) {
-  const index_t n = l.dist().rows();
+  const int nblocks = it_inv_block_count(l.dist().rows(), b.dist().cols(),
+                                         comm.size(), opts.nblocks);
+  // Phase labels reproduce the paper's Section VII cost decomposition
+  // (T = T_Inv + T_Solve + T_Upd) in RunStats::phase_max.
+  const DistMatrix ltilde = [&] {
+    sim::PhaseScope scope(comm.ctx(), "inversion");
+    return diag_inverter(l, comm, nblocks, opts.diag);
+  }();
+  return it_inv_solve(ltilde, b, comm, p1, p2, nblocks);
+}
+
+DistMatrix it_inv_solve(const DistMatrix& ltilde, const DistMatrix& b,
+                        const sim::Comm& comm, int p1, int p2, int nblocks) {
+  const index_t n = ltilde.dist().rows();
   const index_t k = b.dist().cols();
-  CATRSM_CHECK(l.dist().cols() == n, "it_inv_trsm: L must be square");
+  CATRSM_CHECK(ltilde.dist().cols() == n, "it_inv_trsm: L must be square");
   CATRSM_CHECK(b.dist().rows() == n, "it_inv_trsm: dimension mismatch");
   CATRSM_CHECK(comm.size() == p1 * p1 * p2,
                "it_inv_trsm: comm must equal p1^2 * p2 ranks");
@@ -113,36 +132,8 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
   const int z = grid.my_z();
   auto& ctx = comm.ctx();
 
-  int nblocks = opts.nblocks;
-  if (nblocks <= 0) nblocks = it_inv_auto_nblocks(n, k, comm.size());
+  nblocks = it_inv_block_count(n, k, comm.size(), nblocks);
   const index_t nb = ceil_div(n, nblocks);
-  // Recompute the real block count for ragged sizes.
-  nblocks = static_cast<int>(ceil_div(n, nb));
-
-  // --- Invert the diagonal blocks with all p ranks (Section VI-A), or
-  // rehydrate them from a caller-managed store (plan reuse: repeated
-  // solves against the same L skip the inversion entirely).
-  // Phase labels reproduce the paper's Section VII cost decomposition
-  // (T = T_Inv + T_Solve + T_Upd) in RunStats::phase_max.
-  const DistMatrix ltilde = [&] {
-    if (opts.ltilde_store != nullptr && opts.reuse_ltilde) {
-      DistMatrix lt(l.dist_ptr(), ctx.id());
-      if (lt.participates()) {
-        const la::Matrix& stored =
-            (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())];
-        CATRSM_CHECK(stored.rows() == lt.local().rows() &&
-                         stored.cols() == lt.local().cols(),
-                     "it_inv_trsm: stored ltilde shape mismatch");
-        lt.local() = stored;
-      }
-      return lt;
-    }
-    sim::PhaseScope scope(ctx, "inversion");
-    DistMatrix lt = diag_inverter(l, comm, nblocks, opts.diag);
-    if (opts.ltilde_store != nullptr)
-      (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())] = lt.local();
-    return lt;
-  }();
 
   // --- Panel geometry.
   const index_t bc = std::max<index_t>(ceil_div(k, p2), 1);

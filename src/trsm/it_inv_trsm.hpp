@@ -40,16 +40,6 @@ struct ItInvOptions {
   /// Number of inverted diagonal blocks; 0 = automatic (Section VIII).
   int nblocks = 0;
   DiagInvOptions diag;
-  /// Cross-run reuse of the inverted diagonal blocks (what makes repeated
-  /// solves against the same L cheap — the Plan cache hooks in here).
-  /// When non-null, slot [world rank] holds that rank's local block of
-  /// Ltilde on the L face. With `reuse_ltilde` true the store is consumed
-  /// instead of running the Diagonal-Inverter; otherwise the freshly
-  /// inverted blocks are exported into the store. The caller must size the
-  /// vector to the machine's rank count and is responsible for only
-  /// requesting reuse against the same L and nblocks.
-  std::vector<la::Matrix>* ltilde_store = nullptr;
-  bool reuse_ltilde = false;
 };
 
 /// The canonical L face (front face of the grid) for it_inv_trsm inputs.
@@ -73,7 +63,18 @@ std::shared_ptr<dist::BlockCyclicDist> it_inv_b_dist(const sim::Comm& comm,
 /// Automatic block count n/n0 per the Section VIII tuning tables.
 int it_inv_auto_nblocks(index_t n, index_t k, int p);
 
-/// Solve L X = B on a p1 x p1 x p2 grid over `comm`.
+/// The block count both halves run with: `nblocks` (0 = automatic) as
+/// the ragged blocks of ceil(n / nblocks) rows actually tile n.
+int it_inv_block_count(index_t n, index_t k, int p, int nblocks);
+
+/// The Section VI-B solve loop: X = L^-1 B from Ltilde, the
+/// Diagonal-Inverter's output for the same `nblocks` (L with its
+/// diagonal blocks inverted, in L's distribution). Reads nothing else.
+DistMatrix it_inv_solve(const DistMatrix& ltilde, const DistMatrix& b,
+                        const sim::Comm& comm, int p1, int p2, int nblocks);
+
+/// Solve L X = B on a p1 x p1 x p2 grid over `comm`: diag_inverter under
+/// the "inversion" phase, then it_inv_solve.
 DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
                        const sim::Comm& comm, int p1, int p2,
                        ItInvOptions opts = {});

@@ -240,7 +240,8 @@ TEST(ExecuteBatch, OneRunPerBatchBitwiseEqualToPerPanelExecute) {
   }
 
   {
-    // Cholesky-solve factors A once and solves every panel against it.
+    // Cholesky-solve factors A once, inverts the factor's diagonal blocks
+    // once, and solves every panel against them.
     const index_t m = 20;
     const Matrix a = la::make_spd(361, m);
     std::vector<Matrix> bs;
@@ -250,8 +251,15 @@ TEST(ExecuteBatch, OneRunPerBatchBitwiseEqualToPerPanelExecute) {
     const BatchResult batch = expect_one_run_matching_execute(
         ctx, cholesky_solve_op(m, k), a, bs, "cholesky-solve");
     EXPECT_EQ(batch.program_stats.steps_executed,
-              static_cast<std::uint64_t>(1 + 2 * panels));
+              static_cast<std::uint64_t>(2 + 2 * panels));
     for (const double r : batch.residuals) EXPECT_LT(r, 1e-10);
+    // The forward solves share one inversion: a panels-wide batch sends
+    // fewer forward messages than panels one-panel batches.
+    Context one_ctx(p);
+    const BatchResult one = one_ctx.plan(cholesky_solve_op(m, k))
+                                ->execute_batch(a, {bs.data(), 1});
+    EXPECT_LT(batch.stats.phase_cost("forward-trsm").msgs,
+              panels * one.stats.phase_cost("forward-trsm").msgs);
   }
   {
     const index_t m = 16, inner = 12;
@@ -347,9 +355,10 @@ TEST(ExecutePath, OperandStaysResidentWhileItsBytesAreUnchanged) {
   const sim::HandleStore& store = ctx.machine().handle_store();
 
   const ExecResult r1 = plan->execute(l, b);
-  // Only the operand stays resident between calls (B and X are released).
+  // Only the operand and its Ltilde stay resident between calls (B and X
+  // are released).
   const std::uint64_t resident = store.resident_bytes();
-  EXPECT_EQ(resident, sizeof(double) * static_cast<std::uint64_t>(n * n));
+  EXPECT_EQ(resident, 2 * sizeof(double) * static_cast<std::uint64_t>(n * n));
   (void)plan->execute(l, b);
   EXPECT_EQ(store.resident_bytes(), resident);
   EXPECT_EQ(plan->diag_inversions(), 1u);

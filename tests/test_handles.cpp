@@ -274,6 +274,19 @@ TEST(Handles, RejectsForeignAndUnsupportedVariants) {
   const DistHandle hb_other = other.upload(b, plan->input_layout(1));
   EXPECT_THROW((void)plan->execute_dist(hl, hb_other), Error);
 
+  // Handle ids count per machine, so a foreign handle can share its id
+  // with a local one: unpin must reject it, not unpin the local entry.
+  Context mine_ctx(4);
+  Context foreign_ctx(4);
+  const Matrix m = la::make_dense(573, 8, 8);
+  const DistHandle mine = mine_ctx.upload(m, cyclic_layout(2, 2));
+  const DistHandle foreign = foreign_ctx.upload(m, cyclic_layout(2, 2));
+  ASSERT_EQ(mine.id(), foreign.id());
+  mine_ctx.pin(mine);
+  EXPECT_THROW(mine_ctx.unpin(foreign), Error);
+  EXPECT_TRUE(mine_ctx.machine().handle_store().pinned(mine.id()));
+  EXPECT_THROW(mine_ctx.pin(foreign), Error);
+
   TrsmSpec upper;
   upper.uplo = la::Uplo::kUpper;
   auto upper_plan = ctx.plan(trsm_op(n, k, upper));
@@ -595,13 +608,13 @@ TEST(Programs, BatchIsOneProgramRunMatchingPerPanelSolvesBitwise) {
   auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
   const std::uint64_t runs_before = ctx.scheduler().runs();
   const BatchResult br = plan->execute_batch(l, bs);
-  // The whole batch — including the shared diagonal inversion — was ONE
-  // simulated run.
+  // The whole batch — including the shared diagonal inversion, one step
+  // of its own — was ONE simulated run.
   EXPECT_EQ(ctx.scheduler().runs(), runs_before + 1);
   EXPECT_EQ(br.stats.phase_max.count("inversion"), 1u);
   EXPECT_EQ(br.stats.phase_max.count("redistribute"), 0u);
   EXPECT_EQ(br.program_stats.steps_executed,
-            static_cast<std::uint64_t>(items));
+            static_cast<std::uint64_t>(items + 1));
   EXPECT_EQ(plan->diag_inversions(), 1u);
 
   ASSERT_EQ(br.xs.size(), static_cast<std::size_t>(items));

@@ -209,6 +209,55 @@ TEST(Streams, FaultedStreamIsIsolatedAndMachineStaysUsable) {
   EXPECT_TRUE(fresh.download(fplan->execute_dist(fl, fb).x).equals(x_retry));
 }
 
+TEST(Streams, CacheMissOverlappingAHitReplacesTheCachedInverse) {
+  // One iterative plan, two operands: a cache hit on L1 and a miss on L2
+  // fly together. The hit holds its own reference to L1's Ltilde, so the
+  // miss replaces the cache even while the hit is still in flight, and
+  // the next solve against L2 reuses the miss's inverse.
+  const index_t n = 48, k = 12;
+  const Matrix l1 = la::make_lower_triangular(981, n);
+  const Matrix l2 = la::make_lower_triangular(982, n);
+  const Matrix b1 = la::make_rhs(983, n, k);
+  const Matrix b2 = la::make_rhs(984, n, k);
+
+  Context ref(4);
+  auto ref_plan = ref.plan(trsm_op(n, k, iterative_spec()));
+  const auto serial = [&](const Matrix& l, const Matrix& b) {
+    return ref.download(
+        ref_plan
+            ->execute_dist(ref.upload(l, ref_plan->input_layout(0)),
+                           ref.upload(b, ref_plan->input_layout(1)))
+            .x);
+  };
+  const Matrix x1_ref = serial(l1, b1);
+  const Matrix x2_ref = serial(l2, b2);
+
+  sim::Machine machine(4);
+  Context ctx(machine);
+  auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
+  const DistHandle hl1 = ctx.upload(l1, plan->input_layout(0));
+  const DistHandle hl2 = ctx.upload(l2, plan->input_layout(0));
+  const DistHandle hb1 = ctx.upload(b1, plan->input_layout(1));
+  const DistHandle hb2 = ctx.upload(b2, plan->input_layout(1));
+  (void)plan->execute_dist(hl1, hb1);  // warm the cache with L1
+  const std::uint64_t inversions = plan->diag_inversions();
+
+  DistTicket hit = plan->execute_dist_async(hl1, hb1);
+  DistTicket miss = plan->execute_dist_async(hl2, hb2);
+  const DistExecResult rmiss = miss.wait();
+  const DistExecResult rhit = hit.wait();
+  EXPECT_EQ(rhit.stats.phase_max.count("inversion"), 0u);
+  EXPECT_EQ(rmiss.stats.phase_max.count("inversion"), 1u);
+  EXPECT_TRUE(ctx.download(rhit.x).equals(x1_ref));
+  EXPECT_TRUE(ctx.download(rmiss.x).equals(x2_ref));
+  EXPECT_EQ(plan->diag_inversions(), inversions + 1);
+
+  const DistExecResult again = plan->execute_dist(hl2, hb2);
+  EXPECT_EQ(again.stats.phase_max.count("inversion"), 0u);
+  EXPECT_EQ(plan->diag_inversions(), inversions + 1);
+  EXPECT_TRUE(ctx.download(again.x).equals(x2_ref));
+}
+
 TEST(Streams, StreamsKnobGarbageWarnsAndFallsBack) {
   // CATRSM_SIM_STREAMS=banana must not crash, hang, or silently become
   // 0 streams: the pool falls back to its documented default width and
