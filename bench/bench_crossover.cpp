@@ -3,9 +3,9 @@
 // The practical payoff of the paper's cost analysis is an a-priori
 // decision procedure: given (n, k, p, alpha, beta, gamma), pick the
 // algorithm and grid before touching data. This bench sweeps the n/k
-// ratio at fixed p, printing the model's pick and the *measured* winner
-// (by critical-path time) among {iterative, recursive, 2D fan-out}, so
-// the crossover locations can be compared.
+// ratio at fixed p, printing the algorithm model::configure picks and the
+// *measured* winner (by critical-path time) among {iterative, recursive,
+// 2D fan-out}, so the crossover locations can be compared.
 
 #include "bench_util.hpp"
 
@@ -43,7 +43,7 @@ int main() {
 
   const int p = 16;
   Table table({"n", "k", "regime", "t iter (us)", "t rec (us)", "t 2d (us)",
-               "S iter", "S rec", "measured winner"});
+               "S iter", "S rec", "model pick", "measured winner"});
   struct Shape {
     index_t n, k;
   };
@@ -55,10 +55,13 @@ int main() {
     const Measured mit = run_algo(ctx, l, b, model::Algorithm::kIterative);
     const Measured mrec = run_algo(ctx, l, b, model::Algorithm::kRecursive);
     const Measured m2d = run_algo(ctx, l, b, model::Algorithm::kTrsm2D);
-    const char* winner = mit.time <= mrec.time && mit.time <= m2d.time
-                             ? "iterative"
-                         : mrec.time <= m2d.time ? "recursive"
-                                                 : "2d fan-out";
+    const model::Algorithm pick =
+        model::configure(s.n, s.k, p, ctx.params()).algorithm;
+    const model::Algorithm winner =
+        mit.time <= mrec.time && mit.time <= m2d.time
+            ? model::Algorithm::kIterative
+        : mrec.time <= m2d.time ? model::Algorithm::kRecursive
+                                : model::Algorithm::kTrsm2D;
     table.row()
         .add(s.n)
         .add(s.k)
@@ -69,7 +72,8 @@ int main() {
         .add(m2d.time * 1e6)
         .add(mit.s)
         .add(mrec.s)
-        .add(winner);
+        .add(model::algorithm_name(pick))
+        .add(model::algorithm_name(winner));
   }
   table.print();
   std::cout << "\nExpected: the iterative method wins across the 3D band "

@@ -39,15 +39,15 @@
 //   }
 //
 // EXECUTION STREAMS: the _async variants (Plan::execute_dist_async,
-// Context::execute_dist_async, Program::run_async) launch the simulated
-// run and return a future-like ticket immediately; up to
-// CATRSM_SIM_STREAMS runs overlap on the machine's shared worker pool
-// (api::StreamPool in stream_pool.hpp round-robins whole request queues
-// across several Contexts). Concurrent streams produce bitwise the same
-// results as the same calls issued serially: two runs touching the same
-// handle are serialized (the later launch blocks until the earlier run
-// completes), and per-run virtual clocks keep every RunStats identical
-// to its serial counterpart.
+// Program::run_async) launch the simulated run and return a future-like
+// ticket immediately; up to CATRSM_SIM_STREAMS runs overlap on the
+// machine's shared worker pool (api::StreamPool in stream_pool.hpp
+// round-robins whole request queues across several Contexts).
+// Concurrent streams produce bitwise the same results as the same calls
+// issued serially: two runs touching the same handle are serialized (the
+// later launch blocks until the earlier run completes), and per-run
+// virtual clocks keep every RunStats identical to its serial
+// counterpart.
 //
 // Lifetime: a Plan must not outlive the Context that created it (and a
 // borrowed machine must outlive both); a DistHandle must not outlive its
@@ -237,15 +237,15 @@ struct DistExecResult {
 };
 
 /// Future for one in-flight execute_dist stream. Returned immediately by
-/// Plan::execute_dist_async / Context::execute_dist_async while the
-/// simulated run proceeds on the machine's worker pool. wait() blocks
-/// until the run completes, assembles exactly the DistExecResult the
-/// serial call would have produced (bitwise — per-run virtual clocks),
-/// and rethrows any failure (DeadlockError, sim::FaultError, ...);
-/// calling it again returns the same stored outcome. Dropping a ticket
-/// without waiting is safe — the run still completes (the Machine
-/// retires it), but a faulted run's input poisoning only happens at
-/// wait(), so always wait tickets whose operands you reuse.
+/// Plan::execute_dist_async while the simulated run proceeds on the
+/// machine's worker pool. wait() blocks until the run completes,
+/// assembles exactly the DistExecResult the serial call would have
+/// produced (bitwise — per-run virtual clocks), and rethrows any failure
+/// (DeadlockError, sim::FaultError, ...); calling it again returns the
+/// same stored outcome. Dropping a ticket without waiting is safe — the
+/// run still completes (the Machine retires it), but a faulted run's
+/// input poisoning only happens at wait(), so always wait tickets whose
+/// operands you reuse.
 class DistTicket {
  public:
   DistTicket() = default;
@@ -497,11 +497,6 @@ class Context {
   /// one. Planning twice for the same (op, shape, options) on the same
   /// machine hits the cache and returns the SAME Plan handle.
   std::shared_ptr<Plan> plan(const OpDesc& desc);
-
-  /// plan(desc)->execute_dist_async(a, b): plan (cache hit after the
-  /// first call) and launch the op as an independent execution stream.
-  DistTicket execute_dist_async(const OpDesc& desc, const DistHandle& a,
-                                const DistHandle& b = DistHandle());
 
   /// Scatter a matrix (or a generator, which no rank ever materializes
   /// globally) into resident per-rank storage under `layout`. Host-side:

@@ -126,12 +126,6 @@ std::shared_ptr<Plan> Context::plan(const OpDesc& desc) {
   return plan;
 }
 
-DistTicket Context::execute_dist_async(const OpDesc& desc,
-                                       const DistHandle& a,
-                                       const DistHandle& b) {
-  return plan(desc)->execute_dist_async(a, b);
-}
-
 void Context::clear_cache() {
   lru_.clear();
   index_.clear();

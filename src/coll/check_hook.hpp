@@ -13,26 +13,6 @@
 
 namespace catrsm::coll {
 
-inline const char* coll_op_name(CollOp op) {
-  switch (op) {
-    case CollOp::kAllgather:
-      return "allgather";
-    case CollOp::kReduceScatter:
-      return "reduce_scatter";
-    case CollOp::kScatter:
-      return "scatter";
-    case CollOp::kGather:
-      return "gather";
-    case CollOp::kBarrier:
-      return "barrier";
-    case CollOp::kAlltoallBruck:
-      return "alltoall(bruck)";
-    case CollOp::kAlltoallDirect:
-      return "alltoall(direct)";
-  }
-  return "collective?";
-}
-
 /// Registers the caller's entry into a collective with the machine's
 /// matcher and tracer (sim/check) — a single null check each when the
 /// tools are detached, which is the default. The entry registration runs

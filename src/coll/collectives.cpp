@@ -47,6 +47,26 @@ bool skew_hook(const sim::Comm& comm, int* root, const Counts& counts,
 
 }  // namespace
 
+const char* coll_op_name(CollOp op) {
+  switch (op) {
+    case CollOp::kAllgather:
+      return "allgather";
+    case CollOp::kReduceScatter:
+      return "reduce_scatter";
+    case CollOp::kScatter:
+      return "scatter";
+    case CollOp::kGather:
+      return "gather";
+    case CollOp::kBarrier:
+      return "barrier";
+    case CollOp::kAlltoallBruck:
+      return "alltoall(bruck)";
+    case CollOp::kAlltoallDirect:
+      return "alltoall(direct)";
+  }
+  return "collective?";
+}
+
 int coll_tag(CollOp op, const sim::Comm& comm) {
   return kTagBase + static_cast<int>(op) * kEpochSpace +
          static_cast<int>(comm.epoch() %

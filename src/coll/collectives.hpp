@@ -53,6 +53,11 @@ enum class CollOp : int {
   kAlltoallDirect,
 };
 
+/// Display name of a collective family ("allgather", "alltoall(bruck)",
+/// ...): the one name table behind the collective matcher's records and
+/// the deadlock dump's tag decoding. "collective?" for any other value.
+const char* coll_op_name(CollOp op);
+
 /// Collective tags occupy [kTagBase, ...); user point-to-point code must
 /// use tags below kTagBase.
 inline constexpr int kTagBase = 1 << 20;

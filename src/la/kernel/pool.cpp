@@ -86,27 +86,23 @@ struct ThreadPool::Impl {
   std::mutex dispatch_mu;  // serializes concurrent masters
 
   // Job publication: the master writes the job fields, then publishes a
-  // packed (seq, team size, mode) word with release semantics. A worker
+  // packed (seq, team size) word with release semantics. A worker
   // decides team membership from ONE atomic load of that word, so it can
   // never mix one job's membership with another job's fields: the plain
   // fields below are written before the word bump and stay untouched
   // until the next publish, which the master only issues after join()
   // saw every member of the previous team finish.
   //
-  // Word layout: bits [0,40) sequence, bits [40,56) team size, bit 56
-  // mode (1 = team). 2^40 dispatches is unreachable in practice; the
-  // sequence must not wrap while a parked worker still compares against
-  // an old value.
+  // Word layout: bits [0,40) sequence, bits [40,56) team size. 2^40
+  // dispatches is unreachable in practice; the sequence must not wrap
+  // while a parked worker still compares against an old value.
   static constexpr std::uint64_t kSeqMask = (1ULL << 40) - 1;
   static constexpr int kNtShift = 40;
-  static constexpr std::uint64_t kTeamBit = 1ULL << 56;
 
   std::atomic<std::uint64_t> job_word{0};
   std::atomic<int> remaining{0};  // team members still inside the job
-  void (*for_body)(index_t, index_t, void*) = nullptr;
   void (*team_body)(int, int, void*) = nullptr;
   void* ctx = nullptr;
-  index_t n = 0;
   std::uint64_t seq = 0;
 
   // Parking lot: a worker whose spin window expires sleeps here; the
@@ -137,13 +133,7 @@ struct ThreadPool::Impl {
       seen_seq = word & kSeqMask;
       const int nt = static_cast<int>((word >> kNtShift) & 0xffff);
       if (id + 1 >= nt) continue;  // not in this job's team
-      if (word & kTeamBit) {
-        team_body(id + 1, nt, ctx);
-      } else {
-        const index_t begin = n * (id + 1) / nt;
-        const index_t end = n * (id + 2) / nt;
-        if (begin < end) for_body(begin, end, ctx);
-      }
+      team_body(id + 1, nt, ctx);
       remaining.fetch_sub(1, std::memory_order_release);
     }
   }
@@ -176,12 +166,11 @@ struct ThreadPool::Impl {
   }
 
   /// Publish a job for workers 1..nt-1 and wake any parked ones.
-  void publish(bool team, int nt) {
+  void publish(int nt) {
     remaining.store(nt - 1, std::memory_order_relaxed);
     ++seq;
     const std::uint64_t word = (seq & kSeqMask) |
-                               (static_cast<std::uint64_t>(nt) << kNtShift) |
-                               (team ? kTeamBit : 0);
+                               (static_cast<std::uint64_t>(nt) << kNtShift);
     job_word.store(word, std::memory_order_release);
     // seq_cst pairing with the parked increment: a worker either sees
     // the new job word before parking, or its increment is visible here
@@ -228,29 +217,6 @@ int ThreadPool::active_threads() const {
   return size();
 }
 
-void ThreadPool::parallel_for(index_t n,
-                              void (*body)(index_t, index_t, void*),
-                              void* ctx) {
-  if (n <= 0) return;
-  int nt = active_threads();
-  if (nt > n) nt = static_cast<int>(n);
-  if (nt <= 1) {
-    body(0, n, ctx);
-    return;
-  }
-
-  std::lock_guard<std::mutex> dispatch(impl_->dispatch_mu);
-  impl_->ensure_workers(nt - 1);
-  impl_->for_body = body;
-  impl_->ctx = ctx;
-  impl_->n = n;
-  impl_->publish(/*team=*/false, nt);
-  g_dispatches.fetch_add(1, std::memory_order_relaxed);
-
-  body(0, n / nt, ctx);  // chunk 0 on the caller
-  impl_->join();
-}
-
 void ThreadPool::run_team(int nt, void (*body)(int, int, void*), void* ctx) {
   const int cap = active_threads();
   if (nt > cap) nt = cap;
@@ -263,7 +229,7 @@ void ThreadPool::run_team(int nt, void (*body)(int, int, void*), void* ctx) {
   impl_->ensure_workers(nt - 1);
   impl_->team_body = body;
   impl_->ctx = ctx;
-  impl_->publish(/*team=*/true, nt);
+  impl_->publish(nt);
   g_dispatches.fetch_add(1, std::memory_order_relaxed);
 
   body(0, nt, ctx);  // tid 0 on the caller

@@ -4,20 +4,14 @@
 //
 // The pool is lazily started on the first multi-threaded dispatch and
 // sized from CATRSM_KERNEL_THREADS (default: hardware_concurrency; 1
-// reproduces the single-threaded behavior exactly). Two dispatch shapes
-// exist:
-//
-//  - parallel_for: split an index range into contiguous chunks, run
-//    chunk 0 on the caller and the rest on workers, join. One fork-join
-//    per call.
-//  - run_team: run the SAME body on every participant as (tid, nt) —
-//    the body owns its partitioning and synchronizes internally with a
-//    TeamBarrier. This is what the GEMM driver uses: ONE fork-join per
-//    gemm call, with cheap spin barriers between the cooperative
-//    B-packing step and the macro-kernel sweep, instead of a fork-join
-//    per blocking-loop iteration (a condvar wake costs hundreds of
-//    microseconds on some kernels — measured 255 us here — which is why
-//    the PR 4 per-loop fork-join never scaled).
+// reproduces the single-threaded behavior exactly). Its one dispatch
+// shape is run_team: run the SAME body on every participant as
+// (tid, nt) — the body owns its partitioning and synchronizes internally
+// with a TeamBarrier. The GEMM driver uses it for ONE fork-join per gemm
+// call, with cheap spin barriers between the cooperative B-packing step
+// and the macro-kernel sweep, instead of a fork-join per blocking-loop
+// iteration (a condvar wake costs hundreds of microseconds on some OS
+// kernels, which is why a per-loop fork-join never scaled).
 //
 // Workers SPIN briefly (120 us) waiting for the next job before parking
 // on a condvar, so back-to-back kernel calls — a blocked TRSM runs one
@@ -26,8 +20,8 @@
 // chunk to run, so the wait is short when the split is balanced) and
 // degrades to yielding when oversubscribed.
 //
-// Determinism contract: every index's work item is self-contained and
-// writes a disjoint output region, so results are BIT-IDENTICAL for any
+// Determinism contract: a team body's work items are self-contained and
+// write disjoint output regions, so results are BIT-IDENTICAL for any
 // pool size — the split only decides which thread executes an item,
 // never what the item computes.
 //
@@ -40,8 +34,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-
-#include "la/matrix.hpp"
 
 namespace catrsm::la::kernel {
 
@@ -71,15 +63,6 @@ class ThreadPool {
   /// Fan-out a dispatch issued from this thread would use right now:
   /// 1 inside a simulated rank or on a pool worker, else size().
   int active_threads() const;
-
-  /// Run body(begin, end) over a partition of [0, n) into at most
-  /// active_threads() contiguous chunks; blocks until every chunk is
-  /// done. Runs inline when the effective fan-out is 1. Chunking is a
-  /// static split by index, so the computation each index performs is
-  /// independent of the pool size (bit-identical results).
-  void parallel_for(index_t n, void (*body)(index_t begin, index_t end,
-                                            void* ctx),
-                    void* ctx);
 
   /// Run body(tid, nt, ctx) on nt participants (tid 0 = the caller,
   /// tids 1..nt-1 on workers) and join. nt is clamped to

@@ -8,26 +8,6 @@ namespace catrsm::sim::check {
 
 namespace {
 
-const char* coll_family_name(int family) {
-  switch (static_cast<coll::CollOp>(family)) {
-    case coll::CollOp::kAllgather:
-      return "allgather";
-    case coll::CollOp::kReduceScatter:
-      return "reduce_scatter";
-    case coll::CollOp::kScatter:
-      return "scatter";
-    case coll::CollOp::kGather:
-      return "gather";
-    case coll::CollOp::kBarrier:
-      return "barrier";
-    case coll::CollOp::kAlltoallBruck:
-      return "alltoall(bruck)";
-    case coll::CollOp::kAlltoallDirect:
-      return "alltoall(direct)";
-  }
-  return "collective?";
-}
-
 /// The wait-for graph has out-degree <= 1 (each blocked rank awaits one
 /// sender), so every cycle is a simple rho-tail-free loop reachable by
 /// following edges until a repeat. Returns each cycle once, smallest
@@ -71,8 +51,9 @@ std::string describe_tag(int tag) {
   const int band = (tag - coll::kTagBase) / coll::kEpochSpace;
   const int epoch = (tag - coll::kTagBase) % coll::kEpochSpace;
   std::ostringstream os;
-  os << "tag " << tag << " [" << coll_family_name(band) << ", comm epoch "
-     << epoch << "]";
+  os << "tag " << tag << " ["
+     << coll::coll_op_name(static_cast<coll::CollOp>(band))
+     << ", comm epoch " << epoch << "]";
   return os.str();
 }
 

@@ -2,8 +2,8 @@
 // Deadlock diagnostics for the simulated machine (sim/check subsystem).
 //
 // The machine detects the stall itself — detection must live where the
-// blocking happens (Machine::take, shared by the fiber and the
-// thread-per-rank scheduler backends) — and hands this module a frozen
+// blocking happens (RunContext::take, the transport's one wait loop on
+// either scheduler backend) — and hands this module a frozen
 // snapshot of the stalled run. This module turns the snapshot into an
 // actionable report: per-rank wait state, decoded collective tags,
 // pending-mailbox summaries, and the wait-for-graph cycles, so "the run
@@ -12,7 +12,8 @@
 //
 // Detection protocol (implemented in machine.cpp, documented here because
 // this is the subsystem's home): every blocking receive registers a
-// (rank, src, tag) wait record before parking and clears it on wake-up.
+// (rank, src, tag) wait record before parking; the delivery that wakes the
+// rank clears it, and so does the receive on its way out.
 // The registration that makes every rank blocked-or-finished nominates
 // the registering rank as a detection candidate. The candidate then
 //   1. snapshots the wait records and a registration sequence number,

@@ -36,7 +36,6 @@ struct Message {
 /// shard across locks instead of serializing on one mailbox-map mutex.
 struct Mailbox {
   std::mutex mu;
-  std::condition_variable cv;
   // FIFO queue per tag; SPMD program order makes FIFO matching
   // sufficient and deterministic. A flat deque of (tag, queue) entries
   // beats a map here: a box sees a handful of tags, the entries (and
@@ -50,9 +49,11 @@ struct Mailbox {
       if (t == tag) return q;
     return queues.emplace_back(tag, std::deque<Message>{}).second;
   }
-  // Fiber-backend rendezvous: the receiving rank's parked fiber and the
-  // tag it waits for (only rank `dst` ever receives on this box, so one
-  // slot suffices). Guarded by mu.
+  // Rendezvous: the receiving rank's wake token (RankScheduler::
+  // current_rank) and the tag it waits for, set only while it is blocked
+  // in take() (only rank `dst` ever receives on this box, so one slot
+  // suffices). Its wait record is active only while this slot is set,
+  // and both change under mu. Guarded by mu.
   void* waiter = nullptr;
   int waiter_tag = 0;
   // Deliveries held back by an armed delay fault (guarded by mu): each
@@ -147,16 +148,13 @@ class RunContext {
   Message take(int dst, int src, int tag);
   void abort_all();
   bool register_blocked(int dst, int src, int tag);
-  void unregister_blocked(int dst);
-  /// Clear dst's wait record at DELIVERY time (ntags == 0: the caller
-  /// proved the match via the mailbox waiter; otherwise clear only when
-  /// the record's tag is among the `ntags` tags just made available).
-  /// Without this, a rank whose message arrived but whose fiber has not
+  /// Clear dst's wait record (no-op when inactive). Called by take() on
+  /// its way out and by the delivery that wakes dst: without the
+  /// delivery-time clear, a rank whose message arrived but that has not
   /// been scheduled yet still counts as blocked — and under concurrent
-  /// streams, where runs routinely starve, that made "every rank
-  /// blocked" a steady state and every registration an O(p) confirm
-  /// sweep.
-  void delivered_unblock(int dst, int src, const int* tags, int ntags);
+  /// streams, where runs routinely starve, that made "every rank blocked"
+  /// a steady state and every registration an O(p) confirm sweep.
+  void unregister_blocked(int dst);
   bool finish_rank();
   bool confirm_deadlock();
   [[noreturn]] void fault_deadlock();
@@ -317,7 +315,6 @@ void RunContext::deliver(int src, int dst, int tag, Message msg) {
   }
   Mailbox& box = box_of(dst, src);
   void* waiter = nullptr;
-  std::vector<int> flushed_tags;  // stays empty unless held-backs flush
   {
     std::lock_guard<std::mutex> lock(box.mu);
     if (act == FaultInjector::Action::kDelay) {
@@ -338,38 +335,22 @@ void RunContext::deliver(int src, int dst, int tag, Message msg) {
       auto& [held_tag, held] = box.delayed.front();
       box.queue_for(held_tag).push_back(std::move(held));
       if (box.waiter != nullptr && box.waiter_tag == held_tag) wake = true;
-      flushed_tags.push_back(held_tag);
       box.delayed.pop_front();
     }
     if (wake) {
-      waiter = box.waiter;
-      box.waiter = nullptr;
-    }
-    // Clear the receiver's wait record BEFORE box.mu is released, i.e.
-    // at delivery — not when the starved receiver finally resumes. The
-    // lock matters: once box.mu drops, the receiver may consume this
-    // message and register a fresh wait on the same (src, tag) edge, and
-    // a clear landing after that would hide a genuinely blocked rank
-    // from the deadlock detector forever (a missed real deadlock hangs
-    // the run). Under the lock the clear can only hit the wait this
-    // delivery satisfies.
-    if (waiter != nullptr) {
-      // Waking implies a tag match; clear unconditionally.
-      delivered_unblock(dst, src, nullptr, 0);
-    } else {
-      // Thread backend (or a receiver not yet parked): clear only when
-      // one of the tags just enqueued satisfies the registered wait — an
-      // over-clear would hide a blocked rank just the same.
-      flushed_tags.push_back(tag);
-      delivered_unblock(dst, src, flushed_tags.data(),
-                        static_cast<int>(flushed_tags.size()));
+      waiter = std::exchange(box.waiter, nullptr);
+      // Clear the receiver's wait record BEFORE box.mu is released, i.e.
+      // at delivery — not when the starved receiver finally resumes. The
+      // lock matters: once box.mu drops, the receiver may consume this
+      // message and register a fresh wait on the same (src, tag) edge,
+      // and a clear landing after that would hide a genuinely blocked
+      // rank from the deadlock detector forever (a missed real deadlock
+      // hangs the run). A delivery that wakes nobody has nothing to
+      // clear: the record is active only while the waiter slot is set.
+      unregister_blocked(dst);
     }
   }
-  if (waiter != nullptr) {
-    RankScheduler::wake_fiber(waiter);
-  } else {
-    box.cv.notify_all();
-  }
+  if (waiter != nullptr) RankScheduler::wake(waiter);
 }
 
 Message RunContext::take(int dst, int src, int tag) {
@@ -383,48 +364,26 @@ Message RunContext::take(int dst, int src, int tag) {
   // for why the protocol cannot fire spuriously). Receives that find
   // their message waiting never touch the detector.
   bool registered = false;
-  if (void* self = RankScheduler::current_fiber()) {
-    // Fiber backend: a blocked receive yields the worker to another rank
-    // instead of parking the OS thread.
-    while (queue.empty() && !aborted.load()) {
-      box.waiter = self;
-      box.waiter_tag = tag;
-      // Abort wakes only the waiters it finds registered, so re-check
-      // under the box lock after registering: either this load sees the
-      // abort, or the abort's scan (serialized by box.mu) sees the
-      // waiter and wakes it — never neither.
-      if (aborted.load()) {
-        box.waiter = nullptr;
-        break;
-      }
-      bool candidate = false;
-      if (!registered) {
-        registered = true;
-        candidate = register_blocked(dst, src, tag);
-      }
-      lock.unlock();
-      if (candidate && confirm_deadlock()) fault_deadlock();
-      RankScheduler::block_current_fiber();
-      lock.lock();
+  void* const self = RankScheduler::current_rank();
+  while (queue.empty() && !aborted.load()) {
+    box.waiter = self;
+    box.waiter_tag = tag;
+    // Abort wakes only the waiters it finds registered, so re-check under
+    // the box lock after registering: either this load sees the abort, or
+    // the abort's scan (serialized by box.mu) sees the waiter and wakes
+    // it — never neither.
+    if (aborted.load()) break;
+    bool candidate = false;
+    if (!registered) {
+      registered = true;
+      candidate = register_blocked(dst, src, tag);
     }
-    if (box.waiter == self) box.waiter = nullptr;  // abort-path cleanup
-  } else {
-    while (queue.empty() && !aborted.load()) {
-      bool candidate = false;
-      if (!registered) {
-        registered = true;
-        candidate = register_blocked(dst, src, tag);
-      }
-      if (candidate) {
-        lock.unlock();
-        const bool dead = confirm_deadlock();
-        if (dead) fault_deadlock();
-        lock.lock();
-        continue;  // validation dropped the box lock: re-check the queue
-      }
-      box.cv.wait(lock);
-    }
+    lock.unlock();
+    if (candidate && confirm_deadlock()) fault_deadlock();
+    RankScheduler::park();
+    lock.lock();
   }
+  box.waiter = nullptr;
   if (registered) unregister_blocked(dst);
   if (queue.empty()) {
     // Another rank failed; propagate so the whole run unwinds cleanly
@@ -473,23 +432,6 @@ void RunContext::unregister_blocked(int dst) {
   wait_seq.fetch_add(1);
 }
 
-void RunContext::delivered_unblock(int dst, int src, const int* tags,
-                                   int ntags) {
-  {
-    std::lock_guard<std::mutex> lock(wait_rec_mu[static_cast<std::size_t>(dst)]);
-    WaitRecord& w = waits[static_cast<std::size_t>(dst)];
-    if (!w.active || w.src != src) return;
-    if (ntags > 0) {
-      bool hit = false;
-      for (int i = 0; i < ntags && !hit; ++i) hit = w.tag == tags[i];
-      if (!hit) return;
-    }
-    w.active = false;
-  }
-  n_blocked.fetch_sub(1);
-  wait_seq.fetch_add(1);
-}
-
 bool RunContext::finish_rank() {
   const int nf = n_finished.fetch_add(1) + 1;
   wait_seq.fetch_add(1);
@@ -502,7 +444,7 @@ bool RunContext::finish_rank() {
 bool RunContext::confirm_deadlock() {
   // wait_mu is held for the whole confirmation so at most one rank runs
   // the validation/declare sequence at a time; the hot paths (register /
-  // unregister / delivered_unblock) never take it.
+  // unregister) never take it.
   std::lock_guard<std::mutex> confirm_lock(wait_mu);
   std::vector<check::RankWait> snapshot(static_cast<std::size_t>(p));
   for (;;) {
@@ -610,11 +552,9 @@ void RunContext::abort_all() {
     void* waiter = nullptr;
     {
       std::lock_guard<std::mutex> lock(box->mu);
-      waiter = box->waiter;
-      box->waiter = nullptr;
-      box->cv.notify_all();
+      waiter = std::exchange(box->waiter, nullptr);
     }
-    if (waiter != nullptr) RankScheduler::wake_fiber(waiter);
+    if (waiter != nullptr) RankScheduler::wake(waiter);
   }
 }
 

@@ -1,11 +1,11 @@
 #pragma once
 // Simulated distributed-memory machine.
 //
-// p ranks execute a user SPMD function concurrently as cooperative fibers
-// multiplexed over a persistent worker pool (see sim/scheduler.hpp —
-// workers and stacks are created on the first run and reused for the
-// machine's lifetime; under TSan the pool degrades to one thread per
-// rank). Ranks exchange zero-copy sim::Buffer payloads through matched
+// p ranks execute a user SPMD function concurrently on a persistent
+// worker pool (see sim/scheduler.hpp — workers are created on the first
+// run and reused for the machine's lifetime; ranks are cooperative
+// fibers where the build supports them and one thread each elsewhere).
+// Ranks exchange zero-copy sim::Buffer payloads through matched
 // (src, dst, tag) mailboxes, one mailbox per ordered (dst, src) pair so
 // concurrent senders to one receiver never contend on a lock. Every transfer advances
 // alpha-beta-gamma cost counters and a per-rank *virtual clock*: a receive
@@ -32,7 +32,6 @@
 // measures exactly those for real executions on real data.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>

@@ -1,7 +1,6 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -9,18 +8,8 @@
 #include "support/env.hpp"
 #include "support/exec_context.hpp"
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <ucontext.h>
-#include <unistd.h>
-#define CATRSM_HAVE_UCONTEXT 1
-#else
-#define CATRSM_HAVE_UCONTEXT 0
-#endif
-
-// Thread- and AddressSanitizer cannot follow ucontext stack switches
-// without fiber annotations; degrade to the thread-per-rank backend
-// under either sanitizer.
+// Thread- and AddressSanitizer cannot follow the hand-rolled stack switch
+// below without fiber annotations; sanitized builds run thread-per-rank.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define CATRSM_SANITIZER 1
 #elif defined(__has_feature)
@@ -32,19 +21,18 @@
 #define CATRSM_SANITIZER 0
 #endif
 
-// Fast user-space context switch: save/restore callee-saved registers and
-// the FP control words only. glibc's swapcontext additionally saves the
-// signal mask with an rt_sigprocmask SYSCALL per switch; rank fibers never
-// manipulate per-fiber signal masks, and at simulator message granularity
-// that syscall dominated run CPU (>90% of samples). x86-64 only; other
-// ISAs keep the portable ucontext path.
-#if CATRSM_HAVE_UCONTEXT && defined(__x86_64__) && !CATRSM_SANITIZER
-#define CATRSM_FAST_SWAP 1
+// The fiber backend exists where catrsm_ctx_swap does; every other build
+// runs thread-per-rank.
+#if defined(__linux__) && defined(__x86_64__) && !CATRSM_SANITIZER
+#define CATRSM_FIBERS 1
 #else
-#define CATRSM_FAST_SWAP 0
+#define CATRSM_FIBERS 0
 #endif
 
-#if CATRSM_FAST_SWAP
+#if CATRSM_FIBERS
+#include <sys/mman.h>
+#include <unistd.h>
+
 extern "C" {
 /// Save the current execution context (callee-saved registers + x87/SSE
 /// control words) on the current stack, store the resulting stack pointer
@@ -55,7 +43,8 @@ void catrsm_ctx_swap(void** save_sp, void* resume_sp);
 // SysV x86-64: rbx, rbp, r12-r15 are callee-saved, as are the x87 control
 // word and mxcsr (a fiber that changes rounding modes must not leak that
 // into its sibling). Everything else is caller-saved and therefore dead
-// across the catrsm_ctx_swap call boundary.
+// across the catrsm_ctx_swap call boundary. The signal mask is not saved:
+// rank fibers never manipulate per-fiber signal masks.
 //
 // Frame layout grown by the save sequence (low to high):
 //   [fcw:2 pad:2 mxcsr:4] [r15] [r14] [r13] [r12] [rbx] [rbp] [ret]
@@ -105,25 +94,26 @@ catrsm_ctx_entry:
 )");
 
 extern "C" void catrsm_ctx_entry();
-#endif  // CATRSM_FAST_SWAP
+#endif  // CATRSM_FIBERS
 
 namespace catrsm::sim {
+
+namespace {
+// The running rank task's wake token (Fiber* or Worker*, by backend);
+// opaque because both types are private to RankScheduler.
+thread_local void* tls_rank = nullptr;
+}  // namespace
+
+bool RankScheduler::fibers() const { return CATRSM_FIBERS != 0; }
+
+void* RankScheduler::current_rank() { return tls_rank; }
+
+#if CATRSM_FIBERS
 
 namespace {
 
 constexpr std::size_t kFiberStackBytes = 1024 * 1024;
 
-bool fibers_requested() {
-#if !CATRSM_HAVE_UCONTEXT || CATRSM_SANITIZER
-  return false;
-#else
-  return env::flag_or("CATRSM_SIM_FIBERS", true);
-#endif
-}
-
-}  // namespace
-
-#if CATRSM_HAVE_UCONTEXT
 /// mmap-backed fiber stack with a PROT_NONE guard page below it, so a
 /// rank that overruns its stack faults cleanly instead of silently
 /// corrupting a neighboring heap block (the diagnostic OS threads get
@@ -131,12 +121,13 @@ bool fibers_requested() {
 class GuardedStack {
  public:
   GuardedStack() = default;
-  ~GuardedStack() { reset(); }
+  ~GuardedStack() {
+    if (base_ != nullptr) munmap(base_, total_);
+  }
   GuardedStack(const GuardedStack&) = delete;
   GuardedStack& operator=(const GuardedStack&) = delete;
 
   void allocate(std::size_t usable) {
-    reset();
     const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
     total_ = ((usable + page - 1) / page) * page + page;
     void* raw = mmap(nullptr, total_, PROT_READ | PROT_WRITE,
@@ -145,32 +136,21 @@ class GuardedStack {
     CATRSM_CHECK(mprotect(raw, page, PROT_NONE) == 0,
                  "scheduler: fiber guard page mprotect failed");
     base_ = static_cast<char*>(raw);
-    guard_ = page;
   }
-  void* sp() const { return base_ + guard_; }  // above the guard page
-  std::size_t size() const { return total_ - guard_; }
+  /// One past the highest usable byte (stacks grow down).
+  char* top() const { return base_ + total_; }
 
  private:
-  void reset() {
-    if (base_ != nullptr) munmap(base_, total_);
-    base_ = nullptr;
-  }
   char* base_ = nullptr;
   std::size_t total_ = 0;
-  std::size_t guard_ = 0;
 };
-#else
-class GuardedStack {};
-#endif
+
+}  // namespace
 
 struct RankScheduler::Fiber {
-#if CATRSM_FAST_SWAP
-  /// Saved stack pointer while the fiber is parked (fast-swap backend);
-  /// submit() re-arms it at a fresh frame for every life.
-  void* fast_sp = nullptr;
-#elif CATRSM_HAVE_UCONTEXT
-  ucontext_t ctx;
-#endif
+  /// Saved stack pointer while the fiber is parked; submit() re-arms it
+  /// at a fresh frame for every life.
+  void* sp = nullptr;
   GuardedStack stack;
   /// Home worker of the current life; written by submit() before live
   /// flips true, so a stale ready-queue entry popped after recycling is
@@ -178,6 +158,8 @@ struct RankScheduler::Fiber {
   std::atomic<Worker*> worker{nullptr};
   int index = 0;
   SubmissionPtr sub;
+  /// The wake flag: set by wake(), consumed by park() or by the worker
+  /// switching the fiber in.
   std::atomic<bool> ready{false};
   /// True from submit() until the home worker observes the fiber finish;
   /// a ready-queue entry naming a non-live fiber is stale and skipped.
@@ -185,76 +167,77 @@ struct RankScheduler::Fiber {
   bool finished = true;
 };
 
+struct RankScheduler::Worker {
+  int id = 0;
+  std::mutex mu;
+  std::condition_variable cv;
+  /// Saved scheduler-loop stack pointer while a fiber runs on this
+  /// worker. Touched only by this worker's thread and by the single
+  /// fiber currently executing on it, so no synchronization is needed.
+  void* sched_sp = nullptr;
+  /// In-flight fibers assigned here (rank i of every live submission with
+  /// i % W == id). Appended by submit(), removed only by this worker's
+  /// thread; both under mu. Bookkeeping only — dispatch runs off ready_q,
+  /// so its size never enters the per-wake cost.
+  std::vector<Fiber*> fibers;
+  /// Pending wakes, one entry per wake()/submit() arm. Entries are hints,
+  /// not ownership — a pop re-validates against the fiber's
+  /// live/worker/ready state, so duplicates and entries that outlived
+  /// their fiber's life are skipped in O(1). This keeps a wake O(1)
+  /// regardless of how many fibers (from how many concurrent submissions)
+  /// reside here.
+  std::deque<Fiber*> ready_q;
+  std::thread thread;
+};
+
+#else  // thread-per-rank
+
+struct RankScheduler::Fiber {};  // owned by the fiber backend only
+
 struct RankScheduler::Task {
   SubmissionPtr sub;
   int index = 0;
 };
 
 struct RankScheduler::Worker {
-#if CATRSM_FAST_SWAP
-  /// Saved scheduler-loop stack pointer while a fiber runs on this
-  /// worker. Touched only by this worker's thread and by the single
-  /// fiber currently executing on it, so no synchronization is needed.
-  void* sched_sp = nullptr;
-#elif CATRSM_HAVE_UCONTEXT
-  ucontext_t sched_ctx;
-#endif
-  RankScheduler* sched = nullptr;
   int id = 0;
   std::mutex mu;
   std::condition_variable cv;
-  /// Fiber backend: in-flight fibers assigned here (rank i of every live
-  /// submission with i % W == id). Appended by submit(), removed only by
-  /// this worker's thread; both under mu. Bookkeeping only — dispatch
-  /// runs off ready_q, so its size never enters the per-wake cost.
-  std::vector<Fiber*> fibers;
-  /// Fiber backend: pending wakes, one entry per wake_fiber()/submit()
-  /// arm. Entries are hints, not ownership — a pop re-validates against
-  /// the fiber's live/worker/ready state, so duplicates and entries that
-  /// outlived their fiber's life are skipped in O(1). This keeps a wake
-  /// O(1) regardless of how many fibers (from how many concurrent
-  /// submissions) reside here — the scan-the-world design it replaces
-  /// made every message delivery O(resident fibers), which quadrupling
-  /// the in-flight runs turned into a net slowdown.
-  std::deque<Fiber*> ready_q;
-  /// Thread backend: pending rank tasks, FIFO in submission order.
+  /// Pending rank tasks, FIFO in submission order.
   std::deque<Task> tasks;
+  /// The wake flag: set by wake(), consumed by park(), cleared when a
+  /// task starts so a wake aimed at an earlier task cannot outlive it by
+  /// more than one spurious return. Guarded by mu.
+  bool woken = false;
   std::thread thread;
 };
 
-namespace {
-// Opaque because Fiber is private to RankScheduler; cast at use sites.
-thread_local void* tls_fiber = nullptr;
-}
+#endif  // CATRSM_FIBERS
 
-RankScheduler::RankScheduler(int p) : p_(p), use_fibers_(fibers_requested()) {
+RankScheduler::RankScheduler(int p) : p_(p) {
   CATRSM_CHECK(p >= 1, "scheduler needs at least one rank");
   int w = p;
-  if (use_fibers_) {
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    // Strict parsing: a malformed or non-positive override warns and
-    // falls back to the core count instead of silently running with a
-    // nonsensical pool.
-    w = env::int_or("CATRSM_SIM_WORKERS", hw > 0 ? hw : 1, 1,
-                    std::numeric_limits<int>::max());
-    if (w > p) w = p;  // more workers than ranks is just idle threads
-  }
+#if CATRSM_FIBERS
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  // Strict parsing: a malformed or non-positive override warns and falls
+  // back to the core count instead of silently running with a
+  // nonsensical pool. More workers than ranks is just idle threads.
+  w = std::min(p, env::int_or("CATRSM_SIM_WORKERS", hw > 0 ? hw : 1, 1,
+                              std::numeric_limits<int>::max()));
   // Seed the freelist with one fiber per rank; concurrent submissions
   // grow it on demand and every stack is reused afterwards.
   all_fibers_.reserve(static_cast<std::size_t>(p));
   free_fibers_.reserve(static_cast<std::size_t>(p));
   for (int i = 0; i < p; ++i) {
     auto f = std::make_unique<Fiber>();
-#if CATRSM_HAVE_UCONTEXT
-    if (use_fibers_) f->stack.allocate(kFiberStackBytes);
-#endif
+    f->stack.allocate(kFiberStackBytes);
     free_fibers_.push_back(f.get());
     all_fibers_.push_back(std::move(f));
   }
+#endif
   workers_.reserve(static_cast<std::size_t>(w));
   for (int i = 0; i < w; ++i) {
     auto worker = std::make_unique<Worker>();
-    worker->sched = this;
     worker->id = i;
     workers_.push_back(std::move(worker));
   }
@@ -275,7 +258,7 @@ RankScheduler::~RankScheduler() {
 
 RankScheduler::SubmissionPtr RankScheduler::submit(
     std::function<void(int)> job, std::function<void()> on_complete) {
-  CATRSM_CHECK(tls_fiber == nullptr,
+  CATRSM_CHECK(tls_rank == nullptr,
                "scheduler: submit() must not be called from a simulated rank");
   auto sub = std::make_shared<Submission>();
   sub->job = std::move(job);
@@ -283,104 +266,86 @@ RankScheduler::SubmissionPtr RankScheduler::submit(
   sub->remaining.store(p_, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
-  const int w = static_cast<int>(workers_.size());
-  if (use_fibers_) {
-#if CATRSM_HAVE_UCONTEXT
-    std::vector<Fiber*> picked(static_cast<std::size_t>(p_));
-    {
-      std::lock_guard<std::mutex> lock(free_mu_);
-      for (int i = 0; i < p_; ++i) {
-        if (free_fibers_.empty()) {
-          auto f = std::make_unique<Fiber>();
-          f->stack.allocate(kFiberStackBytes);
-          free_fibers_.push_back(f.get());
-          all_fibers_.push_back(std::move(f));
-        }
-        picked[static_cast<std::size_t>(i)] = free_fibers_.back();
-        free_fibers_.pop_back();
-      }
-    }
+  const int w = workers();
+#if CATRSM_FIBERS
+  std::vector<Fiber*> picked(static_cast<std::size_t>(p_));
+  {
+    std::lock_guard<std::mutex> lock(free_mu_);
     for (int i = 0; i < p_; ++i) {
-      Fiber* f = picked[static_cast<std::size_t>(i)];
-      Worker* home = workers_[static_cast<std::size_t>(i % w)].get();
-      f->index = i;
-      f->sub = sub;
-      f->finished = false;
-#if CATRSM_FAST_SWAP
-      // Arm a fresh frame at the stack top shaped exactly like one the
-      // save sequence of catrsm_ctx_swap would have produced, with the
-      // entry thunk as the return target and the Fiber* / entry function
-      // seeded into the r12 / r13 slots. The first swap into the fiber
-      // then simply "returns" into catrsm_ctx_entry.
-      std::uint32_t mxcsr = 0;
-      std::uint16_t fcw = 0;
-      asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
-      const std::uintptr_t top =
-          (reinterpret_cast<std::uintptr_t>(f->stack.sp()) + f->stack.size()) &
-          ~static_cast<std::uintptr_t>(15);
-      auto* frame = reinterpret_cast<std::uint64_t*>(top);
-      *--frame = reinterpret_cast<std::uint64_t>(&catrsm_ctx_entry);  // ret
-      *--frame = 0;                                                   // rbp
-      *--frame = 0;                                                   // rbx
-      *--frame = reinterpret_cast<std::uint64_t>(f);                  // r12
-      *--frame = reinterpret_cast<std::uint64_t>(&fiber_main);        // r13
-      *--frame = 0;                                                   // r14
-      *--frame = 0;                                                   // r15
-      *--frame = static_cast<std::uint64_t>(mxcsr) << 32 | fcw;       // fpu
-      f->fast_sp = frame;
-#else
-      // Arm the context at the trampoline. ucontext structs are plain
-      // data until swapped into, so seeding them here on the submitting
-      // thread is safe; uc_link returns control to the owning worker.
-      getcontext(&f->ctx);
-      f->ctx.uc_stack.ss_sp = f->stack.sp();
-      f->ctx.uc_stack.ss_size = f->stack.size();
-      f->ctx.uc_link = &home->sched_ctx;
-      const auto addr = reinterpret_cast<std::uintptr_t>(f);
-      makecontext(&f->ctx, reinterpret_cast<void (*)()>(&fiber_trampoline), 2,
-                  static_cast<unsigned int>(addr >> 32),
-                  static_cast<unsigned int>(addr & 0xffffffffu));
-#endif
-      // Order matters for stale-entry filtering: home worker first, then
-      // the live flag (release), so any pop that observes live == true
-      // also observes the new worker assignment.
-      f->worker.store(home, std::memory_order_relaxed);
-      f->live.store(true, std::memory_order_release);
-      f->ready.store(true, std::memory_order_release);
-    }
-    for (auto& worker : workers_) {
-      bool added = false;
-      {
-        std::lock_guard<std::mutex> lock(worker->mu);
-        for (int i = worker->id; i < p_; i += w) {
-          worker->fibers.push_back(picked[static_cast<std::size_t>(i)]);
-          worker->ready_q.push_back(picked[static_cast<std::size_t>(i)]);
-          added = true;
-        }
+      if (free_fibers_.empty()) {
+        auto f = std::make_unique<Fiber>();
+        f->stack.allocate(kFiberStackBytes);
+        free_fibers_.push_back(f.get());
+        all_fibers_.push_back(std::move(f));
       }
-      if (added) worker->cv.notify_all();
-    }
-#else
-    throw Error("scheduler: fiber backend unavailable on this platform");
-#endif
-  } else {
-    // FIFO per worker in one submission order: every worker sees run A's
-    // task before run B's, so concurrent submissions pipeline without
-    // cross-submission blocking (W == p: each rank has its own worker).
-    for (int i = 0; i < p_; ++i) {
-      Worker& worker = *workers_[static_cast<std::size_t>(i % w)];
-      {
-        std::lock_guard<std::mutex> lock(worker.mu);
-        worker.tasks.push_back(Task{sub, i});
-      }
-      worker.cv.notify_all();
+      picked[static_cast<std::size_t>(i)] = free_fibers_.back();
+      free_fibers_.pop_back();
     }
   }
+  for (int i = 0; i < p_; ++i) {
+    Fiber* f = picked[static_cast<std::size_t>(i)];
+    f->index = i;
+    f->sub = sub;
+    f->finished = false;
+    // Arm a fresh frame at the stack top shaped exactly like one the save
+    // sequence of catrsm_ctx_swap would have produced, with the entry
+    // thunk as the return target and the Fiber* / entry function seeded
+    // into the r12 / r13 slots. The first swap into the fiber then simply
+    // "returns" into catrsm_ctx_entry.
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fcw = 0;
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
+    const std::uintptr_t top =
+        reinterpret_cast<std::uintptr_t>(f->stack.top()) &
+        ~static_cast<std::uintptr_t>(15);
+    auto* frame = reinterpret_cast<std::uint64_t*>(top);
+    *--frame = reinterpret_cast<std::uint64_t>(&catrsm_ctx_entry);  // ret
+    *--frame = 0;                                                   // rbp
+    *--frame = 0;                                                   // rbx
+    *--frame = reinterpret_cast<std::uint64_t>(f);                  // r12
+    *--frame = reinterpret_cast<std::uint64_t>(&fiber_main);        // r13
+    *--frame = 0;                                                   // r14
+    *--frame = 0;                                                   // r15
+    *--frame = static_cast<std::uint64_t>(mxcsr) << 32 | fcw;       // fpu
+    f->sp = frame;
+    // Order matters for stale-entry filtering: home worker first, then
+    // the live flag (release), so any pop that observes live == true also
+    // observes the new worker assignment.
+    f->worker.store(workers_[static_cast<std::size_t>(i % w)].get(),
+                    std::memory_order_relaxed);
+    f->live.store(true, std::memory_order_release);
+    f->ready.store(true, std::memory_order_release);
+  }
+  for (auto& worker : workers_) {
+    bool added = false;
+    {
+      std::lock_guard<std::mutex> lock(worker->mu);
+      for (int i = worker->id; i < p_; i += w) {
+        worker->fibers.push_back(picked[static_cast<std::size_t>(i)]);
+        worker->ready_q.push_back(picked[static_cast<std::size_t>(i)]);
+        added = true;
+      }
+    }
+    if (added) worker->cv.notify_all();
+  }
+#else
+  // FIFO per worker in one submission order: every worker sees run A's
+  // task before run B's, so concurrent submissions pipeline without
+  // cross-submission blocking (W == p: each rank has its own worker).
+  for (int i = 0; i < p_; ++i) {
+    Worker& worker = *workers_[static_cast<std::size_t>(i % w)];
+    {
+      std::lock_guard<std::mutex> lock(worker.mu);
+      worker.tasks.push_back(Task{sub, i});
+    }
+    worker.cv.notify_all();
+  }
+#endif
   return sub;
 }
 
 void RankScheduler::wait(const SubmissionPtr& sub) {
-  CATRSM_CHECK(tls_fiber == nullptr,
+  CATRSM_CHECK(tls_rank == nullptr,
                "scheduler: wait() must not be called from a simulated rank");
   std::unique_lock<std::mutex> lock(sub->mu);
   sub->cv.wait(lock, [&] { return sub->done; });
@@ -413,59 +378,8 @@ void RankScheduler::complete_task(const SubmissionPtr& sub) {
   sub->cv.notify_all();
 }
 
-void RankScheduler::worker_loop(Worker& w) {
-  if (use_fibers_) {
-    fiber_worker_loop(w);
-  } else {
-    thread_worker_loop(w);
-  }
-}
+#if CATRSM_FIBERS
 
-// ---------------------------------------------------------------------------
-// Thread backend: one worker per rank, kernel-scheduled blocking.
-
-void RankScheduler::thread_worker_loop(Worker& w) {
-  while (true) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(w.mu);
-      w.cv.wait(lock, [&] {
-        return shutdown_.load(std::memory_order_acquire) || !w.tasks.empty();
-      });
-      if (w.tasks.empty()) return;  // shutdown with nothing pending
-      task = std::move(w.tasks.front());
-      w.tasks.pop_front();
-    }
-    // Mark the rank body so kernel-pool fan-out stays off inside it (p
-    // ranks already occupy the cores).
-    const bool prev = exec::set_in_sim_rank(true);
-    (task.sub->job)(task.index);
-    exec::set_in_sim_rank(prev);
-    complete_task(task.sub);
-    task.sub.reset();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fiber backend.
-
-#if CATRSM_HAVE_UCONTEXT
-
-void RankScheduler::fiber_trampoline(unsigned int hi, unsigned int lo) {
-  auto* f = reinterpret_cast<Fiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) |
-      static_cast<std::uintptr_t>(lo));
-  try {
-    (f->sub->job)(f->index);
-  } catch (...) {
-    // The job contract forbids leaks (Machine catches rank errors);
-    // swallow so a violation cannot unwind across the context switch.
-  }
-  f->finished = true;
-  // Returning resumes uc_link == the worker's scheduler context.
-}
-
-#if CATRSM_FAST_SWAP
 void RankScheduler::fiber_main(void* fiber) {
   auto* f = static_cast<Fiber*>(fiber);
   try {
@@ -475,18 +389,13 @@ void RankScheduler::fiber_main(void* fiber) {
     // swallow so a violation cannot unwind across the context switch.
   }
   f->finished = true;
-  // Final switch back to the owning worker (the uc_link return of the
-  // ucontext path, made explicit). The saved frame is dead: the next
-  // submit() re-arms the stack from the top.
-  catrsm_ctx_swap(&f->fast_sp,
-                  f->worker.load(std::memory_order_relaxed)->sched_sp);
+  // Final switch back to the owning worker. The saved frame is dead: the
+  // next submit() re-arms the stack from the top.
+  catrsm_ctx_swap(&f->sp, f->worker.load(std::memory_order_relaxed)->sched_sp);
   __builtin_unreachable();
 }
-#else
-void RankScheduler::fiber_main(void*) {}
-#endif
 
-void RankScheduler::fiber_worker_loop(Worker& w) {
+void RankScheduler::worker_loop(Worker& w) {
   while (true) {
     Fiber* f = nullptr;
     {
@@ -494,7 +403,7 @@ void RankScheduler::fiber_worker_loop(Worker& w) {
       w.cv.wait(lock, [&] {
         if (!w.ready_q.empty()) return true;
         // Shutdown only matters once nothing resides here; a resident
-        // blocked fiber's wake will arrive as a queue entry.
+        // parked fiber's wake will arrive as a queue entry.
         return shutdown_.load(std::memory_order_acquire) &&
                w.fibers.empty();
       });
@@ -508,17 +417,13 @@ void RankScheduler::fiber_worker_loop(Worker& w) {
     if (!f->live.load(std::memory_order_acquire)) continue;
     if (f->worker.load(std::memory_order_acquire) != &w) continue;
     if (!f->ready.exchange(false, std::memory_order_acquire)) continue;
-    tls_fiber = static_cast<void*>(f);
-    // The residency window doubles as the sim-rank mark: while the
-    // worker thread is inside the fiber, kernel-pool fan-out is off.
+    tls_rank = f;
+    // The residency window doubles as the sim-rank mark: while the worker
+    // thread is inside the fiber, kernel-pool fan-out is off.
     const bool prev = exec::set_in_sim_rank(true);
-#if CATRSM_FAST_SWAP
-    catrsm_ctx_swap(&w.sched_sp, f->fast_sp);
-#else
-    swapcontext(&w.sched_ctx, &f->ctx);
-#endif
+    catrsm_ctx_swap(&w.sched_sp, f->sp);
     exec::set_in_sim_rank(prev);
-    tls_fiber = nullptr;
+    tls_rank = nullptr;
     if (f->finished) {
       // live drops before the freelist push, so any entry still naming
       // this life is filtered; the next submit() re-arms live under the
@@ -541,24 +446,17 @@ void RankScheduler::fiber_worker_loop(Worker& w) {
   }
 }
 
-void* RankScheduler::current_fiber() { return tls_fiber; }
-
-void RankScheduler::block_current_fiber() {
-  auto* f = static_cast<Fiber*>(tls_fiber);
-  CATRSM_CHECK(f != nullptr, "block_current_fiber: not on a fiber");
+void RankScheduler::park() {
+  auto* f = static_cast<Fiber*>(tls_rank);
+  CATRSM_CHECK(f != nullptr, "park: not on a simulated rank");
   // A wake that raced ahead of the park is consumed without switching
   // (its queue entry pops later with ready already false and is skipped).
   if (f->ready.exchange(false, std::memory_order_acquire)) return;
-#if CATRSM_FAST_SWAP
-  catrsm_ctx_swap(&f->fast_sp,
-                  f->worker.load(std::memory_order_relaxed)->sched_sp);
-#else
-  swapcontext(&f->ctx, &f->worker.load(std::memory_order_relaxed)->sched_ctx);
-#endif
+  catrsm_ctx_swap(&f->sp, f->worker.load(std::memory_order_relaxed)->sched_sp);
 }
 
-void RankScheduler::wake_fiber(void* fiber) {
-  auto* f = static_cast<Fiber*>(fiber);
+void RankScheduler::wake(void* token) {
+  auto* f = static_cast<Fiber*>(token);
   // Flag first, entry second: once the entry is visible the flag is too,
   // so a pop can never find a genuine wake's entry with a stale flag.
   f->ready.store(true, std::memory_order_release);
@@ -570,18 +468,51 @@ void RankScheduler::wake_fiber(void* fiber) {
   w->cv.notify_one();
 }
 
-#else  // !CATRSM_HAVE_UCONTEXT
+#else  // thread-per-rank
 
-void RankScheduler::fiber_trampoline(unsigned int, unsigned int) {}
-void RankScheduler::fiber_worker_loop(Worker&) {
-  throw Error("scheduler: fiber backend unavailable on this platform");
+void RankScheduler::worker_loop(Worker& w) {
+  while (true) {
+    Task task;
+    {
+      std::unique_lock<std::mutex> lock(w.mu);
+      w.cv.wait(lock, [&] {
+        return shutdown_.load(std::memory_order_acquire) || !w.tasks.empty();
+      });
+      if (w.tasks.empty()) return;  // shutdown with nothing pending
+      task = std::move(w.tasks.front());
+      w.tasks.pop_front();
+      w.woken = false;
+    }
+    tls_rank = &w;
+    // Mark the rank body so kernel-pool fan-out stays off inside it (p
+    // ranks already occupy the cores).
+    const bool prev = exec::set_in_sim_rank(true);
+    (task.sub->job)(task.index);
+    exec::set_in_sim_rank(prev);
+    tls_rank = nullptr;
+    complete_task(task.sub);
+    task.sub.reset();
+  }
 }
-void* RankScheduler::current_fiber() { return nullptr; }
-void RankScheduler::block_current_fiber() {
-  throw Error("block_current_fiber: fiber backend unavailable");
-}
-void RankScheduler::wake_fiber(void*) {}
 
-#endif  // CATRSM_HAVE_UCONTEXT
+void RankScheduler::park() {
+  auto* w = static_cast<Worker*>(tls_rank);
+  CATRSM_CHECK(w != nullptr, "park: not on a simulated rank");
+  std::unique_lock<std::mutex> lock(w->mu);
+  w->cv.wait(lock, [w] { return w->woken; });
+  w->woken = false;
+}
+
+void RankScheduler::wake(void* token) {
+  auto* w = static_cast<Worker*>(token);
+  {
+    std::lock_guard<std::mutex> lock(w->mu);
+    w->woken = true;
+  }
+  // The worker's own thread is the only waiter on its condition variable.
+  w->cv.notify_one();
+}
+
+#endif  // CATRSM_FIBERS
 
 }  // namespace catrsm::sim

@@ -8,38 +8,38 @@
 // cores, where that kernel churn dominates wall-clock while the cost
 // model charges nothing for it.
 //
-// The scheduler therefore runs ranks as cooperative FIBERS multiplexed
-// over a small pool of persistent worker threads (min(p, hardware cores)
-// by default; override with CATRSM_SIM_WORKERS). On x86-64 the switch is
-// a ~20-instruction register save/restore; elsewhere it falls back to
-// ucontext swapcontext. The distinction matters more than it sounds:
-// glibc's swapcontext makes an rt_sigprocmask SYSCALL on every switch to
-// save the signal mask, and at simulator message sizes that syscall was
-// measured at >90% of total run CPU. Ranks never touch per-fiber signal
-// masks, so the fast path skips the mask entirely and keeps switches in
-// user space.
-// A receive that would block yields the fiber back to its worker — a
-// user-space context switch — and the worker runs the next runnable
-// rank; a worker parks on its condition variable only when every fiber
-// it owns is blocked on a message from another worker. Workers are
-// created once; fiber stacks live in a freelist and are reused.
+// The build picks one of two backends:
+//
+//  - FIBERS (Linux x86-64 without Address- or ThreadSanitizer): ranks run
+//    as cooperative fibers multiplexed over a small pool of persistent
+//    worker threads (min(p, hardware cores) by default; override with
+//    CATRSM_SIM_WORKERS). A switch is a ~20-instruction register
+//    save/restore that stays in user space; it skips the signal-mask
+//    save, a per-switch syscall once measured at >90% of run CPU at
+//    simulator message sizes. A parked rank yields its fiber back to its
+//    worker, which runs the next runnable rank; a worker sleeps on its
+//    condition variable only when every fiber it owns is parked.
+//    Workers are created once; fiber stacks live in a freelist and are
+//    reused.
+//  - THREAD-PER-RANK (every other build, including both sanitizers, which
+//    cannot follow hand-rolled stack switches): one persistent worker
+//    thread per rank; a parked rank sleeps on its worker's condition
+//    variable. Same semantics, same persistence, kernel-scheduled.
+//
+// Blocking: the transport waits only through current_rank() / park() /
+// wake(token), which both backends implement, so the mailbox protocol in
+// machine.cpp is the same code whichever backend runs it.
 //
 // Concurrency: submit() dispatches one SUBMISSION (p rank tasks) and
-// returns immediately; several submissions can be in flight at once,
-// their fibers interleaved on the same workers. A worker that would
-// otherwise park because every fiber of run A is blocked instead runs
-// runnable fibers of run B — that overlap is where multi-stream
-// throughput comes from. run() is submit() + wait().
-//
-// Fallback: under Thread- or AddressSanitizer (which cannot track
-// ucontext stack switches without fiber annotations), on non-Linux
-// hosts, or with CATRSM_SIM_FIBERS=0, the scheduler degrades to one
-// persistent worker thread per rank with condition-variable blocking —
-// same semantics, same persistence, kernel-scheduled. Concurrent
-// submissions enqueue FIFO per worker there, so a later submission's
-// rank task runs on worker i only after earlier tasks on worker i
-// finished; cross-rank blocking still never deadlocks because every
-// rank has its own worker (W == p in that backend).
+// returns immediately; several submissions can be in flight at once.
+// Fibers of different submissions interleave on the same workers: a
+// worker whose fibers of run A are all parked runs runnable fibers of run
+// B instead of sleeping — that overlap is where multi-stream throughput
+// comes from. Thread-per-rank queues tasks FIFO per worker, so a later
+// submission's rank task runs on worker i only after earlier tasks on
+// worker i finished; cross-rank blocking still never deadlocks because
+// every rank has its own worker (W == p there). run() is submit() +
+// wait().
 //
 // Worker/fiber assignment is static: rank i always lives on worker
 // i % W (NOT necessarily worker i — there are fewer workers than ranks
@@ -90,13 +90,14 @@ class RankScheduler {
   /// Number of OS worker threads backing the p ranks.
   int workers() const { return static_cast<int>(workers_.size()); }
   /// True when ranks run as cooperative fibers (false: thread-per-rank).
-  bool fibers() const { return use_fibers_; }
+  /// Fixed by the build.
+  bool fibers() const;
 
   /// Dispatch job(i) for every i in [0, p) as one submission and return
   /// immediately; rank i runs on worker i % W, interleaved with any other
   /// in-flight submissions. The job must not throw (Machine wraps the
   /// rank body with its own error capture; a leak here aborts the run).
-  /// Must not be called from inside a fiber. `on_complete` (optional)
+  /// Must not be called from inside a rank task. `on_complete` (optional)
   /// fires on a worker thread when the last rank finishes.
   SubmissionPtr submit(std::function<void(int)> job,
                        std::function<void()> on_complete = nullptr);
@@ -114,18 +115,18 @@ class RankScheduler {
     return completed_.load(std::memory_order_acquire);
   }
 
-  // --- Cooperative blocking hooks (used by Machine's mailboxes) -----------
-  /// Opaque handle of the calling fiber; nullptr when the caller is not a
-  /// scheduler fiber (thread backend, or outside run()).
-  static void* current_fiber();
-  /// Park the calling fiber until wake_fiber(); returns immediately when
-  /// a wake already arrived. Only valid when current_fiber() != nullptr.
-  static void block_current_fiber();
-  /// Mark a parked fiber runnable again (safe from any thread). A stale
-  /// wake on a fiber that has since finished or been recycled is benign:
-  /// it at worst causes one spurious wakeup, and blocked receives re-check
+  // --- Blocking primitive (the transport's only way to wait) --------------
+  /// Token naming the calling rank task, to hand to wake(); nullptr when
+  /// the caller is not running a rank task.
+  static void* current_rank();
+  /// Block the calling rank task until wake(current_rank()); returns at
+  /// once when a wake arrived since the task started or since its last
+  /// park() returned. A wake meant for an earlier task on the same fiber
+  /// or worker costs at most one spurious return, so callers re-check
   /// their condition.
-  static void wake_fiber(void* fiber);
+  static void park();
+  /// Make the rank named by `token` runnable again (safe from any thread).
+  static void wake(void* token);
 
  private:
   struct Fiber;
@@ -133,17 +134,13 @@ class RankScheduler {
   struct Task;  // thread backend: one queued (submission, rank) pair
 
   void worker_loop(Worker& w);
-  void thread_worker_loop(Worker& w);
-  void fiber_worker_loop(Worker& w);
   void complete_task(const SubmissionPtr& sub);
-  static void fiber_trampoline(unsigned int hi, unsigned int lo);
-  /// Fast-swap fiber body: invoked by the assembly entry thunk with the
-  /// Fiber* seeded into the initial stack frame; runs the rank job and
-  /// switches back to the owning worker. Never returns.
+  /// Fiber body: invoked by the assembly entry thunk with the Fiber*
+  /// seeded into the initial stack frame; runs the rank job and switches
+  /// back to the owning worker. Never returns.
   static void fiber_main(void* fiber);
 
   int p_;
-  bool use_fibers_;
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> completed_{0};
   std::mutex submit_mu_;  // serializes submissions (FIFO order per worker)

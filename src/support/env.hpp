@@ -21,9 +21,9 @@ int int_or(const char* name, int fallback, long lo, long hi);
 long long int64_or(const char* name, long long fallback, long long lo,
                    long long hi);
 
-/// Parse `name` as a boolean flag: any valid integer, nonzero = true
-/// (matching the historical CATRSM_SIM_FIBERS=0 convention). Unset or
-/// empty returns `fallback`; malformed values warn and return `fallback`.
+/// Parse `name` as a boolean flag: any valid integer, nonzero = true (so
+/// CATRSM_PROGRAM_OPT=0 turns the optimizer off). Unset or empty returns
+/// `fallback`; malformed values warn and return `fallback`.
 bool flag_or(const char* name, bool fallback);
 
 /// Read `name` as a string. Unset or empty returns `fallback` silently.

@@ -22,7 +22,7 @@ struct BlockHome {
 }  // namespace
 
 DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
-                         int nblocks, DiagInvOptions opts) {
+                         int nblocks) {
   const auto* ld = dynamic_cast<const BlockCyclicDist*>(&l.dist());
   CATRSM_CHECK(ld != nullptr && ld->br() == 1 && ld->bc() == 1,
                "diag_inverter: requires a unit-block cyclic layout");
@@ -130,9 +130,7 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
     const BlockHome& home =
         homes[static_cast<std::size_t>(my_blocks[i])];
     sim::Comm subcomm = home.dist->face().comm();
-    TriInvOptions tio;
-    tio.base_size = opts.base_size;
-    my_invs.push_back(tri_inv_dist(my_block_mats[i], subcomm, tio));
+    my_invs.push_back(tri_inv_dist(my_block_mats[i], subcomm));
   }
 
   // --- Phase 3: one all-to-all returns the inverted blocks (paper lines

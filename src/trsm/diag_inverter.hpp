@@ -20,17 +20,12 @@ namespace catrsm::trsm {
 using dist::DistMatrix;
 using la::index_t;
 
-struct DiagInvOptions {
-  /// Base-case size handed down to the per-block recursive inversions.
-  index_t base_size = 16;
-};
-
 /// `l` is n x n lower-triangular, cyclic (unit blocks) on a face over
 /// `comm`; `nblocks` diagonal blocks of size ceil(n / nblocks) are
 /// inverted. nblocks must be <= comm.size() and the assignment gives each
 /// block floor(p / nblocks) ranks. Returns L with inverted diagonal blocks,
 /// same distribution as `l`.
 DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
-                         int nblocks, DiagInvOptions opts = {});
+                         int nblocks);
 
 }  // namespace catrsm::trsm

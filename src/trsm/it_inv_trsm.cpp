@@ -112,7 +112,7 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
   // (T = T_Inv + T_Solve + T_Upd) in RunStats::phase_max.
   const DistMatrix ltilde = [&] {
     sim::PhaseScope scope(comm.ctx(), "inversion");
-    return diag_inverter(l, comm, nblocks, opts.diag);
+    return diag_inverter(l, comm, nblocks);
   }();
   return it_inv_solve(ltilde, b, comm, p1, p2, nblocks);
 }

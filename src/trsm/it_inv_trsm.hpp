@@ -39,7 +39,6 @@ namespace catrsm::trsm {
 struct ItInvOptions {
   /// Number of inverted diagonal blocks; 0 = automatic (Section VIII).
   int nblocks = 0;
-  DiagInvOptions diag;
 };
 
 /// The canonical L face (front face of the grid) for it_inv_trsm inputs.

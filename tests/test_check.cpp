@@ -111,13 +111,6 @@ TEST(Deadlock, RecvCycleFaultsWithDiagnostics) {
   EXPECT_NE(dump.find("starved"), std::string::npos) << dump;
 }
 
-TEST(Deadlock, RecvCycleFaultsUnderThreadBackend) {
-  ScopedEnv no_fibers("CATRSM_SIM_FIBERS", "0");
-  Machine m(4);  // scheduler is created lazily, so the override applies
-  const std::string dump = expect_deadlock(m, recv_cycle_body);
-  EXPECT_NE(dump.find("0 -> 1 -> 2 -> 3 -> 0"), std::string::npos) << dump;
-}
-
 TEST(Deadlock, WaitingOnFinishedRankFaults) {
   Machine m(2);
   const std::string dump = expect_deadlock(m, [](Rank& r) {
@@ -282,15 +275,6 @@ TEST(CollMatch, MismatchedMembersDeadlocksWithBothMemberLists) {
   EXPECT_NE(dump.find("allgather #0 on comm {0 1 2}"), std::string::npos)
       << dump;
   EXPECT_NE(dump.find("comm epoch"), std::string::npos) << dump;
-}
-
-TEST(CollMatch, MismatchedMembersFaultUnderThreadBackend) {
-  ScopedEnv no_fibers("CATRSM_SIM_FIBERS", "0");
-  Machine m(4);
-  m.set_collective_checking(true);
-  const std::string dump = expect_deadlock(m, mismatched_members_body);
-  EXPECT_NE(dump.find("on comm {0 1 2}"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("on comm {0 1 2 3}"), std::string::npos) << dump;
 }
 
 TEST(CollMatch, MatchedCollectivesAddNoModeledCost) {

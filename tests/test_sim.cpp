@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -242,6 +244,67 @@ TEST(Scheduler, WorkersPersistAcrossFailedRuns) {
     after[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
   });
   EXPECT_EQ(before, after);
+}
+
+TEST(Scheduler, ParkConsumesAnEarlyWakeAndResumesOnAPeerWake) {
+  // The transport's one blocking primitive, on whichever backend this
+  // build runs. Rank 0 first wakes itself and then parks: that wake came
+  // before the park, so park() must return without blocking (no peer
+  // knows rank 0's token yet, so a blocking park would hang here). Rank 0
+  // then publishes its token and parks until rank 1 wakes it. Rank 1
+  // waits for that token by parking too, so the rendezvous never spins
+  // and works on a single fiber worker as well as thread-per-rank.
+  RankScheduler sched(2);
+  std::mutex mu;
+  void* tokens[2] = {nullptr, nullptr};
+  bool go = false;
+  int rank0_parks = 0;
+  const auto go_set = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return go;
+  };
+  sched.run([&](int i) {
+    void* const self = RankScheduler::current_rank();
+    EXPECT_NE(self, nullptr);
+    if (i == 0) {
+      RankScheduler::wake(self);
+      RankScheduler::park();  // consumes the early wake
+      void* peer = nullptr;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        tokens[0] = self;
+        peer = tokens[1];
+      }
+      if (peer != nullptr) RankScheduler::wake(peer);
+      do {
+        RankScheduler::park();
+        ++rank0_parks;
+      } while (!go_set());
+    } else {
+      void* peer = nullptr;
+      while (true) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          tokens[1] = self;
+          peer = tokens[0];
+        }
+        if (peer != nullptr) break;
+        RankScheduler::park();
+      }
+      // Give rank 0 time to block for real before waking it.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        go = true;
+      }
+      RankScheduler::wake(peer);
+    }
+  });
+  // A park that returned without a wake would have spun through this
+  // loop many times during rank 1's sleep; one wake allows at most one
+  // spurious return on top of the real one.
+  EXPECT_LE(rank0_parks, 2);
+  EXPECT_EQ(RankScheduler::current_rank(), nullptr);
 }
 
 TEST(Machine, RankContextKernelCallsDoNotSpawnPoolWorkers) {
