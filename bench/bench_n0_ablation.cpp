@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "model/costs.hpp"
+#include "model/tuning.hpp"
 #include "trsm/it_inv_trsm.hpp"
 
 namespace {
@@ -68,7 +69,7 @@ int main() {
   }
   table.print();
   std::cout << "\nauto-tuned nblocks for this shape: "
-            << trsm::it_inv_auto_nblocks(n, k, p1 * p1 * p2)
+            << model::it_inv_nblocks(n, k, p1 * p1 * p2)
             << " (Section VIII would pick n0 ~ sqrt(nk) = "
             << Table::format_double(std::sqrt(static_cast<double>(n) * k))
             << ")\n"

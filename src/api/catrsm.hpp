@@ -105,9 +105,8 @@ struct TrsmSpec {
   /// Override the automatic algorithm choice.
   bool force_algorithm = false;
   model::Algorithm algorithm = model::Algorithm::kIterative;
-  /// Override the diagonal block count (iterative) / base size (recursive).
+  /// Override the diagonal block count (iterative).
   int nblocks = 0;
-  index_t rec_n0 = 0;
   /// Override the processor grid (iterative: p1 x p1 x p2; also the square
   /// side for kCholesky). 0 = derive from the machine size. Programs use
   /// this to run an op on a subgrid of a larger machine — e.g. the
@@ -289,10 +288,10 @@ struct CacheStats {
 };
 
 /// What the Program optimizer did on the last run (Program::stats()).
-/// `redistributes_inserted` counts the layout transitions the executed
-/// schedule actually performs (per distinct (node, layout) — conversions
-/// are computed once and reused); `redistributes_avoided` is how many the
-/// as-written DAG would have paid beyond that. With the optimizer off,
+/// `redistributes_inserted` counts the layout changes the executed
+/// schedule performs (one per distinct (node, layout) — each is computed
+/// once and read by every consumer); `redistributes_avoided` is how many
+/// the as-written DAG would have paid beyond that. With the optimizer off,
 /// inserted equals the as-written mismatch count and everything else is 0.
 struct ProgramStats {
   std::uint64_t nodes_elided = 0;    // steps unreachable from any output
@@ -349,6 +348,11 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// (lower operand, left side; transpose requires the iterative
   /// algorithm, which reverses distributedly — the Cholesky backward
   /// step). Other variants: use execute().
+  /// The run's "algorithm" S/W/F equal execute()'s algorithm_cost() with
+  /// one exception, the transposed solve: execute() transposes and
+  /// reverses the operands on the host, which charges nothing, while this
+  /// path does it with distributed all-to-alls inside "algorithm". The
+  /// solutions are bitwise equal either way.
   DistExecResult execute_dist(const DistHandle& a,
                               const DistHandle& b = DistHandle());
 
@@ -538,7 +542,6 @@ class Context {
   void unpin(const DistHandle& h);
 
   CacheStats cache_stats() const { return stats_; }
-  void clear_cache();
 
  private:
   friend class Plan;
@@ -585,10 +588,11 @@ namespace opt {
 struct Schedule;
 
 /// Compile `prog` into an execution schedule for the input layouts bound
-/// by the current run. With `enabled` false the schedule reproduces the
-/// as-written DAG exactly (every step, one redistribute per mismatched
-/// use); with it true the three passes run: dead-node elision, common-
-/// sub-DAG merging, and layout-aware intermediate placement (see opt.hpp).
+/// by the current run: one flat list of op steps and layout changes. With
+/// `enabled` false the schedule reproduces the as-written DAG exactly
+/// (every step, one layout change per mismatched use); with it true two
+/// passes run, dead-node elision and common-sub-DAG merging, and each
+/// distinct (node, layout) change runs once (see opt.hpp).
 Schedule compile(const Program& prog, bool enabled);
 }  // namespace opt
 
@@ -616,11 +620,11 @@ Schedule compile(const Program& prog, bool enabled);
 /// Before executing, the DAG is compiled by the optimizer (opt::compile,
 /// gated by CATRSM_PROGRAM_OPT, default on): steps unreachable from a
 /// marked output are elided, structurally identical (plan, args) steps
-/// are merged (one factor feeding many solves computes once), and
-/// intermediate layouts are placed to minimize inserted redistributes —
-/// ties broken by the modeled alpha-beta time of the implied transitions.
-/// Optimized and unoptimized runs produce bitwise-identical outputs;
-/// stats() reports what the last run's schedule did.
+/// are merged (one factor feeding many solves computes once), and each
+/// distinct (node, layout) change a consumer needs is one schedule step
+/// whose result every such consumer reads. Optimized and unoptimized runs
+/// produce bitwise-identical outputs; stats() reports what the last run's
+/// schedule did.
 class Program {
  public:
   using NodeId = int;

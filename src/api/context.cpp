@@ -84,7 +84,7 @@ std::string cache_key(const OpDesc& d, int p, const sim::MachineParams& mp) {
      << static_cast<int>(d.trsm.side) << '|' << d.trsm.transpose << '|'
      << d.trsm.force_algorithm << '|'
      << static_cast<int>(d.trsm.algorithm) << '|' << d.trsm.nblocks << '|'
-     << d.trsm.rec_n0 << '|' << d.trsm.grid_p1 << '|' << d.trsm.grid_p2
+     << d.trsm.grid_p1 << '|' << d.trsm.grid_p2
      << '|' << p << '|' << std::hexfloat
      << mp.alpha << '|' << mp.beta << '|' << mp.gamma;
   return os.str();
@@ -124,12 +124,6 @@ std::shared_ptr<Plan> Context::plan(const OpDesc& desc) {
   }
   stats_.entries = lru_.size();
   return plan;
-}
-
-void Context::clear_cache() {
-  lru_.clear();
-  index_.clear();
-  stats_.entries = 0;
 }
 
 }  // namespace catrsm::api

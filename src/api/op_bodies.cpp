@@ -93,20 +93,16 @@ int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p) {
   }
 }
 
-DistMatrix trsm_solve(const OpDesc& desc, const model::Config& cfg,
-                      const sim::Comm& grid, const DistMatrix& dl,
-                      const DistMatrix& db) {
+DistMatrix trsm_solve(const model::Config& cfg, const sim::Comm& grid,
+                      const DistMatrix& dl, const DistMatrix& db) {
   switch (cfg.algorithm) {
     case model::Algorithm::kIterative: {
       trsm::ItInvOptions iio;
       iio.nblocks = cfg.nblocks;
       return trsm::it_inv_trsm(dl, db, grid, cfg.p1, cfg.p2, iio);
     }
-    case model::Algorithm::kRecursive: {
-      trsm::RecTrsmOptions ro;
-      ro.n0 = desc.trsm.rec_n0;
-      return trsm::rec_trsm(dl, db, grid, ro);
-    }
+    case model::Algorithm::kRecursive:
+      return trsm::rec_trsm(dl, db, grid);
     case model::Algorithm::kTrsm2D:
       return trsm::trsm2d(dl, db, grid);
     case model::Algorithm::kTrsv1D:
@@ -148,7 +144,7 @@ DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
   switch (desc.op) {
     case Op::kTrsm:
       return desc.trsm.transpose ? trsm_transposed_solve(cfg, grid, a, b)
-                                 : trsm_solve(desc, cfg, grid, a, b);
+                                 : trsm_solve(cfg, grid, a, b);
     case Op::kTriInv:
       return trsm::tri_inv_dist(a, grid);
     case Op::kCholesky:

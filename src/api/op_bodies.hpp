@@ -79,8 +79,8 @@ int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p);
 
 /// Solve L X = B with the planned algorithm (the normalized lower-left
 /// non-transposed kernel; dl/db in the plan's input layouts).
-dist::DistMatrix trsm_solve(const OpDesc& desc, const model::Config& cfg,
-                            const sim::Comm& grid, const dist::DistMatrix& dl,
+dist::DistMatrix trsm_solve(const model::Config& cfg, const sim::Comm& grid,
+                            const dist::DistMatrix& dl,
                             const dist::DistMatrix& db);
 
 /// L^T X = B entirely in the distributed domain: J L^T J is lower, so

@@ -5,7 +5,13 @@
 // every rank walks the same schedule over the world communicator, so the
 // result is deterministic and collective-safe by construction.
 //
-// Three passes, in order:
+// A schedule is one flat list of steps over value slots. Slots
+// [0, nodes) hold the program's nodes; every layout change appends one
+// slot after them. A step either runs a program step's op body or
+// redistributes one slot into a layout: a layout change is a step like
+// any other, placed right before its first reader.
+//
+// With `enabled` true, two passes shape the list:
 //
 //   1. Dead-node elision: steps whose outputs are unreachable from any
 //      marked output are dropped (their input nodes are not even loaded
@@ -14,20 +20,11 @@
 //      (the Context plan cache guarantees same descriptor => same object)
 //      and the same resolved arguments compute the same bits; the later
 //      one is dropped and its node aliased to the earlier (`resolve`).
-//   3. Layout-aware intermediate placement: for each surviving op node,
-//      the RESIDENT layout is chosen from {natural} + {layouts its
-//      consumers require}. Because conversions are cached per distinct
-//      (node, layout), every candidate implies the same number of
-//      redistributes whenever natural is not itself required — so the
-//      count is minimized first, and ties are broken by the MODELED
-//      alpha-beta time (dist::redistribute_model_cost) of the implied
-//      transitions. Inputs and marked outputs are pinned to their bound /
-//      natural layouts (outputs must materialize exactly what the
-//      unoptimized run produces).
 //
-// With `enabled` false, the schedule is the as-written DAG: every step in
-// order, one transient redistribute per mismatched use, nothing cached —
-// bit-for-bit and cost-for-cost the pre-optimizer behavior.
+// and one layout change is emitted per distinct (node, layout) a kept
+// step reads. With `enabled` false, the schedule is the as-written DAG:
+// every step in order and one change per mismatched use — bit-for-bit
+// and cost-for-cost the pre-optimizer behavior.
 
 #include <vector>
 
@@ -35,42 +32,29 @@
 
 namespace catrsm::api::opt {
 
-/// One layout transition the schedule performs. `cache >= 0` names a
-/// per-run slot: the conversion runs once at its first use and every
-/// later use reads the slot. `cache < 0` (optimizer off) re-runs it at
-/// every use, exactly like the as-written DAG.
-struct Conversion {
-  Program::NodeId node = -1;  // resolved source node
+/// One schedule step. An op step (`op >= 0`) runs Program::steps_[op]
+/// on the slots in `arg` (arg[1] < 0 for unary ops) into slot `out`, its
+/// output node. A layout change (`op < 0`) redistributes slot arg[0] into
+/// layout `to` and writes the result to its own slot `out`.
+struct Step {
+  int op = -1;
+  int arg[2] = {-1, -1};
+  int out = -1;
   Layout to;
-  int cache = -1;
-};
-
-/// One step to execute: `index` into Program::steps_, with arguments
-/// already resolved through the merge alias map and each slot's
-/// conversion (if any) picked out of Schedule::conversions.
-struct StepExec {
-  int index = -1;
-  Program::NodeId arg[2] = {-1, -1};
-  int conv[2] = {-1, -1};
 };
 
 struct Schedule {
   bool optimized = false;
   /// Input layouts this schedule was compiled against (node order).
   std::vector<Layout> input_sig;
-  /// Per node: materialize the bound handle's blocks? (false only for
-  /// inputs feeding elided steps exclusively).
-  std::vector<char> load_input;
+  /// Per node: does a kept step or an output need its value? An input
+  /// node that is not live is never loaded out of the HandleStore.
+  std::vector<char> live;
   /// Merge alias map: node -> representative node holding its value.
   std::vector<Program::NodeId> resolve;
-  /// Per node: the layout its value is resident in during the run.
-  std::vector<Layout> resident;
-  /// Per node: producer must redistribute natural -> resident after the
-  /// body (placement moved it).
-  std::vector<char> place;
-  std::vector<StepExec> steps;
-  std::vector<Conversion> conversions;
-  int n_cached = 0;  // number of per-run conversion cache slots
+  /// Value slots: one per node, then one per layout change.
+  int slots = 0;
+  std::vector<Step> steps;
   ProgramStats stats;
 };
 

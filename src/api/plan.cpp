@@ -181,7 +181,7 @@ Plan::Plan(Context& ctx, OpDesc desc) : ctx_(&ctx), desc_(desc) {
                                        static_cast<double>(q) * q);
       config_.nblocks = desc_.trsm.nblocks > 0
                             ? desc_.trsm.nblocks
-                            : trsm::it_inv_auto_nblocks(n, k, q * q);
+                            : model::it_inv_nblocks(n, k, q * q);
       config_.predicted = model::it_inv_trsm_cost(
           static_cast<double>(n), static_cast<double>(k),
           static_cast<double>(q) * q);

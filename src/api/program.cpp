@@ -4,12 +4,14 @@
 // "redistribute" phase (everything else lands under "algorithm" plus the
 // step's own label).
 //
-// run() executes a compiled opt::Schedule rather than the raw DAG: with
-// the optimizer on (CATRSM_PROGRAM_OPT, default), dead steps are elided,
+// run() executes a compiled opt::Schedule rather than the raw DAG: one
+// flat list of op steps and layout changes over value slots. With the
+// optimizer on (CATRSM_PROGRAM_OPT, default), dead steps are elided,
 // duplicate (plan, args) steps are merged, and each distinct
-// (node, layout) conversion runs once and is reused; with it off the
-// schedule replays the DAG exactly as written — same steps, same per-use
-// redistributes, bitwise-identical outputs either way.
+// (node, layout) change runs once and is read by every consumer; with it
+// off the schedule replays the DAG exactly as written — same steps, one
+// change per mismatched use, bitwise-identical outputs either way. Every
+// slot lives until the run ends.
 
 #include <algorithm>
 #include <optional>
@@ -276,14 +278,7 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
 
     const int me = r.id();
     sim::Comm world = sim::Comm::world(r);
-    std::vector<DistMatrix> vals(nodes_.size());
-    // Cached conversions: one slot per distinct (node, layout) the
-    // schedule reuses, materialized at first use. All ranks follow the
-    // same static schedule, so the lazy fill is collective-safe.
-    std::vector<DistMatrix> conv_vals(
-        static_cast<std::size_t>(sched.n_cached));
-    std::vector<char> conv_done(static_cast<std::size_t>(sched.n_cached),
-                                0);
+    std::vector<DistMatrix> vals(static_cast<std::size_t>(sched.slots));
 
     // Input slots are moved OUT of the store for the duration of the run;
     // restore them even when a peer's failure unwinds this rank, so a
@@ -299,7 +294,7 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
     try {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const Node& node = nodes_[i];
-      if (node.input_index < 0 || !sched.load_input[i]) continue;
+      if (node.input_index < 0 || !sched.live[i]) continue;
       const DistHandle& h =
           inputs[static_cast<std::size_t>(node.input_index)];
       auto d = detail::realize(node.layout, node.rows, node.cols, world);
@@ -314,8 +309,20 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
       }
     }
 
-    for (const opt::StepExec& se : sched.steps) {
-      const Step& step = steps_[static_cast<std::size_t>(se.index)];
+    // Every rank walks the same static schedule, so each collective inside
+    // a step lines up across ranks.
+    for (const opt::Step& st : sched.steps) {
+      DistMatrix& out = vals[static_cast<std::size_t>(st.out)];
+      const DistMatrix& a0 = vals[static_cast<std::size_t>(st.arg[0])];
+      if (st.op < 0) {
+        sim::PhaseScope scope(r, "redistribute");
+        out = dist::redistribute(
+            a0,
+            detail::realize(st.to, a0.dist().rows(), a0.dist().cols(), world),
+            world);
+        continue;
+      }
+      const Step& step = steps_[static_cast<std::size_t>(st.op)];
       const Plan& plan = *step.plan;
       const int gr = detail::grid_ranks(plan.desc(), plan.config(), p);
       sim::Comm grid = [&] {
@@ -324,70 +331,23 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
         std::iota(idx.begin(), idx.end(), 0);
         return world.subset(idx);
       }();
-
-      // Layout transitions, as planned by the schedule: direct reference,
-      // a cached conversion (run once, reused), or — optimizer off — a
-      // per-use transient, exactly the as-written behavior.
-      const int arity = static_cast<int>(step.args.size());
-      const DistMatrix* arg[2] = {nullptr, nullptr};
-      DistMatrix moved[2];
-      for (int slot = 0; slot < arity; ++slot) {
-        const NodeId nid = se.arg[slot];
-        if (se.conv[slot] < 0) {
-          arg[slot] = &vals[static_cast<std::size_t>(nid)];
-          continue;
-        }
-        const opt::Conversion& cv =
-            sched.conversions[static_cast<std::size_t>(se.conv[slot])];
-        if (cv.cache >= 0 &&
-            conv_done[static_cast<std::size_t>(cv.cache)]) {
-          arg[slot] = &conv_vals[static_cast<std::size_t>(cv.cache)];
-          continue;
-        }
-        const Node& src = nodes_[static_cast<std::size_t>(cv.node)];
-        sim::PhaseScope scope(r, "redistribute");
-        DistMatrix out = dist::redistribute(
-            vals[static_cast<std::size_t>(cv.node)],
-            detail::realize(cv.to, src.rows, src.cols, world), world);
-        if (cv.cache >= 0) {
-          conv_vals[static_cast<std::size_t>(cv.cache)] = std::move(out);
-          conv_done[static_cast<std::size_t>(cv.cache)] = 1;
-          arg[slot] = &conv_vals[static_cast<std::size_t>(cv.cache)];
-        } else {
-          moved[slot] = std::move(out);
-          arg[slot] = &moved[slot];
-        }
-      }
-
       const DistMatrix empty;
-      DistMatrix out;
       {
         sim::PhaseScope algorithm_scope(r, "algorithm");
         std::optional<sim::PhaseScope> label;
         if (!step.phase.empty()) label.emplace(r, step.phase);
-        out = detail::op_body(plan.desc(), plan.config(), step.stage, grid,
-                              *arg[0], arity == 2 ? *arg[1] : empty);
+        out = detail::op_body(
+            plan.desc(), plan.config(), step.stage, grid, a0,
+            st.arg[1] >= 0 ? vals[static_cast<std::size_t>(st.arg[1])]
+                           : empty);
       }
-      const Node& out_node = nodes_[static_cast<std::size_t>(step.out)];
       if (out.dist_ptr() == nullptr) {
         // Idle rank (outside the step's grid): keep a proper empty view of
-        // the output layout so later redistributes see a valid descriptor.
-        out = DistMatrix(detail::realize(out_node.layout, out_node.rows,
-                                         out_node.cols, world),
-                         me);
+        // the output layout so later layout changes see a valid descriptor.
+        const Node& node = nodes_[static_cast<std::size_t>(st.out)];
+        out = DistMatrix(
+            detail::realize(node.layout, node.rows, node.cols, world), me);
       }
-      if (sched.place[static_cast<std::size_t>(step.out)]) {
-        // Placement moved this intermediate off its natural layout: pay
-        // the transition once at the producer instead of per consumer.
-        sim::PhaseScope scope(r, "redistribute");
-        out = dist::redistribute(
-            out,
-            detail::realize(sched.resident[static_cast<std::size_t>(
-                                step.out)],
-                            out_node.rows, out_node.cols, world),
-            world);
-      }
-      vals[static_cast<std::size_t>(step.out)] = std::move(out);
     }
 
     for (std::size_t i = 0; i < outputs_.size(); ++i) {

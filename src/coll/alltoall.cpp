@@ -99,53 +99,23 @@ std::vector<Buffer> alltoallv_bruck(const sim::Comm& comm,
   return result;
 }
 
-std::vector<Buffer> alltoallv_direct(const sim::Comm& comm,
-                                     std::vector<Buffer> to_send) {
-  const int g = comm.size();
-  const int r = comm.rank();
-  CheckScope check(comm, CollOp::kAlltoallDirect, -1, nullptr,
-                   total_words(to_send));
-  const int tag = coll_tag(CollOp::kAlltoallDirect, comm);
-  std::vector<Buffer> result(static_cast<std::size_t>(g));
-  result[static_cast<std::size_t>(r)] =
-      std::move(to_send[static_cast<std::size_t>(r)]);
-  // Ring schedule: in round i exchange with ranks +/- i; every pair meets
-  // exactly once per direction, g-1 rounds total. Each payload ships as a
-  // view of the caller's slab — zero copies on the send path.
-  for (int i = 1; i < g; ++i) {
-    const int dst = (r + i) % g;
-    const int src = ((r - i) % g + g) % g;
-    result[static_cast<std::size_t>(src)] = comm.shift(
-        dst, src, std::move(to_send[static_cast<std::size_t>(dst)]), tag);
-  }
-  return result;
-}
-
 }  // namespace
 
 std::vector<Buffer> alltoallv(const sim::Comm& comm,
-                              std::vector<Buffer> to_send,
-                              AlltoallAlgo algo) {
+                              std::vector<Buffer> to_send) {
   CATRSM_CHECK(static_cast<int>(to_send.size()) == comm.size(),
                "alltoallv: need one payload slot per rank");
   if (comm.size() == 1) {
     return to_send;
   }
-  switch (algo) {
-    case AlltoallAlgo::kBruck:
-      return alltoallv_bruck(comm, std::move(to_send));
-    case AlltoallAlgo::kDirect:
-      return alltoallv_direct(comm, std::move(to_send));
-  }
-  throw Error("alltoallv: unknown algorithm");
+  return alltoallv_bruck(comm, std::move(to_send));
 }
 
-std::vector<Buffer> alltoallv(const sim::Comm& comm, std::vector<Buf> to_send,
-                              AlltoallAlgo algo) {
+std::vector<Buffer> alltoallv(const sim::Comm& comm, std::vector<Buf> to_send) {
   std::vector<Buffer> bufs;
   bufs.reserve(to_send.size());
   for (auto& v : to_send) bufs.emplace_back(std::move(v));
-  return alltoallv(comm, std::move(bufs), algo);
+  return alltoallv(comm, std::move(bufs));
 }
 
 }  // namespace catrsm::coll

@@ -3,13 +3,9 @@
 // transition (transposes, cyclic <-> blocked redistributions, grid
 // reshapes) in the TRSM algorithms.
 //
-// Two schedules are provided:
-//  - Bruck:  ceil(log g) rounds, each datum travels up to log g hops, so
-//            S = O(log g), W = O(total * log g / 2). This is the schedule
-//            whose cost the paper quotes: T = alpha log p + beta (n/2) log p.
-//  - Direct: pairwise exchange, g-1 rounds, minimal words. Payloads are
-//            forwarded as zero-copy buffer views — the schedule of choice
-//            when payloads dominate and the group is small.
+// The schedule is Bruck's: ceil(log g) rounds, each datum travels up to
+// log g hops, so S = O(log g), W = O(total * log g / 2) — the cost the
+// paper quotes for a layout transition, T = alpha log p + beta (n/2) log p.
 //
 // Payload sizes may differ per (src, dst) pair and need not be globally
 // known: in-flight blocks carry a tiny routing header (counted as words —
@@ -23,20 +19,13 @@
 
 namespace catrsm::coll {
 
-enum class AlltoallAlgo {
-  kBruck,
-  kDirect,
-};
-
 /// `to_send[d]` is the payload for communicator rank d (slot rank() is
 /// forwarded through locally). Returns `from[s]` = payload sent by rank s.
 std::vector<Buffer> alltoallv(const sim::Comm& comm,
-                              std::vector<Buffer> to_send,
-                              AlltoallAlgo algo = AlltoallAlgo::kBruck);
+                              std::vector<Buffer> to_send);
 
 /// Scratch-vector convenience overload: adopts each per-destination vector
 /// into a Buffer without copying.
-std::vector<Buffer> alltoallv(const sim::Comm& comm, std::vector<Buf> to_send,
-                              AlltoallAlgo algo = AlltoallAlgo::kBruck);
+std::vector<Buffer> alltoallv(const sim::Comm& comm, std::vector<Buf> to_send);
 
 }  // namespace catrsm::coll

@@ -61,8 +61,6 @@ const char* coll_op_name(CollOp op) {
       return "barrier";
     case CollOp::kAlltoallBruck:
       return "alltoall(bruck)";
-    case CollOp::kAlltoallDirect:
-      return "alltoall(direct)";
   }
   return "collective?";
 }

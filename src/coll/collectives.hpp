@@ -43,6 +43,8 @@ using Buf = std::vector<double>;
 using Counts = std::vector<std::size_t>;
 
 /// Collective families, used to derive per-communicator message tags.
+/// Trace events number collectives in this order, so a new family goes
+/// at the end. kAlltoallBruck is coll::alltoallv (alltoall.hpp).
 enum class CollOp : int {
   kAllgather = 0,
   kReduceScatter,
@@ -50,7 +52,6 @@ enum class CollOp : int {
   kGather,
   kBarrier,
   kAlltoallBruck,
-  kAlltoallDirect,
 };
 
 /// Display name of a collective family ("allgather", "alltoall(bruck)",

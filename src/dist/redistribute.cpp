@@ -1,11 +1,11 @@
 #include "dist/redistribute.hpp"
 
 #include <algorithm>
-#include <cstdint>
+#include <functional>
 #include <tuple>
 #include <utility>
 
-#include "coll/collectives.hpp"
+#include "coll/alltoall.hpp"
 #include "support/check.hpp"
 
 namespace catrsm::dist {
@@ -44,7 +44,7 @@ DistMatrix remap(const DistMatrix& src,
                      index_t, index_t)>& map,
                  const std::function<std::pair<index_t, index_t>(
                      index_t, index_t)>& inv,
-                 coll::AlltoallAlgo algo, const char* who) {
+                 const char* who) {
   check_owners_inside(src.dist(), comm, who);
   check_owners_inside(*dst, comm, who);
   const int g = comm.size();
@@ -94,7 +94,7 @@ DistMatrix remap(const DistMatrix& src,
   }
 
   std::vector<coll::Buffer> incoming =
-      coll::alltoallv(comm, std::move(outgoing), algo);
+      coll::alltoallv(comm, std::move(outgoing));
 
   DistMatrix out(std::move(dst), me);
   if (out.participates()) {
@@ -135,68 +135,34 @@ const BlockCyclicDist& as_unit_cyclic(const Distribution& d,
 
 }  // namespace
 
-double moved_words(const Distribution& src, const Distribution& dst) {
-  CATRSM_CHECK(src.rows() == dst.rows() && src.cols() == dst.cols(),
-               "moved_words: global shape mismatch");
-  const index_t rows = src.rows();
-  const index_t cols = src.cols();
-  const index_t rstep = std::max<index_t>(1, rows / 64);
-  const index_t cstep = std::max<index_t>(1, cols / 64);
-  std::uint64_t sampled = 0;
-  std::uint64_t moved = 0;
-  for (index_t i = 0; i < rows; i += rstep) {
-    const int from_r = src.part_of_row(i);
-    const int to_r = dst.part_of_row(i);
-    for (index_t j = 0; j < cols; j += cstep) {
-      ++sampled;
-      if (src.world_rank_of(from_r, src.part_of_col(j)) !=
-          dst.world_rank_of(to_r, dst.part_of_col(j)))
-        ++moved;
-    }
-  }
-  return static_cast<double>(rows) * static_cast<double>(cols) *
-         static_cast<double>(moved) / static_cast<double>(sampled);
-}
-
-sim::Cost redistribute_model_cost(const Distribution& src,
-                                  const Distribution& dst, int p) {
-  CATRSM_CHECK(p >= 1, "redistribute_model_cost: need p >= 1");
-  double rounds = 0.0;
-  for (int span = 1; span < p; span *= 2) rounds += 1.0;
-  sim::Cost c;
-  c.msgs = rounds;
-  c.words = moved_words(src, dst) / 2.0 * rounds;
-  return c;
-}
-
 DistMatrix redistribute(const DistMatrix& src,
                         std::shared_ptr<const Distribution> dst,
-                        const sim::Comm& comm, coll::AlltoallAlgo algo) {
+                        const sim::Comm& comm) {
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "redistribute: global shape mismatch");
   const auto identity = [](index_t i, index_t j) {
     return std::pair<index_t, index_t>{i, j};
   };
-  return remap(src, std::move(dst), comm, identity, identity, algo,
+  return remap(src, std::move(dst), comm, identity, identity,
                "redistribute");
 }
 
 DistMatrix transpose(const DistMatrix& src,
                      std::shared_ptr<const Distribution> dst,
-                     const sim::Comm& comm, coll::AlltoallAlgo algo) {
+                     const sim::Comm& comm) {
   CATRSM_CHECK(src.dist().rows() == dst->cols() &&
                    src.dist().cols() == dst->rows(),
                "transpose: destination must be cols x rows of the source");
   const auto flip = [](index_t i, index_t j) {
     return std::pair<index_t, index_t>{j, i};
   };
-  return remap(src, std::move(dst), comm, flip, flip, algo, "transpose");
+  return remap(src, std::move(dst), comm, flip, flip, "transpose");
 }
 
 DistMatrix reverse_rows(const DistMatrix& src,
                         std::shared_ptr<const Distribution> dst,
-                        const sim::Comm& comm, coll::AlltoallAlgo algo) {
+                        const sim::Comm& comm) {
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "reverse_rows: global shape mismatch");
@@ -204,12 +170,12 @@ DistMatrix reverse_rows(const DistMatrix& src,
   const auto rev = [n](index_t i, index_t j) {
     return std::pair<index_t, index_t>{n - 1 - i, j};
   };
-  return remap(src, std::move(dst), comm, rev, rev, algo, "reverse_rows");
+  return remap(src, std::move(dst), comm, rev, rev, "reverse_rows");
 }
 
 DistMatrix reverse_both(const DistMatrix& src,
                         std::shared_ptr<const Distribution> dst,
-                        const sim::Comm& comm, coll::AlltoallAlgo algo) {
+                        const sim::Comm& comm) {
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "reverse_both: global shape mismatch");
@@ -218,7 +184,7 @@ DistMatrix reverse_both(const DistMatrix& src,
   const auto rev = [n, k](index_t i, index_t j) {
     return std::pair<index_t, index_t>{n - 1 - i, k - 1 - j};
   };
-  return remap(src, std::move(dst), comm, rev, rev, algo, "reverse_both");
+  return remap(src, std::move(dst), comm, rev, rev, "reverse_both");
 }
 
 la::Matrix gather_region(const Distribution& d, const la::Matrix& local,

@@ -13,9 +13,7 @@
 
 #include <memory>
 
-#include "coll/alltoall.hpp"
 #include "dist/dist_matrix.hpp"
-#include "sim/cost.hpp"
 
 namespace catrsm::dist {
 
@@ -23,42 +21,23 @@ namespace catrsm::dist {
 /// `comm`, which must contain every rank of both faces.
 DistMatrix redistribute(const DistMatrix& src,
                         std::shared_ptr<const Distribution> dst,
-                        const sim::Comm& comm,
-                        coll::AlltoallAlgo algo = coll::AlltoallAlgo::kBruck);
+                        const sim::Comm& comm);
 
 /// The transpose of `src` under `dst` (dst must be cols x rows of src).
 DistMatrix transpose(const DistMatrix& src,
                      std::shared_ptr<const Distribution> dst,
-                     const sim::Comm& comm,
-                     coll::AlltoallAlgo algo = coll::AlltoallAlgo::kBruck);
+                     const sim::Comm& comm);
 
 /// Row-reversed copy J * src under `dst` (same shape): element (i, j)
 /// moves to (rows - 1 - i, j).
 DistMatrix reverse_rows(const DistMatrix& src,
                         std::shared_ptr<const Distribution> dst,
-                        const sim::Comm& comm,
-                        coll::AlltoallAlgo algo = coll::AlltoallAlgo::kBruck);
+                        const sim::Comm& comm);
 
 /// Fully reversed copy J * src * J under `dst` (same shape).
 DistMatrix reverse_both(const DistMatrix& src,
                         std::shared_ptr<const Distribution> dst,
-                        const sim::Comm& comm,
-                        coll::AlltoallAlgo algo = coll::AlltoallAlgo::kBruck);
-
-/// Estimated number of elements that change owner in a src -> dst
-/// transition (same global shape). Sampled on a deterministic <= 64 x 64
-/// index grid and scaled — exact for shapes up to 64 per dimension, and
-/// for the cyclic/blocked layouts here the sampled fraction is
-/// representative at any size. Host-side; used by the Program optimizer's
-/// placement pass, never by execution.
-double moved_words(const Distribution& src, const Distribution& dst);
-
-/// Modeled cost of redistribute() between the two layouts on a p-rank
-/// communicator under the Bruck schedule: S = ceil(log2 p) rounds, W =
-/// (moved / 2) * ceil(log2 p) — the same O(alpha log p + beta (w/2) log p)
-/// the executed transition charges.
-sim::Cost redistribute_model_cost(const Distribution& src,
-                                  const Distribution& dst, int p);
+                        const sim::Comm& comm);
 
 /// Materialize the full global matrix on EVERY rank of `comm` (allgather).
 la::Matrix collect(const DistMatrix& m, const sim::Comm& comm);

@@ -37,6 +37,14 @@ std::pair<int, int> nearest_grid(int p, double ideal_p1) {
   return {best_p1, p / (best_p1 * best_p1)};
 }
 
+int it_inv_nblocks(long long n, long long k, int p) {
+  const double dn = static_cast<double>(n);
+  const Tuning t =
+      tune(dn, static_cast<double>(k), static_cast<double>(p));
+  return std::clamp<int>(static_cast<int>(std::llround(dn / t.n0)), 1,
+                         static_cast<int>(std::min<long long>(n, p)));
+}
+
 namespace {
 
 /// Recursive-grid shape per Section IV: pc = max(sqrt p, min(p, sqrt(pk/n)))
@@ -79,9 +87,7 @@ Config configure_forced(long long n, long long k, int p, Algorithm force) {
   const auto [p1, p2] = nearest_grid(p, t.p1);
   cfg.p1 = p1;
   cfg.p2 = p2;
-  cfg.nblocks = std::clamp<int>(
-      static_cast<int>(std::llround(dn / std::max(t.n0, 1.0))), 1,
-      static_cast<int>(std::min<long long>(n, p)));
+  cfg.nblocks = it_inv_nblocks(n, k, p);
   const auto [pr, pc] = rec_grid(n, k, p);
   cfg.pr = pr;
   cfg.pc = pc;

@@ -34,6 +34,11 @@ struct Config {
 /// Factorize p as p1^2 * p2 with p1 as close as possible to `ideal_p1`.
 std::pair<int, int> nearest_grid(int p, double ideal_p1);
 
+/// The iterative algorithm's diagonal block count n / n0 for an n x k
+/// solve on p ranks, with n0 from the Section VIII tuning tables,
+/// clamped to [1, min(n, p)].
+int it_inv_nblocks(long long n, long long k, int p);
+
 /// Pick the algorithm and all integer parameters for an n x k solve on p
 /// ranks by comparing the predicted alpha-beta-gamma times of every
 /// applicable algorithm under `mp` — the a-priori decision procedure the

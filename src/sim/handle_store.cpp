@@ -38,11 +38,6 @@ void HandleStore::release(std::uint64_t id) {
   entries_.erase(it);
 }
 
-bool HandleStore::contains(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.find(id) != entries_.end();
-}
-
 std::size_t HandleStore::count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

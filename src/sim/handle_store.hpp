@@ -61,8 +61,6 @@ class HandleStore {
   /// may race machine teardown in shutdown paths).
   void release(std::uint64_t id);
 
-  bool contains(std::uint64_t id) const;
-
   /// Live entry count (observability for leak tests).
   std::size_t count() const;
 

@@ -182,11 +182,6 @@ void Rank::pop_phase() {
   phase_stack_.pop_back();
 }
 
-const std::string& Rank::phase() const {
-  static const std::string kNone;
-  return phase_stack_.empty() ? kNone : phase_stack_.back();
-}
-
 void Rank::send(int dst, Buffer data, int tag) {
   CATRSM_CHECK(dst >= 0 && dst < nprocs_, "send: bad destination rank");
   CATRSM_CHECK(dst != id_, "send: self-sends are a bug in SPMD code");

@@ -115,8 +115,6 @@ class Rank {
   /// push/pop.
   void push_phase(std::string name) { phase_stack_.push_back(std::move(name)); }
   void pop_phase();
-  /// Innermost active label, empty when none.
-  const std::string& phase() const;
   const std::map<std::string, Cost>& phase_costs() const {
     return phase_costs_;
   }

@@ -1,13 +1,13 @@
 #include "trsm/it_inv_trsm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "coll/collectives.hpp"
 #include "dist/grid.hpp"
 #include "la/gemm.hpp"
 #include "la/kernel/kernel.hpp"
+#include "model/tuning.hpp"
 #include "support/check.hpp"
 
 namespace catrsm::trsm {
@@ -81,24 +81,8 @@ std::shared_ptr<BlockCyclicDist> it_inv_b_dist(const sim::Comm& comm, int p1,
   return dist::row_cyclic_col_blocked(it_inv_b_face(comm, p1, p2), n, k);
 }
 
-int it_inv_auto_nblocks(index_t n, index_t k, int p) {
-  const double dn = static_cast<double>(n);
-  const double dk = static_cast<double>(k);
-  const double dp = static_cast<double>(p);
-  double n0;
-  if (dn < 4.0 * dk / dp) {
-    n0 = dn;  // 1D regime: single inverted block
-  } else if (dn > 4.0 * dk * std::sqrt(dp)) {
-    n0 = std::pow(dn * dk * dk * dk * std::sqrt(dp), 0.25);  // 2D regime
-  } else {
-    n0 = std::min(std::sqrt(dn * dk), dn);  // 3D regime
-  }
-  const int blocks = static_cast<int>(std::llround(dn / std::max(n0, 1.0)));
-  return std::clamp(blocks, 1, static_cast<int>(std::min<index_t>(n, p)));
-}
-
 int it_inv_block_count(index_t n, index_t k, int p, int nblocks) {
-  if (nblocks <= 0) nblocks = it_inv_auto_nblocks(n, k, p);
+  if (nblocks <= 0) nblocks = model::it_inv_nblocks(n, k, p);
   // Recompute the real block count for ragged sizes.
   return static_cast<int>(ceil_div(n, ceil_div(n, nblocks)));
 }

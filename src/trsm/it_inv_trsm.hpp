@@ -59,11 +59,9 @@ std::shared_ptr<dist::BlockCyclicDist> it_inv_b_dist(const sim::Comm& comm,
                                                      int p1, int p2,
                                                      index_t n, index_t k);
 
-/// Automatic block count n/n0 per the Section VIII tuning tables.
-int it_inv_auto_nblocks(index_t n, index_t k, int p);
-
-/// The block count both halves run with: `nblocks` (0 = automatic) as
-/// the ragged blocks of ceil(n / nblocks) rows actually tile n.
+/// The block count both halves run with: `nblocks` (0 = automatic,
+/// model::it_inv_nblocks) as the ragged blocks of ceil(n / nblocks) rows
+/// actually tile n.
 int it_inv_block_count(index_t n, index_t k, int p, int nblocks);
 
 /// The Section VI-B solve loop: X = L^-1 B from Ltilde, the

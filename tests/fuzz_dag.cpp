@@ -15,7 +15,10 @@
 // dead/duplicate decoy steps imply.
 //
 // Standalone main (no GTest): exits nonzero on the first failing
-// program, printing the seed that reproduces it.
+// program, printing the seed that reproduces it. --verbose prints one
+// stdout line per run (optimizer on, then off) with the critical time,
+// every phase's max S/W/F and the ProgramStats, floats in hex: diffing
+// two builds' verbose output checks modeled identity over random DAGs.
 //
 //   fuzz_dag [--programs N] [--seed S] [--verbose]
 
@@ -268,6 +271,25 @@ void gen_tri_inv(Context& ctx, std::mt19937_64& rng, Generated& g) {
   }
 }
 
+/// The --verbose line of one run.
+void print_run(std::uint64_t seed, const char* mode,
+               const Program::Result& r,
+               const catrsm::api::ProgramStats& ps) {
+  std::printf("seed %llu %s critical=%a",
+              static_cast<unsigned long long>(seed), mode,
+              r.stats.critical_time);
+  for (const auto& [phase, c] : r.stats.phase_max)
+    std::printf(" %s=%a/%a/%a", phase.c_str(), c.msgs, c.words, c.flops);
+  std::printf(" elided=%llu merged=%llu inserted=%llu avoided=%llu "
+              "steps=%llu optimized=%d\n",
+              static_cast<unsigned long long>(ps.nodes_elided),
+              static_cast<unsigned long long>(ps.nodes_merged),
+              static_cast<unsigned long long>(ps.redistributes_inserted),
+              static_cast<unsigned long long>(ps.redistributes_avoided),
+              static_cast<unsigned long long>(ps.steps_executed),
+              ps.optimized ? 1 : 0);
+}
+
 bool run_one(std::uint64_t seed, const Options& opt) {
   std::mt19937_64 rng(seed);
   const int p = pick(rng, {4, 6, 8, 9, 12});
@@ -305,6 +327,7 @@ bool run_one(std::uint64_t seed, const Options& opt) {
 
   g.prog.set_optimize(true);
   Program::Result result = g.prog.run(g.inputs);
+  if (opt.verbose) print_run(seed, "opt", result, g.prog.stats());
   if (result.outputs.size() != g.expected.size()) {
     std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): %zu outputs, "
                  "expected %zu\n",
@@ -353,6 +376,7 @@ bool run_one(std::uint64_t seed, const Options& opt) {
   // relocate work — they may never touch the arithmetic).
   g.prog.set_optimize(false);
   Program::Result raw = g.prog.run(g.inputs);
+  if (opt.verbose) print_run(seed, "noopt", raw, g.prog.stats());
   if (g.prog.stats().nodes_elided != 0 || g.prog.stats().nodes_merged != 0) {
     std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): disabled "
                  "optimizer still reported elisions/merges\n",

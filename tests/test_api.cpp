@@ -438,6 +438,26 @@ TEST(ApiOps, TriInvMatchesSequential) {
   EXPECT_LT(la::max_abs_diff(r.x, seq), 1e-9);
 }
 
+TEST(ApiOps, CholeskyExecuteReportsFactorizationResidual) {
+  // execute() on a cholesky_op plan returns the lower factor (its upper
+  // triangle exactly zero) and reports ||L L^T - A|| / ||A||.
+  const index_t n = 48;
+  const Matrix a = la::make_spd(327, n);
+  for (const int p : {4, 9, 16}) {
+    Context ctx(p);
+    const ExecResult r = ctx.plan(cholesky_op(n))->execute(a);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = i + 1; j < n; ++j)
+        ASSERT_EQ(r.x(i, j), 0.0) << "p = " << p;
+    Matrix llt = la::matmul(r.x, r.x.transposed());
+    llt.sub(a);
+    EXPECT_DOUBLE_EQ(r.residual,
+                     la::frobenius_norm(llt) / la::frobenius_norm(a))
+        << "p = " << p;
+    EXPECT_LT(r.residual, 1e-14) << "p = " << p;
+  }
+}
+
 TEST(ApiOps, CholeskySolvePipelineSolvesSpdSystem) {
   const index_t n = 48, k = 6;
   const Matrix a = la::make_spd(323, n);

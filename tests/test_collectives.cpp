@@ -288,7 +288,7 @@ TEST_P(CollectiveGroup, AlltoallvBruckRoutesEverything) {
       to_send[d].assign(static_cast<std::size_t>(cnt),
                         static_cast<double>(r.id() * 1000 + d));
     }
-    auto got = alltoallv(world, std::move(to_send), AlltoallAlgo::kBruck);
+    auto got = alltoallv(world, std::move(to_send));
     for (int s = 0; s < p; ++s) {
       const int cnt = (s + r.id()) % 3 + 1;
       ASSERT_EQ(got[s].size(), static_cast<std::size_t>(cnt));
@@ -298,44 +298,20 @@ TEST_P(CollectiveGroup, AlltoallvBruckRoutesEverything) {
   });
 }
 
-TEST_P(CollectiveGroup, AlltoallvDirectMatchesBruck) {
-  const int p = GetParam();
-  Machine m(p);
-  m.run([p](Rank& r) {
-    Comm world = Comm::world(r);
-    auto make = [&] {
-      std::vector<Buf> to_send(static_cast<std::size_t>(p));
-      for (int d = 0; d < p; ++d)
-        to_send[d].assign(2, static_cast<double>(r.id() * 10 + d));
-      return to_send;
-    };
-    auto a = alltoallv(world, make(), AlltoallAlgo::kBruck);
-    auto b = alltoallv(world, make(), AlltoallAlgo::kDirect);
-    for (int s = 0; s < p; ++s)
-      ASSERT_EQ(a[s].to_vector(), b[s].to_vector());
-  });
-}
-
-TEST(Alltoallv, BruckLatencyIsLogDirectIsLinear) {
+TEST(Alltoallv, BruckLatencyIsLog) {
   const int p = 16;
   const std::size_t each = 8;
   Machine m(p);
-  auto job = [&](AlltoallAlgo algo) {
-    return m.run([&, algo](Rank& r) {
-      Comm world = Comm::world(r);
-      std::vector<Buf> to_send(static_cast<std::size_t>(p));
-      for (int d = 0; d < p; ++d) to_send[d].assign(each, 1.0);
-      (void)alltoallv(world, std::move(to_send), algo);
-    });
-  };
-  RunStats bruck = job(AlltoallAlgo::kBruck);
-  RunStats direct = job(AlltoallAlgo::kDirect);
+  RunStats bruck = m.run([&](Rank& r) {
+    Comm world = Comm::world(r);
+    std::vector<Buf> to_send(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) to_send[d].assign(each, 1.0);
+    (void)alltoallv(world, std::move(to_send));
+  });
 
   EXPECT_DOUBLE_EQ(bruck.max_msgs(), ilog2_exact(p));
-  EXPECT_DOUBLE_EQ(direct.max_msgs(), p - 1);
-  // Bruck words ~ (total/2) log p plus 3-word headers; direct is minimal.
+  // Bruck words ~ (total/2) log p plus 3-word headers.
   const double total = static_cast<double>(each) * (p - 1);
-  EXPECT_DOUBLE_EQ(direct.max_words(), total);
   EXPECT_GT(bruck.max_words(), total);
   EXPECT_LE(bruck.max_words(),
             (static_cast<double>(each) + 3.0) * p / 2.0 * ilog2_exact(p));

@@ -212,24 +212,6 @@ TEST(Redistribute, CyclicToCyclic3DAndBack) {
   });
 }
 
-TEST(Redistribute, DirectAlgoMatchesBruck) {
-  const index_t n = 10;
-  Machine m(4);
-  const Matrix ref = la::make_dense(99, n, n);
-  m.run([&](Rank& r) {
-    Comm world = Comm::world(r);
-    Face2D face(world, 2, 2);
-    auto src_d = std::make_shared<BlockCyclicDist>(face, n, n, 1, 1);
-    auto dst_d = std::make_shared<BlockCyclicDist>(face, n, n, 3, 3);
-    DistMatrix src(src_d, r.id());
-    src.fill_from_global(ref);
-    DistMatrix a = redistribute(src, dst_d, world, coll::AlltoallAlgo::kBruck);
-    DistMatrix b = redistribute(src, dst_d, world,
-                                coll::AlltoallAlgo::kDirect);
-    EXPECT_TRUE(a.local().equals(b.local()));
-  });
-}
-
 TEST(Redistribute, SubsetFacesInsideLargerComm) {
   // Source lives on ranks {0,1}, destination on ranks {2,3}; the exchange
   // happens over the full world.

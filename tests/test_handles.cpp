@@ -15,6 +15,8 @@
 #include "la/gemm.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
+#include "la/tri_inv.hpp"
+#include "la/trsm.hpp"
 #include "sim/machine.hpp"
 
 namespace catrsm::api {
@@ -387,8 +389,31 @@ TEST(Programs, BatchOfResidentSolvesAgainstOneUploadedFactor) {
   EXPECT_EQ(plan->diag_inversions(), 1u);
 }
 
+TEST(Programs, OneHandleBoundToTwoInputsIsLoadedOnceAndCopied) {
+  // A handle bound to two input nodes is moved out of the store for the
+  // first and copied for the second: A * A from one upload, bitwise what
+  // two separate uploads give, and the handle goes back intact.
+  const index_t n = 24;
+  const Matrix a = la::make_dense(761, n, n);
+  Context ctx(8);
+  auto plan = ctx.plan(matmul3d_op(n, n, n));
+  ASSERT_TRUE(plan->input_layout(0) == plan->input_layout(1));
+
+  Program prog(ctx);
+  const auto n0 = prog.input(n, n);
+  const auto n1 = prog.input(n, n);
+  prog.mark_output(prog.add(plan, {n0, n1}));
+  const DistHandle h = ctx.upload(a, plan->input_layout(0));
+  const Program::Result r = prog.run({h, h});
+  const Matrix x = ctx.download(r.outputs[0]);
+  EXPECT_LT(la::max_abs_diff(x, la::matmul(a, a)), 1e-11);
+  EXPECT_TRUE(x.equals(plan->execute(a, a).x));
+  EXPECT_TRUE(ctx.download(h).equals(a));
+  EXPECT_EQ(prog.stats().redistributes_inserted, 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Program optimizer: elision, merging, conversion caching, the A/B gate
+// Program optimizer: elision, merging, shared layout changes, the A/B gate
 
 TEST(Optimizer, FactorFeedingManySolvesComputesOnce) {
   // The serving workload's shape, written redundantly: every solve wires
@@ -572,6 +597,63 @@ TEST(Optimizer, SharedConversionRunsOnceAndIsChargedOnce) {
       ctx.download(raw.outputs[0])));
   EXPECT_TRUE(ctx.download(opt.outputs[1]).equals(
       ctx.download(raw.outputs[1])));
+}
+
+TEST(Optimizer, IntermediateReadOnlyInForeignLayoutsChangesOncePerLayout) {
+  // The factor (cyclic 2 x 2) is read only in layouts other than its own:
+  // by a triangular inversion (cyclic 4 x 4) and a recursive solve (cyclic
+  // 1 x 16). Each consumer costs one layout change, optimizer on or off,
+  // and the two schedules produce the same bits and the same charges.
+  const index_t n = 32, k = 1024;
+  const int p = 16;
+  const Matrix a = la::make_spd(771, n);
+  const Matrix b = la::make_rhs(772, n, k);
+
+  Context ctx(p);
+  auto factor_plan = ctx.plan(cholesky_op(n, 2));
+  auto inv_plan = ctx.plan(tri_inv_op(n));
+  TrsmSpec rec;
+  rec.force_algorithm = true;
+  rec.algorithm = model::Algorithm::kRecursive;
+  auto solve_plan = ctx.plan(trsm_op(n, k, rec));
+  ASSERT_TRUE(factor_plan->output_layout() == cyclic_layout(2, 2));
+  ASSERT_TRUE(inv_plan->input_layout(0) == cyclic_layout(4, 4));
+  ASSERT_TRUE(solve_plan->input_layout(0) == cyclic_layout(1, 16));
+
+  Program prog(ctx);
+  const auto na = prog.input(n, n);
+  const auto nb = prog.input(n, k);
+  const auto nl = prog.add(factor_plan, {na}, "cholesky");
+  prog.mark_output(prog.add(inv_plan, {nl}));
+  prog.mark_output(prog.add(solve_plan, {nl, nb}));
+  const DistHandle ha = ctx.upload(a, factor_plan->input_layout(0));
+  const DistHandle hb = ctx.upload(b, solve_plan->input_layout(1));
+
+  prog.set_optimize(true);
+  const Program::Result opt = prog.run({ha, hb});
+  EXPECT_EQ(prog.stats().redistributes_inserted, 2u);
+  EXPECT_EQ(prog.stats().redistributes_avoided, 0u);
+  prog.set_optimize(false);
+  const Program::Result raw = prog.run({ha, hb});
+  EXPECT_EQ(prog.stats().redistributes_inserted, 2u);
+
+  const sim::Cost opt_redist = opt.stats.phase_cost("redistribute");
+  const sim::Cost raw_redist = raw.stats.phase_cost("redistribute");
+  EXPECT_GT(opt_redist.words, 0.0);
+  EXPECT_EQ(opt_redist.msgs, raw_redist.msgs);
+  EXPECT_EQ(opt_redist.words, raw_redist.words);
+  ASSERT_EQ(opt.outputs.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(ctx.download(opt.outputs[i])
+                    .equals(ctx.download(raw.outputs[i])));
+
+  const Matrix l = la::cholesky(a);
+  EXPECT_LT(la::max_abs_diff(ctx.download(opt.outputs[0]),
+                             la::tri_inv(la::Uplo::kLower, l)),
+            1e-9);
+  EXPECT_LT(la::max_abs_diff(ctx.download(opt.outputs[1]),
+                             la::solve_lower(l, b)),
+            1e-9);
 }
 
 TEST(Programs, OptimizerEnvKnobParsesStrictly) {

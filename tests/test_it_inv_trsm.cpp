@@ -7,6 +7,7 @@
 #include "la/generate.hpp"
 #include "la/norms.hpp"
 #include "la/trsm.hpp"
+#include "model/tuning.hpp"
 #include "sim/machine.hpp"
 #include "trsm/it_inv_trsm.hpp"
 #include "trsm/rec_trsm.hpp"
@@ -116,13 +117,13 @@ TEST(ItInvTrsm, AutoNblocksSolvesCorrectly) {
 
 TEST(ItInvTrsm, AutoNblocksRegimes) {
   // 1D regime: one block (inversion dominates anyway).
-  EXPECT_EQ(it_inv_auto_nblocks(8, 1 << 16, 64), 1);
+  EXPECT_EQ(model::it_inv_nblocks(8, 1 << 16, 64), 1);
   // 3D regime: n/n0 = n / sqrt(nk) = sqrt(n/k).
-  const int blocks_3d = it_inv_auto_nblocks(1 << 14, 1 << 10, 64);
+  const int blocks_3d = model::it_inv_nblocks(1 << 14, 1 << 10, 64);
   EXPECT_GE(blocks_3d, 2);
   EXPECT_LE(blocks_3d, 8);
   // 2D regime: nontrivial block count, bounded by p.
-  const int blocks_2d = it_inv_auto_nblocks(1 << 16, 4, 64);
+  const int blocks_2d = model::it_inv_nblocks(1 << 16, 4, 64);
   EXPECT_GE(blocks_2d, 1);
   EXPECT_LE(blocks_2d, 64);
 }

@@ -209,6 +209,77 @@ TEST(Streams, FaultedStreamIsIsolatedAndMachineStaysUsable) {
   EXPECT_TRUE(fresh.download(fplan->execute_dist(fl, fb).x).equals(x_retry));
 }
 
+TEST(Streams, FailedRunIsACompletionErrorBesideAHealthyTenant) {
+  // A cholesky-solve tenant handed a matrix that is not positive definite
+  // fails inside its run. The pool hands that back as the request's
+  // Completion::error instead of throwing, and a healthy tenant served
+  // alongside gets completions bitwise equal to serial execute_dist.
+  const index_t n = 32, k = 8;
+  const int items = 3;
+  sim::Machine machine(4);
+  Context bad(machine);
+  Context good(machine);
+
+  auto bplan = bad.plan(cholesky_solve_op(n, k));
+  Matrix not_spd = la::make_spd(961, n);
+  not_spd(0, 0) = -1.0;
+  const DistHandle ba = bad.upload(not_spd, bplan->input_layout(0));
+  const DistHandle bb =
+      bad.upload(la::make_rhs(962, n, k), bplan->input_layout(1));
+
+  auto gplan = good.plan(cholesky_solve_op(n, k));
+  std::vector<DistHandle> gas, gbs;
+  std::vector<Matrix> xs;
+  std::vector<sim::Cost> costs;
+  std::vector<double> crit;
+  for (int i = 0; i < items; ++i) {
+    const std::uint64_t seed = 970 + 2 * static_cast<std::uint64_t>(i);
+    gas.push_back(good.upload(la::make_spd(seed, n), gplan->input_layout(0)));
+    gbs.push_back(
+        good.upload(la::make_rhs(seed + 1, n, k), gplan->input_layout(1)));
+    const DistExecResult r = gplan->execute_dist(gas.back(), gbs.back());
+    xs.push_back(good.download(r.x));
+    costs.push_back(r.algorithm_cost());
+    crit.push_back(r.stats.critical_time);
+  }
+
+  StreamPool pool;
+  const int tb = pool.add_tenant(bad);
+  const int tg = pool.add_tenant(good);
+  const int bad_id = pool.submit(tb, bplan, ba, bb);
+  std::vector<int> good_ids;
+  for (int i = 0; i < items; ++i)
+    good_ids.push_back(pool.submit(tg, gplan, gas[static_cast<std::size_t>(i)],
+                                   gbs[static_cast<std::size_t>(i)]));
+
+  int failed = 0;
+  int served = 0;
+  for (const auto& c : pool.drain()) {
+    if (c.id == bad_id) {
+      ASSERT_TRUE(c.error);
+      EXPECT_FALSE(c.result.x.valid());
+      EXPECT_THROW(std::rethrow_exception(c.error), Error);
+      ++failed;
+      continue;
+    }
+    ASSERT_FALSE(c.error) << "healthy request " << c.id << " failed";
+    std::size_t u = 0;
+    while (good_ids[u] != c.id) ++u;
+    EXPECT_TRUE(good.download(c.result.x).equals(xs[u]));
+    const sim::Cost cc = c.result.algorithm_cost();
+    EXPECT_EQ(cc.msgs, costs[u].msgs);
+    EXPECT_EQ(cc.words, costs[u].words);
+    EXPECT_EQ(cc.flops, costs[u].flops);
+    EXPECT_EQ(c.result.stats.critical_time, crit[u]);
+    ++served;
+  }
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(served, items);
+  // No fault was injected, so the failed request's operands stay usable.
+  EXPECT_FALSE(ba.poisoned());
+  EXPECT_TRUE(bad.download(ba).equals(not_spd));
+}
+
 TEST(Streams, CacheMissOverlappingAHitReplacesTheCachedInverse) {
   // One iterative plan, two operands: a cache hit on L1 and a miss on L2
   // fly together. The hit holds its own reference to L1's Ltilde, so the
