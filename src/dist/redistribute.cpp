@@ -1,8 +1,8 @@
 #include "dist/redistribute.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <tuple>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "coll/alltoall.hpp"
@@ -10,87 +10,105 @@
 
 namespace catrsm::dist {
 
+std::vector<int> owner_table(const Distribution& d, const sim::Comm& comm,
+                             const char* who) {
+  std::vector<int> table(static_cast<std::size_t>(d.row_parts()) *
+                         static_cast<std::size_t>(d.col_parts()));
+  std::size_t e = 0;
+  for (int rp = 0; rp < d.row_parts(); ++rp) {
+    for (int cp = 0; cp < d.col_parts(); ++cp) {
+      const int t = comm.index_of_world(d.world_rank_of(rp, cp));
+      CATRSM_CHECK(t >= 0, std::string(who) +
+                               ": an owning rank lies outside the "
+                               "communicator");
+      table[e++] = t;
+    }
+  }
+  return table;
+}
+
 namespace {
 
-/// Index of `g` within the sorted vector `v` (must be present).
-index_t position_of(const std::vector<index_t>& v, index_t g) {
-  const auto it = std::lower_bound(v.begin(), v.end(), g);
-  CATRSM_ASSERT(it != v.end() && *it == g,
-                "dist: global index not owned by this rank");
-  return static_cast<index_t>(it - v.begin());
-}
+/// How remap moves an element: source (i, j) goes to (i, j), or to (j, i)
+/// when `transpose`; the destination row (resp. column) index is then
+/// mirrored when `reverse_rows` (`reverse_cols`).
+struct ElementMap {
+  bool transpose = false;
+  bool reverse_rows = false;
+  bool reverse_cols = false;
+};
 
-/// Every owner of `d` must sit inside `comm` for a collective transition.
-void check_owners_inside(const Distribution& d, const sim::Comm& comm,
-                         const char* who) {
-  for (int rp = 0; rp < d.row_parts(); ++rp)
-    for (int cp = 0; cp < d.col_parts(); ++cp)
-      CATRSM_CHECK(comm.index_of_world(d.world_rank_of(rp, cp)) >= 0,
-                   std::string(who) +
-                       ": an owning rank lies outside the communicator");
-}
-
-/// Generic element remapping: source element at global (i, j) lands at
-/// dst global map(i, j); `inv` is the inverse mapping. The sender emits
-/// ascending-(i, j) streams per destination; the receiver consumes each
-/// source stream in the same ascending source order, reconstructed from
-/// `inv` — so no indices travel with the data. All outgoing streams pack
-/// into one slab and ship as per-destination views of it (no per-element
-/// push_back growth, no per-destination copies).
+/// Generic element remapping under `map`. The sender emits each
+/// destination's stream in ascending source (i, j); the receiver walks its
+/// own elements in the same ascending source order, so every source
+/// stream is consumed exactly as packed and no indices travel with the
+/// data. The map is separable — a destination row depends on one source
+/// index only — so routing is derived once per local row, once per local
+/// column and once per (row part, column part): local element (r, c)
+/// goes to comm rank dst_owner[row_dest[r] + col_dest[c]] and comes from
+/// src_owner[row_src[r] + col_src[c]], O(1) lookups per element.
 DistMatrix remap(const DistMatrix& src,
                  std::shared_ptr<const Distribution> dst,
-                 const sim::Comm& comm,
-                 const std::function<std::pair<index_t, index_t>(
-                     index_t, index_t)>& map,
-                 const std::function<std::pair<index_t, index_t>(
-                     index_t, index_t)>& inv,
-                 const char* who) {
-  check_owners_inside(src.dist(), comm, who);
-  check_owners_inside(*dst, comm, who);
+                 const sim::Comm& comm, ElementMap map, const char* who) {
+  const Distribution& sd = src.dist();
+  const std::vector<int> src_owner = owner_table(sd, comm, who);
+  const std::vector<int> dst_owner = owner_table(*dst, comm, who);
   const int g = comm.size();
   const int me = comm.ctx().id();
+  const index_t out_rows = dst->rows();
+  const index_t out_cols = dst->cols();
+  // The mirrors are involutions: they also take a destination index back
+  // to the source coordinate it came from.
+  const auto mirror_row = [&](index_t a) {
+    return map.reverse_rows ? out_rows - 1 - a : a;
+  };
+  const auto mirror_col = [&](index_t b) {
+    return map.reverse_cols ? out_cols - 1 - b : b;
+  };
+  // Table offset of the part owning destination row `a` or column `b`
+  // (resp. source row or column, under `d`); row parts are major.
+  const auto row_off = [](const Distribution& d, index_t a) {
+    return d.part_of_row(a) * d.col_parts();
+  };
+  const auto col_off = [](const Distribution& d, index_t b) {
+    return d.part_of_col(b);
+  };
 
   std::vector<coll::Buffer> outgoing(static_cast<std::size_t>(g));
   if (src.participates()) {
     const auto& rows = src.my_rows();
     const auto& cols = src.my_cols();
-    // Pass 1: destination comm rank of every local element, and the
-    // per-destination stream lengths.
-    std::vector<int> dest(rows.size() * cols.size());
-    std::vector<std::size_t> counts(static_cast<std::size_t>(g), 0);
-    std::size_t e = 0;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        const auto [ti, tj] = map(rows[r], cols[c]);
-        const int w = dst->world_rank_of(dst->part_of_row(ti),
-                                         dst->part_of_col(tj));
-        const int t = comm.index_of_world(w);
-        dest[e++] = t;
-        ++counts[static_cast<std::size_t>(t)];
-      }
-    }
-    // Pass 2: pack every stream into one slab, ascending (i, j) within
-    // each destination exactly as before.
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(g) + 1, 0);
-    for (int t = 0; t < g; ++t)
-      cursor[static_cast<std::size_t>(t) + 1] =
-          cursor[static_cast<std::size_t>(t)] +
-          counts[static_cast<std::size_t>(t)];
-    const std::vector<std::size_t> offsets(cursor.begin(), cursor.end() - 1);
-    // Pooled uninitialized slab: the scatter loop below writes every
-    // element exactly once, so the old vector's value-init was a pure
-    // memset of bytes about to be overwritten.
-    coll::Buffer packed = coll::Buffer::uninit(dest.size());
-    double* slab = packed.mutable_data();
-    e = 0;
+    // Source row i lands in destination row mirror_row(i), or in
+    // destination column mirror_col(i) under a transpose; columns dually.
+    std::vector<int> row_dest(rows.size());
+    std::vector<int> col_dest(cols.size());
     for (std::size_t r = 0; r < rows.size(); ++r)
-      for (std::size_t c = 0; c < cols.size(); ++c)
-        slab[cursor[static_cast<std::size_t>(dest[e++])]++] =
-            src.local()(static_cast<index_t>(r), static_cast<index_t>(c));
-    for (int t = 0; t < g; ++t)
-      outgoing[static_cast<std::size_t>(t)] =
-          packed.slice(offsets[static_cast<std::size_t>(t)],
-                       counts[static_cast<std::size_t>(t)]);
+      row_dest[r] = map.transpose ? col_off(*dst, mirror_col(rows[r]))
+                                  : row_off(*dst, mirror_row(rows[r]));
+    for (std::size_t c = 0; c < cols.size(); ++c)
+      col_dest[c] = map.transpose ? row_off(*dst, mirror_row(cols[c]))
+                                  : col_off(*dst, mirror_col(cols[c]));
+    std::vector<std::size_t> counts(static_cast<std::size_t>(g), 0);
+    for (const int ro : row_dest)
+      for (const int co : col_dest)
+        ++counts[static_cast<std::size_t>(
+            dst_owner[static_cast<std::size_t>(ro + co)])];
+    // Pack every stream into one pooled uninitialized slab (the loop below
+    // writes each element exactly once), row-major: ascending source
+    // (i, j) within each destination.
+    std::vector<std::size_t> cursor(static_cast<std::size_t>(g) + 1, 0);
+    for (std::size_t t = 0; t < counts.size(); ++t)
+      cursor[t + 1] = cursor[t] + counts[t];
+    const std::vector<std::size_t> offsets(cursor.begin(), cursor.end() - 1);
+    coll::Buffer packed = coll::Buffer::uninit(rows.size() * cols.size());
+    double* slab = packed.mutable_data();
+    const double* in = src.local().ptr();
+    for (const int ro : row_dest)
+      for (const int co : col_dest)
+        slab[cursor[static_cast<std::size_t>(
+            dst_owner[static_cast<std::size_t>(ro + co)])]++] = *in++;
+    for (std::size_t t = 0; t < counts.size(); ++t)
+      outgoing[t] = packed.slice(offsets[t], counts[t]);
   }
 
   std::vector<coll::Buffer> incoming =
@@ -98,28 +116,50 @@ DistMatrix remap(const DistMatrix& src,
 
   DistMatrix out(std::move(dst), me);
   if (out.participates()) {
-    // (source comm rank, source i, source j, my local r, my local c)
-    std::vector<std::tuple<int, index_t, index_t, index_t, index_t>> entries;
-    entries.reserve(out.my_rows().size() * out.my_cols().size());
-    const auto& orows = out.my_rows();
-    const auto& ocols = out.my_cols();
-    for (std::size_t r = 0; r < orows.size(); ++r) {
-      for (std::size_t c = 0; c < ocols.size(); ++c) {
-        const auto [si, sj] = inv(orows[r], ocols[c]);
-        const int w = src.dist().world_rank_of(src.dist().part_of_row(si),
-                                               src.dist().part_of_col(sj));
-        entries.emplace_back(comm.index_of_world(w), si, sj,
-                             static_cast<index_t>(r),
-                             static_cast<index_t>(c));
-      }
+    const auto& rows = out.my_rows();
+    const auto& cols = out.my_cols();
+    const std::size_t nr = rows.size();
+    const std::size_t nc = cols.size();
+    // Destination row a came from source row mirror_row(a), or from
+    // source column mirror_row(a) under a transpose; columns dually.
+    std::vector<int> row_src(nr);
+    std::vector<int> col_src(nc);
+    for (std::size_t r = 0; r < nr; ++r)
+      row_src[r] = map.transpose ? col_off(sd, mirror_row(rows[r]))
+                                 : row_off(sd, mirror_row(rows[r]));
+    for (std::size_t c = 0; c < nc; ++c)
+      col_src[c] = map.transpose ? row_off(sd, mirror_col(cols[c]))
+                                 : col_off(sd, mirror_col(cols[c]));
+    // Read position and end of every source stream.
+    std::vector<const double*> next(static_cast<std::size_t>(g));
+    std::vector<const double*> last(static_cast<std::size_t>(g));
+    for (std::size_t s = 0; s < next.size(); ++s) {
+      next[s] = incoming[s].begin();
+      last[s] = incoming[s].end();
     }
-    std::sort(entries.begin(), entries.end());
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(g), 0);
-    for (const auto& [s, si, sj, r, c] : entries) {
-      auto& cur = cursor[static_cast<std::size_t>(s)];
-      CATRSM_ASSERT(cur < incoming[static_cast<std::size_t>(s)].size(),
+    double* loc = out.local().ptr();
+    const auto take = [&](std::size_t r, std::size_t c) {
+      const auto s = static_cast<std::size_t>(
+          src_owner[static_cast<std::size_t>(row_src[r] + col_src[c])]);
+      CATRSM_ASSERT(next[s] != last[s],
                     std::string(who) + ": short stream from a source rank");
-      out.local()(r, c) = incoming[static_cast<std::size_t>(s)][cur++];
+      loc[r * nc + c] = *next[s]++;
+    };
+    // Ascending source (i, j): a reversed index runs backward, and under
+    // a transpose the source row is the destination column, so the walk
+    // is column-major.
+    const auto row_at = [&](std::size_t u) {
+      return map.reverse_rows ? nr - 1 - u : u;
+    };
+    const auto col_at = [&](std::size_t v) {
+      return map.reverse_cols ? nc - 1 - v : v;
+    };
+    if (map.transpose) {
+      for (std::size_t v = 0; v < nc; ++v)
+        for (std::size_t u = 0; u < nr; ++u) take(row_at(u), col_at(v));
+    } else {
+      for (std::size_t u = 0; u < nr; ++u)
+        for (std::size_t v = 0; v < nc; ++v) take(row_at(u), col_at(v));
     }
   }
   return out;
@@ -133,6 +173,24 @@ const BlockCyclicDist& as_unit_cyclic(const Distribution& d,
   return *bc;
 }
 
+/// Where a cyclic window's local indices `inner` (window coordinates,
+/// offset `off`) start within the enclosing matrix's local indices
+/// `outer`: the window holds exactly the enclosing rank's indices inside
+/// it, so its elements are one contiguous run of the enclosing local
+/// block. Checked once per index, not per element.
+index_t window_start(const std::vector<index_t>& outer,
+                     const std::vector<index_t>& inner, index_t off,
+                     const char* who) {
+  const auto start =
+      std::lower_bound(outer.begin(), outer.end(), off) - outer.begin();
+  CATRSM_CHECK(
+      inner.size() <= outer.size() - static_cast<std::size_t>(start) &&
+          std::equal(inner.begin(), inner.end(), outer.begin() + start,
+                     [off](index_t i, index_t o) { return off + i == o; }),
+      std::string(who) + ": block is not a window of this layout");
+  return static_cast<index_t>(start);
+}
+
 }  // namespace
 
 DistMatrix redistribute(const DistMatrix& src,
@@ -141,11 +199,7 @@ DistMatrix redistribute(const DistMatrix& src,
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "redistribute: global shape mismatch");
-  const auto identity = [](index_t i, index_t j) {
-    return std::pair<index_t, index_t>{i, j};
-  };
-  return remap(src, std::move(dst), comm, identity, identity,
-               "redistribute");
+  return remap(src, std::move(dst), comm, {}, "redistribute");
 }
 
 DistMatrix transpose(const DistMatrix& src,
@@ -154,10 +208,7 @@ DistMatrix transpose(const DistMatrix& src,
   CATRSM_CHECK(src.dist().rows() == dst->cols() &&
                    src.dist().cols() == dst->rows(),
                "transpose: destination must be cols x rows of the source");
-  const auto flip = [](index_t i, index_t j) {
-    return std::pair<index_t, index_t>{j, i};
-  };
-  return remap(src, std::move(dst), comm, flip, flip, "transpose");
+  return remap(src, std::move(dst), comm, {.transpose = true}, "transpose");
 }
 
 DistMatrix reverse_rows(const DistMatrix& src,
@@ -166,11 +217,8 @@ DistMatrix reverse_rows(const DistMatrix& src,
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "reverse_rows: global shape mismatch");
-  const index_t n = src.dist().rows();
-  const auto rev = [n](index_t i, index_t j) {
-    return std::pair<index_t, index_t>{n - 1 - i, j};
-  };
-  return remap(src, std::move(dst), comm, rev, rev, "reverse_rows");
+  return remap(src, std::move(dst), comm, {.reverse_rows = true},
+               "reverse_rows");
 }
 
 DistMatrix reverse_both(const DistMatrix& src,
@@ -179,12 +227,8 @@ DistMatrix reverse_both(const DistMatrix& src,
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "reverse_both: global shape mismatch");
-  const index_t n = src.dist().rows();
-  const index_t k = src.dist().cols();
-  const auto rev = [n, k](index_t i, index_t j) {
-    return std::pair<index_t, index_t>{n - 1 - i, k - 1 - j};
-  };
-  return remap(src, std::move(dst), comm, rev, rev, "reverse_both");
+  return remap(src, std::move(dst), comm,
+               {.reverse_rows = true, .reverse_cols = true}, "reverse_both");
 }
 
 la::Matrix gather_region(const Distribution& d, const la::Matrix& local,
@@ -195,37 +239,52 @@ la::Matrix gather_region(const Distribution& d, const la::Matrix& local,
                "gather_region: region out of range");
   const int g = comm.size();
 
-  // Per-member in-region index sets, derived identically on every rank.
-  std::vector<std::vector<index_t>> rows_in(static_cast<std::size_t>(g));
-  std::vector<std::vector<index_t>> cols_in(static_cast<std::size_t>(g));
+  // In-region rows (resp. columns) of every part, ascending, derived
+  // identically on every rank with one ownership call per index.
+  std::vector<std::vector<index_t>> rows_in(
+      static_cast<std::size_t>(d.row_parts()));
+  std::vector<std::vector<index_t>> cols_in(
+      static_cast<std::size_t>(d.col_parts()));
+  for (index_t i = rlo; i < rhi; ++i)
+    rows_in[static_cast<std::size_t>(d.part_of_row(i))].push_back(i);
+  for (index_t j = clo; j < chi; ++j)
+    cols_in[static_cast<std::size_t>(d.part_of_col(j))].push_back(j);
+  std::vector<std::optional<std::pair<int, int>>> parts(
+      static_cast<std::size_t>(g));
   coll::Counts counts(static_cast<std::size_t>(g), 0);
   for (int s = 0; s < g; ++s) {
-    const auto parts = d.parts_of_world(comm.world_rank(s));
-    if (!parts.has_value()) continue;
-    for (index_t i = rlo; i < rhi; ++i)
-      if (d.part_of_row(i) == parts->first)
-        rows_in[static_cast<std::size_t>(s)].push_back(i);
-    for (index_t j = clo; j < chi; ++j)
-      if (d.part_of_col(j) == parts->second)
-        cols_in[static_cast<std::size_t>(s)].push_back(j);
-    counts[static_cast<std::size_t>(s)] =
-        rows_in[static_cast<std::size_t>(s)].size() *
-        cols_in[static_cast<std::size_t>(s)].size();
+    const auto& ps = parts[static_cast<std::size_t>(s)] =
+        d.parts_of_world(comm.world_rank(s));
+    if (ps.has_value())
+      counts[static_cast<std::size_t>(s)] =
+          rows_in[static_cast<std::size_t>(ps->first)].size() *
+          cols_in[static_cast<std::size_t>(ps->second)].size();
   }
 
-  // My contribution, read from the (possibly evolved) working copy.
+  // My contribution, read from the (possibly evolved) working copy. My
+  // local rows are my part's rows ascending, so the in-region ones are the
+  // contiguous run after those below rlo (columns likewise).
   coll::Buf mine;
-  const int self = comm.rank();
-  if (counts[static_cast<std::size_t>(self)] > 0) {
-    const auto parts = d.parts_of_world(me);
-    CATRSM_ASSERT(parts.has_value(), "gather_region: owner mismatch");
-    const std::vector<index_t> all_rows = d.rows_of_part(parts->first);
-    const std::vector<index_t> all_cols = d.cols_of_part(parts->second);
-    mine.reserve(counts[static_cast<std::size_t>(self)]);
-    for (const index_t i : rows_in[static_cast<std::size_t>(self)]) {
-      const index_t lr = position_of(all_rows, i);
-      for (const index_t j : cols_in[static_cast<std::size_t>(self)])
-        mine.push_back(local(lr, position_of(all_cols, j)));
+  const auto& my_parts = parts[static_cast<std::size_t>(comm.rank())];
+  if (counts[static_cast<std::size_t>(comm.rank())] > 0) {
+    CATRSM_ASSERT(my_parts == d.parts_of_world(me),
+                  "gather_region: owner mismatch");
+    index_t r0 = 0;
+    index_t c0 = 0;
+    for (index_t i = 0; i < rlo; ++i)
+      if (d.part_of_row(i) == my_parts->first) ++r0;
+    for (index_t j = 0; j < clo; ++j)
+      if (d.part_of_col(j) == my_parts->second) ++c0;
+    const auto nr = static_cast<index_t>(
+        rows_in[static_cast<std::size_t>(my_parts->first)].size());
+    const auto nc = static_cast<index_t>(
+        cols_in[static_cast<std::size_t>(my_parts->second)].size());
+    CATRSM_ASSERT(r0 + nr <= local.rows() && c0 + nc <= local.cols(),
+                  "gather_region: working copy smaller than the layout");
+    mine.reserve(counts[static_cast<std::size_t>(comm.rank())]);
+    for (index_t r = 0; r < nr; ++r) {
+      const double* row = local.ptr() + (r0 + r) * local.cols() + c0;
+      mine.insert(mine.end(), row, row + nc);
     }
   }
 
@@ -233,9 +292,10 @@ la::Matrix gather_region(const Distribution& d, const la::Matrix& local,
 
   la::Matrix out(rhi - rlo, chi - clo);
   std::size_t pos = 0;
-  for (int s = 0; s < g; ++s) {
-    for (const index_t i : rows_in[static_cast<std::size_t>(s)])
-      for (const index_t j : cols_in[static_cast<std::size_t>(s)])
+  for (const auto& ps : parts) {
+    if (!ps.has_value()) continue;
+    for (const index_t i : rows_in[static_cast<std::size_t>(ps->first)])
+      for (const index_t j : cols_in[static_cast<std::size_t>(ps->second)])
         out(i - rlo, j - clo) = all[pos++];
   }
   CATRSM_ASSERT(pos == all.size(), "gather_region: stream size mismatch");
@@ -260,37 +320,26 @@ DistMatrix cyclic_subblock(const DistMatrix& m, index_t i0, index_t j0,
       static_cast<int>((md.rsrc() + i0) % pr),
       static_cast<int>((md.csrc() + j0) % pc));
   DistMatrix sub(std::move(sub_d), m.me());
-  if (sub.participates()) {
-    for (std::size_t r = 0; r < sub.my_rows().size(); ++r) {
-      const index_t pr_idx = position_of(m.my_rows(), i0 + sub.my_rows()[r]);
-      for (std::size_t c = 0; c < sub.my_cols().size(); ++c) {
-        const index_t pc_idx =
-            position_of(m.my_cols(), j0 + sub.my_cols()[c]);
-        sub.local()(static_cast<index_t>(r), static_cast<index_t>(c)) =
-            m.local()(pr_idx, pc_idx);
-      }
-    }
-  }
+  if (sub.participates())
+    sub.local() = m.local().block(
+        window_start(m.my_rows(), sub.my_rows(), i0, "cyclic_subblock"),
+        window_start(m.my_cols(), sub.my_cols(), j0, "cyclic_subblock"),
+        sub.local().rows(), sub.local().cols());
   return sub;
 }
 
 void set_cyclic_subblock(DistMatrix& m, index_t i0, index_t j0,
                          const DistMatrix& sub) {
-  const BlockCyclicDist& md = as_unit_cyclic(m.dist(), "set_cyclic_subblock");
-  (void)md;
+  (void)as_unit_cyclic(m.dist(), "set_cyclic_subblock");
   CATRSM_CHECK(i0 >= 0 && j0 >= 0 &&
                    i0 + sub.dist().rows() <= m.dist().rows() &&
                    j0 + sub.dist().cols() <= m.dist().cols(),
                "set_cyclic_subblock: block out of range");
   if (!sub.participates()) return;
-  for (std::size_t r = 0; r < sub.my_rows().size(); ++r) {
-    const index_t pr_idx = position_of(m.my_rows(), i0 + sub.my_rows()[r]);
-    for (std::size_t c = 0; c < sub.my_cols().size(); ++c) {
-      const index_t pc_idx = position_of(m.my_cols(), j0 + sub.my_cols()[c]);
-      m.local()(pr_idx, pc_idx) =
-          sub.local()(static_cast<index_t>(r), static_cast<index_t>(c));
-    }
-  }
+  m.local().set_block(
+      window_start(m.my_rows(), sub.my_rows(), i0, "set_cyclic_subblock"),
+      window_start(m.my_cols(), sub.my_cols(), j0, "set_cyclic_subblock"),
+      sub.local());
 }
 
 }  // namespace catrsm::dist

@@ -4,18 +4,36 @@
 // O(alpha log p + beta (words/2) log p) under the Bruck schedule).
 //
 // All routing is derived arithmetically from the two Distribution
-// descriptors: the sender emits its elements in ascending global order per
-// destination, the receiver consumes each source stream in the same order,
-// and no size or index metadata beyond the all-to-all's own headers ever
-// travels. Ranks outside either distribution's face still participate in
-// the exchange (with empty payloads), so a matrix can move between
-// disjoint rank subsets of a larger communicator.
+// descriptors, and no size or index metadata beyond the all-to-all's own
+// headers ever travels. Every transition here is separable — a
+// destination row depends on one source index only — so the routing is
+// derived once per local row, once per local column and once per (row
+// part, column part) pair (owner_table), never once per element: packing
+// and unpacking cost O(1) table lookups per element. Ranks outside either
+// distribution's face still participate in the exchange (with empty
+// payloads), so a matrix can move between disjoint rank subsets of a
+// larger communicator.
+//
+// Wire contract: each sender's stream to each destination holds the
+// elements it owns that land there, in ascending source (i, j) order
+// (row-major over the source matrix), and each receiver consumes every
+// source stream in that order. Payload bytes, trace hashes and fault
+// coordinates depend on this order; the test
+// Redistribute/WireOrder.MatchesElementwiseReference in tests/test_dist.cpp
+// pins it against an elementwise reference.
 
 #include <memory>
+#include <vector>
 
 #include "dist/dist_matrix.hpp"
 
 namespace catrsm::dist {
+
+/// The comm rank owning each (row part, column part) of `d`, row part
+/// major: entry rp * d.col_parts() + cp. Throws, naming `who`, when an
+/// owner lies outside `comm`.
+std::vector<int> owner_table(const Distribution& d, const sim::Comm& comm,
+                             const char* who);
 
 /// Move `src` into layout `dst` (same global shape). Collective over
 /// `comm`, which must contain every rank of both faces.

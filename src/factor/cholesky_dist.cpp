@@ -49,16 +49,14 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
   const auto& my_rows = a.my_rows();
   const auto& my_cols = a.my_cols();
 
-  auto local_row_of = [&](index_t gr) {
-    return static_cast<index_t>(
-        std::lower_bound(my_rows.begin(), my_rows.end(), gr) -
-        my_rows.begin());
-  };
-  auto local_col_of = [&](index_t gc) {
-    return static_cast<index_t>(
-        std::lower_bound(my_cols.begin(), my_cols.end(), gc) -
-        my_cols.begin());
-  };
+  // Local position of every global row (resp. column), -1 where I own
+  // none, so no loop below searches my index lists.
+  std::vector<index_t> local_row(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> local_col(static_cast<std::size_t>(n), -1);
+  for (std::size_t r = 0; r < my_rows.size(); ++r)
+    local_row[static_cast<std::size_t>(my_rows[r])] = static_cast<index_t>(r);
+  for (std::size_t c = 0; c < my_cols.size(); ++c)
+    local_col[static_cast<std::size_t>(my_cols[c])] = static_cast<index_t>(c);
 
   for (index_t o = 0; o < n; o += nb) {
     const index_t sz = std::min(nb, n - o);
@@ -71,10 +69,11 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
 
     // Write my piece of the diagonal factor (lower part only).
     for (index_t i = o; i < o + sz; ++i) {
-      if (a.dist().part_of_row(i) != gi) continue;
+      const index_t lr = local_row[static_cast<std::size_t>(i)];
+      if (lr < 0) continue;
       for (index_t j = o; j <= i; ++j) {
-        if (a.dist().part_of_col(j) != gj) continue;
-        lout.local()(local_row_of(i), local_col_of(j)) = lfact(i - o, j - o);
+        const index_t lc = local_col[static_cast<std::size_t>(j)];
+        if (lc >= 0) lout.local()(lr, lc) = lfact(i - o, j - o);
       }
     }
     if (o + sz >= n) break;
@@ -85,23 +84,26 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
     for (const index_t r : my_rows)
       if (r >= o + sz) trail_rows.push_back(r);
 
+    // Columns of Si per grid column: peers in my grid row share my row set
+    // but own disjoint column subsets.
+    std::vector<std::vector<index_t>> cols_of(static_cast<std::size_t>(q));
+    for (index_t j = o; j < o + sz; ++j)
+      cols_of[static_cast<std::size_t>(a.dist().part_of_col(j))].push_back(j);
+    const std::vector<index_t>& my_panel_cols =
+        cols_of[static_cast<std::size_t>(gj)];
+
     Matrix apanel(static_cast<index_t>(trail_rows.size()), sz);
     {
-      // Assemble columns of Si across the row communicator: peers share my
-      // row set but own disjoint column subsets.
+      // Assemble columns of Si across the row communicator.
       coll::Counts counts(static_cast<std::size_t>(q));
-      std::vector<std::vector<index_t>> cols_of(static_cast<std::size_t>(q));
-      for (index_t j = o; j < o + sz; ++j)
-        cols_of[static_cast<std::size_t>(a.dist().part_of_col(j))].push_back(
-            j);
       for (int w = 0; w < q; ++w)
         counts[static_cast<std::size_t>(w)] =
             cols_of[static_cast<std::size_t>(w)].size() * trail_rows.size();
       coll::Buf mine;
       for (const index_t r : trail_rows) {
-        const index_t lr = local_row_of(r);
-        for (const index_t j : cols_of[static_cast<std::size_t>(gj)])
-          mine.push_back(acur(lr, local_col_of(j)));
+        const index_t lr = local_row[static_cast<std::size_t>(r)];
+        for (const index_t j : my_panel_cols)
+          mine.push_back(acur(lr, local_col[static_cast<std::size_t>(j)]));
       }
       const coll::Buffer all =
           coll::allgather(rowc, std::move(mine), counts);
@@ -121,12 +123,10 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
 
     // Write my columns of the panel into L.
     for (std::size_t r = 0; r < trail_rows.size(); ++r) {
-      const index_t lr = local_row_of(trail_rows[r]);
-      for (index_t j = o; j < o + sz; ++j) {
-        if (a.dist().part_of_col(j) != gj) continue;
-        lout.local()(lr, local_col_of(j)) =
+      const index_t lr = local_row[static_cast<std::size_t>(trail_rows[r])];
+      for (const index_t j : my_panel_cols)
+        lout.local()(lr, local_col[static_cast<std::size_t>(j)]) =
             apanel(static_cast<index_t>(r), j - o);
-      }
     }
 
     // (3) Symmetric trailing update. The mirror rank (gj, gi) holds the
@@ -165,11 +165,10 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
                         mirror_t.cols(),
                     "cholesky_dist: trailing column mismatch");
       for (std::size_t r = 0; r < trail_rows.size(); ++r) {
-        const index_t lr = local_row_of(trail_rows[r]);
-        for (std::size_t c = 0; c < trail_cols.size(); ++c) {
-          acur(lr, local_col_of(trail_cols[c])) -=
+        const index_t lr = local_row[static_cast<std::size_t>(trail_rows[r])];
+        for (std::size_t c = 0; c < trail_cols.size(); ++c)
+          acur(lr, local_col[static_cast<std::size_t>(trail_cols[c])]) -=
               upd(static_cast<index_t>(r), static_cast<index_t>(c));
-        }
       }
       ctx.charge_flops(static_cast<double>(trail_rows.size()) *
                        static_cast<double>(trail_cols.size()));

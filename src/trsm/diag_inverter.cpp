@@ -1,8 +1,10 @@
 #include "trsm/diag_inverter.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "coll/alltoall.hpp"
+#include "dist/redistribute.hpp"
 #include "trsm/tri_inv_dist.hpp"
 #include "support/check.hpp"
 
@@ -17,7 +19,58 @@ struct BlockHome {
   index_t offset = 0;  // global index of the block's top-left corner
   index_t size = 0;
   std::shared_ptr<BlockCyclicDist> dist;  // cyclic layout on its subgrid
+  std::vector<int> owner;  // comm rank of each part of `dist`
 };
+
+/// Calls fn(r, c, t) for every element (r, c) of L's local block (global
+/// indices `rows` x `cols`) inside `home`'s diagonal block, row-major,
+/// where t is the comm rank holding that element on the block's subgrid.
+template <class Fn>
+void for_each_in_block(const std::vector<index_t>& rows,
+                       const std::vector<index_t>& cols,
+                       const BlockHome& home, Fn&& fn) {
+  const auto window = [&](const std::vector<index_t>& v) {
+    const auto lo = std::lower_bound(v.begin(), v.end(), home.offset);
+    const auto hi = std::lower_bound(lo, v.end(), home.offset + home.size);
+    return std::pair<index_t, index_t>{lo - v.begin(), hi - v.begin()};
+  };
+  const auto [r_lo, r_hi] = window(rows);
+  const auto [c_lo, c_hi] = window(cols);
+  const dist::Distribution& hd = *home.dist;
+  std::vector<int> col_part(static_cast<std::size_t>(c_hi - c_lo));
+  for (index_t c = c_lo; c < c_hi; ++c)
+    col_part[static_cast<std::size_t>(c - c_lo)] =
+        hd.part_of_col(cols[static_cast<std::size_t>(c)] - home.offset);
+  for (index_t r = r_lo; r < r_hi; ++r) {
+    const int* owner_row = &home.owner[static_cast<std::size_t>(
+        hd.part_of_row(rows[static_cast<std::size_t>(r)] - home.offset) *
+        hd.col_parts())];
+    for (index_t c = c_lo; c < c_hi; ++c)
+      fn(r, c, owner_row[col_part[static_cast<std::size_t>(c - c_lo)]]);
+  }
+}
+
+/// Calls fn(r, c, t) for every element (r, c) of `block`'s local block,
+/// row-major, where `block` is `home`'s diagonal block on its subgrid and
+/// t is the comm rank holding that element in L's layout `ld` (whose
+/// owner table is `l_owner`).
+template <class Fn>
+void for_each_of_block(const DistMatrix& block, const BlockHome& home,
+                       const dist::Distribution& ld,
+                       const std::vector<int>& l_owner, Fn&& fn) {
+  const auto& rows = block.my_rows();
+  const auto& cols = block.my_cols();
+  std::vector<int> col_part(cols.size());
+  for (std::size_t c = 0; c < cols.size(); ++c)
+    col_part[c] = ld.part_of_col(home.offset + cols[c]);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const int* owner_row = &l_owner[static_cast<std::size_t>(
+        ld.part_of_row(home.offset + rows[r]) * ld.col_parts())];
+    for (std::size_t c = 0; c < cols.size(); ++c)
+      fn(static_cast<index_t>(r), static_cast<index_t>(c),
+         owner_row[col_part[c]]);
+  }
+}
 
 }  // namespace
 
@@ -55,7 +108,10 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
     Face2D subface(sim::Comm(ctx, members), sr, sc);
     home.dist = std::make_shared<BlockCyclicDist>(subface, home.size,
                                                   home.size, 1, 1);
+    home.owner = dist::owner_table(*home.dist, comm, "diag_inverter");
   }
+  const std::vector<int> l_owner =
+      dist::owner_table(l.dist(), comm, "diag_inverter");
   const int my_group = comm.rank() < ngroups * q ? comm.rank() / q : -1;
   std::vector<int> my_blocks;
   if (my_group >= 0)
@@ -64,35 +120,13 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
   // --- Phase 1: one personalized all-to-all ships every diagonal block to
   // its subgrid (paper lines 6 and 9 fused).
   std::vector<coll::Buf> outgoing(static_cast<std::size_t>(p));
-  if (l.participates()) {
-    const auto& rows = l.my_rows();
-    const auto& cols = l.my_cols();
-    for (const BlockHome& home : homes) {
-      const auto r_lo = std::lower_bound(rows.begin(), rows.end(),
-                                         home.offset) -
-                        rows.begin();
-      const auto r_hi = std::lower_bound(rows.begin(), rows.end(),
-                                         home.offset + home.size) -
-                        rows.begin();
-      const auto c_lo = std::lower_bound(cols.begin(), cols.end(),
-                                         home.offset) -
-                        cols.begin();
-      const auto c_hi = std::lower_bound(cols.begin(), cols.end(),
-                                         home.offset + home.size) -
-                        cols.begin();
-      for (auto r = r_lo; r < r_hi; ++r) {
-        const index_t bi = rows[static_cast<std::size_t>(r)] - home.offset;
-        const int rp = home.dist->part_of_row(bi);
-        for (auto c = c_lo; c < c_hi; ++c) {
-          const index_t bj = cols[static_cast<std::size_t>(c)] - home.offset;
-          const int w = home.dist->world_rank_of(rp, home.dist->part_of_col(bj));
-          const int t = comm.index_of_world(w);
-          outgoing[static_cast<std::size_t>(t)].push_back(
-              l.local()(static_cast<index_t>(r), static_cast<index_t>(c)));
-        }
-      }
-    }
-  }
+  if (l.participates())
+    for (const BlockHome& home : homes)
+      for_each_in_block(l.my_rows(), l.my_cols(), home,
+                        [&](index_t r, index_t c, int t) {
+                          outgoing[static_cast<std::size_t>(t)].push_back(
+                              l.local()(r, c));
+                        });
   std::vector<coll::Buffer> incoming =
       coll::alltoallv(comm, std::move(outgoing));
 
@@ -102,23 +136,13 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
     for (const int b : my_blocks) {
       const BlockHome& home = homes[static_cast<std::size_t>(b)];
       DistMatrix mat(home.dist, me);
-      if (mat.participates()) {
-        const auto& rows = mat.my_rows();
-        const auto& cols = mat.my_cols();
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          const int sp = l.dist().part_of_row(home.offset + rows[r]);
-          for (std::size_t c = 0; c < cols.size(); ++c) {
-            const int w = l.dist().world_rank_of(
-                sp, l.dist().part_of_col(home.offset + cols[c]));
-            const int s = comm.index_of_world(w);
+      for_each_of_block(
+          mat, home, l.dist(), l_owner, [&](index_t r, index_t c, int s) {
             auto& cur = cursor[static_cast<std::size_t>(s)];
             CATRSM_ASSERT(cur < incoming[static_cast<std::size_t>(s)].size(),
                           "diag_inverter: short scatter stream");
-            mat.local()(static_cast<index_t>(r), static_cast<index_t>(c)) =
-                incoming[static_cast<std::size_t>(s)][cur++];
-          }
-        }
-      }
+            mat.local()(r, c) = incoming[static_cast<std::size_t>(s)][cur++];
+          });
       my_block_mats.push_back(std::move(mat));
     }
   }
@@ -138,59 +162,27 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
   std::vector<coll::Buf> back_out(static_cast<std::size_t>(p));
   for (std::size_t i = 0; i < my_blocks.size(); ++i) {
     const DistMatrix& my_inv = my_invs[i];
-    if (!my_inv.participates()) continue;
-    const BlockHome& home = homes[static_cast<std::size_t>(my_blocks[i])];
-    const auto& rows = my_inv.my_rows();
-    const auto& cols = my_inv.my_cols();
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      const int dp = l.dist().part_of_row(home.offset + rows[r]);
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        const int w =
-            l.dist().world_rank_of(dp, l.dist().part_of_col(home.offset +
-                                                            cols[c]));
-        const int t = comm.index_of_world(w);
-        back_out[static_cast<std::size_t>(t)].push_back(
-            my_inv.local()(static_cast<index_t>(r), static_cast<index_t>(c)));
-      }
-    }
+    for_each_of_block(my_inv, homes[static_cast<std::size_t>(my_blocks[i])],
+                      l.dist(), l_owner, [&](index_t r, index_t c, int t) {
+                        back_out[static_cast<std::size_t>(t)].push_back(
+                            my_inv.local()(r, c));
+                      });
   }
   std::vector<coll::Buffer> back_in =
       coll::alltoallv(comm, std::move(back_out));
 
   DistMatrix ltilde = l;  // off-diagonal panels stay as in L
   if (ltilde.participates()) {
-    const auto& rows = ltilde.my_rows();
-    const auto& cols = ltilde.my_cols();
     std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
-    for (const BlockHome& home : homes) {
-      const auto r_lo = std::lower_bound(rows.begin(), rows.end(),
-                                         home.offset) -
-                        rows.begin();
-      const auto r_hi = std::lower_bound(rows.begin(), rows.end(),
-                                         home.offset + home.size) -
-                        rows.begin();
-      const auto c_lo = std::lower_bound(cols.begin(), cols.end(),
-                                         home.offset) -
-                        cols.begin();
-      const auto c_hi = std::lower_bound(cols.begin(), cols.end(),
-                                         home.offset + home.size) -
-                        cols.begin();
-      for (auto r = r_lo; r < r_hi; ++r) {
-        const index_t bi = rows[static_cast<std::size_t>(r)] - home.offset;
-        const int rp = home.dist->part_of_row(bi);
-        for (auto c = c_lo; c < c_hi; ++c) {
-          const index_t bj = cols[static_cast<std::size_t>(c)] - home.offset;
-          const int w =
-              home.dist->world_rank_of(rp, home.dist->part_of_col(bj));
-          const int s = comm.index_of_world(w);
-          auto& cur = cursor[static_cast<std::size_t>(s)];
-          CATRSM_ASSERT(cur < back_in[static_cast<std::size_t>(s)].size(),
-                        "diag_inverter: short gather stream");
-          ltilde.local()(static_cast<index_t>(r), static_cast<index_t>(c)) =
-              back_in[static_cast<std::size_t>(s)][cur++];
-        }
-      }
-    }
+    for (const BlockHome& home : homes)
+      for_each_in_block(
+          ltilde.my_rows(), ltilde.my_cols(), home,
+          [&](index_t r, index_t c, int s) {
+            auto& cur = cursor[static_cast<std::size_t>(s)];
+            CATRSM_ASSERT(cur < back_in[static_cast<std::size_t>(s)].size(),
+                          "diag_inverter: short gather stream");
+            ltilde.local()(r, c) = back_in[static_cast<std::size_t>(s)][cur++];
+          });
   }
   return ltilde;
 }

@@ -17,15 +17,20 @@
 // Standalone main (no GTest): exits nonzero on the first failing
 // program, printing the seed that reproduces it. --verbose prints one
 // stdout line per run (optimizer on, then off) with the critical time,
-// every phase's max S/W/F and the ProgramStats, floats in hex: diffing
-// two builds' verbose output checks modeled identity over random DAGs.
+// every phase's max S/W/F, the ProgramStats, floats in hex, an FNV-1a
+// digest of each output's bytes and, on traced runs, a digest of the
+// trace's payload hashes in rank order: diffing two builds' verbose
+// output checks modeled identity, output bits and wire bytes over random
+// DAGs.
 //
 //   fuzz_dag [--programs N] [--seed S] [--verbose]
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -271,23 +276,45 @@ void gen_tri_inv(Context& ctx, std::mt19937_64& rng, Generated& g) {
   }
 }
 
-/// The --verbose line of one run.
+/// FNV-1a digest of a trace's payload hashes, rank by rank in program
+/// order: equal digests mean the same bytes crossed the wire in the same
+/// order.
+std::uint64_t wire_digest(const catrsm::sim::check::Trace& t) {
+  std::vector<double> hashes;
+  for (const auto& events : t.events)
+    for (const auto& e : events) {
+      hashes.push_back(std::bit_cast<double>(e.hash));
+      hashes.push_back(std::bit_cast<double>(e.hash2));
+    }
+  return catrsm::sim::check::hash_words(hashes.data(), hashes.size());
+}
+
+/// The --verbose line of one run; `wire` is the traced run's
+/// wire_digest.
 void print_run(std::uint64_t seed, const char* mode,
-               const Program::Result& r,
-               const catrsm::api::ProgramStats& ps) {
+               const Program::Result& r, const catrsm::api::ProgramStats& ps,
+               const std::vector<Matrix>& outputs,
+               std::optional<std::uint64_t> wire) {
   std::printf("seed %llu %s critical=%a",
               static_cast<unsigned long long>(seed), mode,
               r.stats.critical_time);
   for (const auto& [phase, c] : r.stats.phase_max)
     std::printf(" %s=%a/%a/%a", phase.c_str(), c.msgs, c.words, c.flops);
   std::printf(" elided=%llu merged=%llu inserted=%llu avoided=%llu "
-              "steps=%llu optimized=%d\n",
+              "steps=%llu optimized=%d",
               static_cast<unsigned long long>(ps.nodes_elided),
               static_cast<unsigned long long>(ps.nodes_merged),
               static_cast<unsigned long long>(ps.redistributes_inserted),
               static_cast<unsigned long long>(ps.redistributes_avoided),
               static_cast<unsigned long long>(ps.steps_executed),
               ps.optimized ? 1 : 0);
+  for (const Matrix& m : outputs)
+    std::printf(" out=%016llx",
+                static_cast<unsigned long long>(catrsm::sim::check::hash_words(
+                    m.ptr(), static_cast<std::size_t>(m.size()))));
+  if (wire.has_value())
+    std::printf(" wire=%016llx", static_cast<unsigned long long>(*wire));
+  std::printf("\n");
 }
 
 bool run_one(std::uint64_t seed, const Options& opt) {
@@ -327,7 +354,6 @@ bool run_one(std::uint64_t seed, const Options& opt) {
 
   g.prog.set_optimize(true);
   Program::Result result = g.prog.run(g.inputs);
-  if (opt.verbose) print_run(seed, "opt", result, g.prog.stats());
   if (result.outputs.size() != g.expected.size()) {
     std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): %zu outputs, "
                  "expected %zu\n",
@@ -364,27 +390,33 @@ bool run_one(std::uint64_t seed, const Options& opt) {
     }
   }
 
+  std::optional<std::uint64_t> wire;
   if (traced) {
     catrsm::sim::check::Trace trace = ctx.machine().take_trace();
     ctx.machine().set_tracing(false);
+    wire = wire_digest(trace);
     // Replay faults internally on any payload or modeled-cost divergence.
     (void)catrsm::sim::check::replay(ctx.machine(), trace);
   }
+  if (opt.verbose)
+    print_run(seed, "opt", result, g.prog.stats(), got, wire);
 
   // Metamorphic leg: the same program with the optimizer off must
   // reproduce every output bit for bit (the passes only skip, share, or
   // relocate work — they may never touch the arithmetic).
   g.prog.set_optimize(false);
   Program::Result raw = g.prog.run(g.inputs);
-  if (opt.verbose) print_run(seed, "noopt", raw, g.prog.stats());
   if (g.prog.stats().nodes_elided != 0 || g.prog.stats().nodes_merged != 0) {
     std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): disabled "
                  "optimizer still reported elisions/merges\n",
                  static_cast<unsigned long long>(seed), g.shape.c_str(), p);
     return false;
   }
+  std::vector<Matrix> raw_got;
+  raw_got.reserve(raw.outputs.size());
   for (std::size_t i = 0; i < raw.outputs.size(); ++i) {
-    if (!ctx.download(raw.outputs[i]).equals(got[i])) {
+    raw_got.push_back(ctx.download(raw.outputs[i]));
+    if (!raw_got.back().equals(got[i])) {
       std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): output %zu "
                    "differs between optimizer on and off\n",
                    static_cast<unsigned long long>(seed), g.shape.c_str(), p,
@@ -392,6 +424,8 @@ bool run_one(std::uint64_t seed, const Options& opt) {
       return false;
     }
   }
+  if (opt.verbose)
+    print_run(seed, "noopt", raw, g.prog.stats(), raw_got, std::nullopt);
 
   if (opt.verbose)
     std::fprintf(stderr, "fuzz_dag: seed %llu ok (%s, p=%d%s)\n",

@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
 
+#include "coll/alltoall.hpp"
 #include "dist/dist_matrix.hpp"
 #include "dist/grid.hpp"
 #include "dist/layout.hpp"
 #include "dist/redistribute.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
+#include "sim/check/trace.hpp"
 #include "sim/machine.hpp"
 
 namespace catrsm::dist {
@@ -233,6 +237,211 @@ TEST(Redistribute, SubsetFacesInsideLargerComm) {
   });
 }
 
+// --- Wire order ------------------------------------------------------------
+// A transition's streams carry no indices, so sender and receiver must agree
+// on one element order: ascending source (i, j) per destination. Value tests
+// pass under any order both sides agree on, and modeled counters ignore
+// order, so these tests pin the order itself. Each transition runs traced
+// next to a test-local elementwise reference; the traces (payload hashes
+// included) must not differ and the local blocks must be bitwise equal.
+
+enum class Transition { kRedistribute, kTranspose, kReverseRows, kReverseBoth };
+
+const char* name_of(Transition t) {
+  switch (t) {
+    case Transition::kRedistribute: return "redistribute";
+    case Transition::kTranspose: return "transpose";
+    case Transition::kReverseRows: return "reverse_rows";
+    case Transition::kReverseBoth: return "reverse_both";
+  }
+  return "?";
+}
+
+/// Where element (i, j) of a rows x cols source lands under `t`.
+std::pair<index_t, index_t> target_of(Transition t, index_t i, index_t j,
+                                      index_t rows, index_t cols) {
+  switch (t) {
+    case Transition::kRedistribute: return {i, j};
+    case Transition::kTranspose: return {j, i};
+    case Transition::kReverseRows: return {rows - 1 - i, j};
+    case Transition::kReverseBoth: return {rows - 1 - i, cols - 1 - j};
+  }
+  return {i, j};
+}
+
+DistMatrix run_transition(Transition t, const DistMatrix& src,
+                          std::shared_ptr<const Distribution> dst,
+                          const Comm& comm) {
+  switch (t) {
+    case Transition::kRedistribute: return redistribute(src, dst, comm);
+    case Transition::kTranspose: return transpose(src, dst, comm);
+    case Transition::kReverseRows: return reverse_rows(src, dst, comm);
+    case Transition::kReverseBoth: return reverse_both(src, dst, comm);
+  }
+  return {};
+}
+
+/// Elementwise reference: walk global source (i, j) ascending, push each
+/// element I own onto the stream of its destination owner, exchange, and
+/// unpack by the same walk.
+DistMatrix reference_transition(Transition t, const DistMatrix& src,
+                                std::shared_ptr<const Distribution> dst,
+                                const Comm& comm) {
+  const Distribution& sd = src.dist();
+  const index_t rows = sd.rows();
+  const index_t cols = sd.cols();
+  const auto owner = [&](const Distribution& d, index_t i, index_t j) {
+    return comm.index_of_world(
+        d.world_rank_of(d.part_of_row(i), d.part_of_col(j)));
+  };
+  const auto local_of = [](const std::vector<index_t>& v, index_t g) {
+    return static_cast<index_t>(std::find(v.begin(), v.end(), g) -
+                                v.begin());
+  };
+  std::vector<coll::Buf> out(static_cast<std::size_t>(comm.size()));
+  for (index_t i = 0; i < rows; ++i)
+    for (index_t j = 0; j < cols; ++j) {
+      if (owner(sd, i, j) != comm.rank()) continue;
+      const auto [ti, tj] = target_of(t, i, j, rows, cols);
+      out[static_cast<std::size_t>(owner(*dst, ti, tj))].push_back(
+          src.local()(local_of(src.my_rows(), i), local_of(src.my_cols(), j)));
+    }
+  const std::vector<coll::Buffer> in = coll::alltoallv(comm, std::move(out));
+  DistMatrix res(dst, comm.ctx().id());
+  std::vector<std::size_t> cursor(in.size(), 0);
+  for (index_t i = 0; i < rows; ++i)
+    for (index_t j = 0; j < cols; ++j) {
+      const auto [ti, tj] = target_of(t, i, j, rows, cols);
+      if (owner(*dst, ti, tj) != comm.rank()) continue;
+      const auto s = static_cast<std::size_t>(owner(sd, i, j));
+      res.local()(local_of(res.my_rows(), ti), local_of(res.my_cols(), tj)) =
+          in[s][cursor[s]++];
+    }
+  return res;
+}
+
+struct WireCase {
+  const char* name;
+  int p;
+  index_t rows, cols;  // source shape
+  std::function<DistMatrix(const Comm& world)> make_src;
+  /// Destination layout of shape rows x cols.
+  std::function<std::shared_ptr<const Distribution>(const Comm& world,
+                                                    index_t rows,
+                                                    index_t cols)>
+      make_dst;
+};
+
+/// A distinct value at every global (i, j).
+double wire_value(index_t i, index_t j) {
+  return static_cast<double>(i * 1000 + j) + 0.25;
+}
+
+DistMatrix filled(std::shared_ptr<const Distribution> d, const Comm& world) {
+  DistMatrix m(std::move(d), world.ctx().id());
+  m.fill(wire_value);
+  return m;
+}
+
+std::vector<WireCase> wire_cases() {
+  const index_t rows = 11, cols = 7;
+  return {
+      {"cyclic_to_transposed_face", 6, rows, cols,
+       [=](const Comm& w) { return filled(cyclic_on(Face2D(w, 2, 3), rows,
+                                                    cols), w); },
+       [](const Comm& w, index_t r, index_t c) {
+         return cyclic_on(Face2D(w, 3, 2), r, c);
+       }},
+      {"block_cyclic_2x3_to_cyclic", 6, rows, cols,
+       [=](const Comm& w) {
+         return filled(std::make_shared<BlockCyclicDist>(Face2D(w, 2, 3),
+                                                         rows, cols, 2, 3),
+                       w);
+       },
+       [](const Comm& w, index_t r, index_t c) {
+         return cyclic_on(Face2D(w, 2, 3), r, c);
+       }},
+      {"shifted_window_to_row_cyclic_col_blocked", 6, rows, cols,
+       [=](const Comm& w) {
+         const DistMatrix big =
+             filled(cyclic_on(Face2D(w, 2, 3), rows + 3, cols + 4), w);
+         return cyclic_subblock(big, 1, 2, rows, cols);
+       },
+       [](const Comm& w, index_t r, index_t c) {
+         return row_cyclic_col_blocked(Face2D(w, 2, 3), r, c);
+       }},
+      {"cyclic_to_cyclic3d", 8, rows, cols,
+       [=](const Comm& w) { return filled(cyclic_on(Face2D(w, 2, 4), rows,
+                                                    cols), w); },
+       [](const Comm& w, index_t r, index_t c) {
+         return std::make_shared<Cyclic3DDist>(ProcGrid3D(w, 2, 2), r, c);
+       }},
+      // Source on ranks {0, 1, 2}, destination on {3, 4}; rank 5 holds
+      // neither, and every rank joins the exchange over the world.
+      {"disjoint_subset_faces", 6, rows, cols,
+       [=](const Comm& w) {
+         return filled(cyclic_on(Face2D(Comm(w.ctx(), {0, 1, 2}), 1, 3),
+                                 rows, cols),
+                       w);
+       },
+       [](const Comm& w, index_t r, index_t c) {
+         return cyclic_on(Face2D(Comm(w.ctx(), {3, 4}), 2, 1), r, c);
+       }},
+  };
+}
+
+class WireOrder : public ::testing::TestWithParam<WireCase> {};
+
+TEST_P(WireOrder, MatchesElementwiseReference) {
+  const WireCase& tc = GetParam();
+  Machine m(tc.p);
+  m.set_tracing(true, /*capture_payloads=*/false);
+  for (const Transition t :
+       {Transition::kRedistribute, Transition::kTranspose,
+        Transition::kReverseRows, Transition::kReverseBoth}) {
+    const bool flip = t == Transition::kTranspose;
+    // One traced run of the library's transition (or the reference's),
+    // keeping every rank's resulting local block.
+    const auto traced = [&](bool reference, std::vector<Matrix>& locals) {
+      locals.assign(static_cast<std::size_t>(tc.p), Matrix());
+      m.run([&](Rank& r) {
+        Comm world = Comm::world(r);
+        const DistMatrix src = tc.make_src(world);
+        const auto dst = tc.make_dst(world, flip ? tc.cols : tc.rows,
+                                     flip ? tc.rows : tc.cols);
+        const DistMatrix out =
+            reference ? reference_transition(t, src, dst, world)
+                      : run_transition(t, src, dst, world);
+        locals[static_cast<std::size_t>(r.id())] = out.local();
+      });
+      return m.take_trace();
+    };
+    std::vector<Matrix> got;
+    std::vector<Matrix> want;
+    const sim::check::Trace lib = traced(false, got);
+    const sim::check::Trace ref = traced(true, want);
+    std::size_t sends = 0;
+    for (const auto& events : lib.events)
+      for (const auto& e : events)
+        if ((e.kind == sim::check::EventKind::kSend ||
+             e.kind == sim::check::EventKind::kShift) &&
+            e.words > 0)
+          ++sends;
+    EXPECT_GT(sends, 0u) << name_of(t) << ": nothing crossed the wire";
+    EXPECT_EQ(sim::check::diff(lib, ref), "") << name_of(t);
+    for (int w = 0; w < tc.p; ++w)
+      EXPECT_TRUE(got[static_cast<std::size_t>(w)].equals(
+          want[static_cast<std::size_t>(w)]))
+          << name_of(t) << ": rank " << w << " holds different elements";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Redistribute, WireOrder, ::testing::ValuesIn(wire_cases()),
+    [](const ::testing::TestParamInfo<WireCase>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(GatherRegion, AssemblesArbitrarySubBlocksEverywhere) {
   const index_t n = 14, k = 11;
   Machine m(6);
@@ -284,6 +493,21 @@ TEST(Redistribute, ShapeMismatchThrows) {
         auto b = std::make_shared<BlockCyclicDist>(face, 4, 5, 1, 1);
         DistMatrix src(a, r.id());
         (void)redistribute(src, b, world);
+      }),
+      Error);
+}
+
+TEST(Redistribute, OwnerOutsideCommunicatorThrows) {
+  // The source lives on all four ranks but the exchange runs over {0, 1}
+  // only: the owner table rejects it before any message moves.
+  Machine m(4);
+  EXPECT_THROW(
+      m.run([](Rank& r) {
+        if (r.id() >= 2) return;
+        Comm world = Comm::world(r);
+        Comm pair(r, {0, 1});
+        DistMatrix src(cyclic_on(Face2D(world, 2, 2), 4, 4), r.id());
+        (void)redistribute(src, cyclic_on(Face2D(pair, 1, 2), 4, 4), pair);
       }),
       Error);
 }
