@@ -1,32 +1,37 @@
 #pragma once
 // Deadlock diagnostics for the simulated machine (sim/check subsystem).
 //
-// The machine detects the stall itself — detection must live where the
-// blocking happens (RunContext::take, the transport's one wait loop on
-// either scheduler backend) — and hands this module a frozen
-// snapshot of the stalled run. This module turns the snapshot into an
-// actionable report: per-rank wait state, decoded collective tags,
-// pending-mailbox summaries, and the wait-for-graph cycles, so "the run
-// hangs" becomes "ranks 2 -> 5 -> 2 wait on each other inside allgather
-// epoch 7".
+// The stall is detected where ranks block (RankScheduler::park), and the
+// machine hands this module a frozen snapshot of the stalled run. This
+// module turns the snapshot into an actionable report: per-rank wait
+// state, decoded collective tags, pending-mailbox summaries, and the
+// wait-for-graph cycles, so "the run hangs" becomes "ranks 2 -> 5 -> 2
+// wait on each other inside allgather epoch 7".
 //
-// Detection protocol (implemented in machine.cpp, documented here because
-// this is the subsystem's home): every blocking receive registers a
-// (rank, src, tag) wait record before parking; the delivery that wakes the
-// rank clears it, and so does the receive on its way out.
-// The registration that makes every rank blocked-or-finished nominates
-// the registering rank as a detection candidate. The candidate then
-//   1. snapshots the wait records and a registration sequence number,
-//   2. scans each blocked rank's awaited mailbox queue — a pending
-//      matching message means a wake-up is merely unscheduled, so the
-//      candidate stands down (false alarm), and
-//   3. re-checks that the sequence number is unchanged — any delivery
-//      consumed in between bumps it, so a stale snapshot can never be
-//      declared.
-// A declared deadlock is therefore exact: every rank is parked, no queued
-// message can wake any of them, and no rank is running to produce one.
-// The fast path pays nothing — registration only happens on receives
-// that actually block, and sends are untouched.
+// Stall rule (scheduler.cpp and machine.cpp; documented here because
+// this is the subsystem's home):
+//  - Who can wake a run: only its own running ranks, through a delivery
+//    or through abort_all after a rank fails. Runs never share mailboxes,
+//    and a rank blocks only by parking in a receive.
+//  - Why equal counts are exact: the scheduler counts each run's
+//    unfinished ranks and its parked ones, a rank that sleeps in park()
+//    with no wake pending; a wake uncounts it before it can run. When
+//    the counts are equal, no rank of the run is running, so none will
+//    ever run again. No snapshot, mailbox scan or recheck is needed, and
+//    a run starved by other streams is never declared: a rank that was
+//    woken but waits for a worker, or whose task has not started, is
+//    not parked.
+//  - Who reports: the park or the body return that makes the counts
+//    equal calls the run's on_stall, inside that rank's task. The report
+//    builds this module's dump and aborts the run, which wakes every
+//    parked rank to unwind with DeadlockError.
+//  - Why a report may repeat: the abort wakes ranks one at a time, so a
+//    woken rank that returns while another is still counted as parked
+//    makes the counts equal again. The run is then already aborting, and
+//    the report returns at once.
+// A receive that finds its message waiting pays nothing; one that blocks
+// records its (src, tag) and updates the census once as it parks and
+// once as it is woken.
 
 #include <cstddef>
 #include <string>

@@ -52,17 +52,15 @@ struct Mailbox {
   // Rendezvous: the receiving rank's wake token (RankScheduler::
   // current_rank) and the tag it waits for, set only while it is blocked
   // in take() (only rank `dst` ever receives on this box, so one slot
-  // suffices). Its wait record is active only while this slot is set,
-  // and both change under mu. Guarded by mu.
+  // suffices). Guarded by mu.
   void* waiter = nullptr;
   int waiter_tag = 0;
   // Deliveries held back by an armed delay fault (guarded by mu): each
   // is appended to its tag queue *behind* the next message delivered
-  // into this box, reordering the FIFO deterministically. Invisible to
-  // the deadlock detector's pending scan on purpose — a held message
-  // cannot wake its receiver, so a run starved by one is a genuine
-  // (and correctly declared) deadlock. Always empty when no plan is
-  // armed.
+  // into this box, reordering the FIFO deterministically. A held message
+  // cannot wake its receiver, so a run starved by one is a genuine (and
+  // correctly declared) deadlock; the dump does not list held messages.
+  // Always empty when no plan is armed.
   std::deque<std::pair<int, Message>> delayed;
 };
 
@@ -82,7 +80,6 @@ class RunContext {
   RunContext(Machine* m, std::function<void(Rank&)> fn)
       : machine(m), p(m->nprocs()), params(m->params()), body(std::move(fn)) {
     waits.resize(static_cast<std::size_t>(p));
-    wait_rec_mu.reset(new std::mutex[static_cast<std::size_t>(p)]);
     ranks.reserve(static_cast<std::size_t>(p));
     for (int i = 0; i < p; ++i)
       ranks.push_back(std::unique_ptr<Rank>(new Rank(this, i, p)));
@@ -96,31 +93,13 @@ class RunContext {
   std::atomic<bool> aborted{false};
   std::vector<std::unique_ptr<Rank>> ranks;
 
-  // --- Wait-for-graph deadlock detection (sim/check/deadlock.hpp) --------
-  // A blocking take() registers its wait record; the registration (or
-  // rank completion) that makes every rank blocked-or-finished nominates
-  // the caller as detection candidate, and confirm_deadlock() validates
-  // the stall race-free before declaring. Sends never touch this state.
-  //
-  // Sharded on purpose: record mutations lock only that rank's own
-  // mutex and bump atomic counters, because the hot transport path
-  // (every blocked receive registers + every delivery to a parked rank
-  // clears) turned a single run-wide mutex here into a futex ping-pong
-  // between workers. wait_mu now serializes only the rare
-  // confirm/declare path and guards the dump.
-  struct WaitRecord {
-    bool active = false;
-    int src = -1;
-    int tag = 0;
-  };
-  std::unique_ptr<std::mutex[]> wait_rec_mu;  // wait_rec_mu[r] guards waits[r]
-  std::vector<WaitRecord> waits;
-  std::atomic<int> n_blocked{0};
-  std::atomic<int> n_finished{0};
-  std::atomic<std::uint64_t> wait_seq{0};  // bumped on every wait-set change
-  std::atomic<bool> deadlocked{false};
-  std::mutex wait_mu;         // serializes confirm/declare; guards the dump
-  std::string deadlock_dump;  // set once by the declaring rank
+  // --- Deadlock dump (sim/check/deadlock.hpp) ----------------------------
+  // What each rank was doing when the scheduler reported the stall. Rank
+  // r alone writes waits[r]: src/tag in take() before it parks, finished
+  // after its body returns. The scheduler's acq_rel census updates order
+  // those writes before the report reads them.
+  std::vector<check::RankWait> waits;
+  std::atomic<bool> deadlocked{false};  // set once deadlock_dump is stored
 
   // Per-run tooling instances (built from the machine settings).
   std::unique_ptr<check::CollectiveMatcher> matcher;
@@ -129,6 +108,7 @@ class RunContext {
 
   std::mutex error_mu;
   std::exception_ptr first_error;
+  std::string deadlock_dump;  // guarded by error_mu
 
   RankScheduler::SubmissionPtr sub;
 
@@ -147,16 +127,13 @@ class RunContext {
   void deliver(int src, int dst, int tag, Message msg);
   Message take(int dst, int src, int tag);
   void abort_all();
-  bool register_blocked(int dst, int src, int tag);
-  /// Clear dst's wait record (no-op when inactive). Called by take() on
-  /// its way out and by the delivery that wakes dst: without the
-  /// delivery-time clear, a rank whose message arrived but that has not
-  /// been scheduled yet still counts as blocked — and under concurrent
-  /// streams, where runs routinely starve, that made "every rank blocked"
-  /// a steady state and every registration an O(p) confirm sweep.
-  void unregister_blocked(int dst);
-  bool finish_rank();
-  bool confirm_deadlock();
+  /// Record a failure (the first one wins) and abort the run.
+  void fail(std::exception_ptr error);
+  /// The submission's on_stall: every unfinished rank is parked in
+  /// take(), so none will run again. Called again when a rank woken by
+  /// the abort returns while another is still parked; a run already
+  /// aborting is left alone.
+  void declare_deadlock();
   [[noreturn]] void fault_deadlock();
   void rank_main(int i);
   RunStats wait_and_assemble();
@@ -314,9 +291,8 @@ void RunContext::deliver(int src, int dst, int tag, Message msg) {
     std::lock_guard<std::mutex> lock(box.mu);
     if (act == FaultInjector::Action::kDelay) {
       // Held back: flushed behind the next delivery into this box. If no
-      // later delivery ever flushes it, the receiver blocks and the
-      // deadlock detector declares the starvation (the pending scan does
-      // not see held messages, by design).
+      // later delivery ever flushes it, the receiver blocks and the run
+      // stalls into a declared deadlock.
       box.delayed.emplace_back(tag, std::move(msg));
       return;
     }
@@ -332,18 +308,7 @@ void RunContext::deliver(int src, int dst, int tag, Message msg) {
       if (box.waiter != nullptr && box.waiter_tag == held_tag) wake = true;
       box.delayed.pop_front();
     }
-    if (wake) {
-      waiter = std::exchange(box.waiter, nullptr);
-      // Clear the receiver's wait record BEFORE box.mu is released, i.e.
-      // at delivery — not when the starved receiver finally resumes. The
-      // lock matters: once box.mu drops, the receiver may consume this
-      // message and register a fresh wait on the same (src, tag) edge,
-      // and a clear landing after that would hide a genuinely blocked
-      // rank from the deadlock detector forever (a missed real deadlock
-      // hangs the run). A delivery that wakes nobody has nothing to
-      // clear: the record is active only while the waiter slot is set.
-      unregister_blocked(dst);
-    }
+    if (wake) waiter = std::exchange(box.waiter, nullptr);
   }
   if (waiter != nullptr) RankScheduler::wake(waiter);
 }
@@ -352,13 +317,6 @@ Message RunContext::take(int dst, int src, int tag) {
   Mailbox& box = box_of(dst, src);
   std::unique_lock<std::mutex> lock(box.mu);
   auto& queue = box.queue_for(tag);
-  // Deadlock detection piggybacks on the block path: the first iteration
-  // that finds the queue empty registers this rank's wait record, and if
-  // that registration completes the all-blocked-or-finished set, this
-  // rank validates the stall before parking (see sim/check/deadlock.hpp
-  // for why the protocol cannot fire spuriously). Receives that find
-  // their message waiting never touch the detector.
-  bool registered = false;
   void* const self = RankScheduler::current_rank();
   while (queue.empty() && !aborted.load()) {
     box.waiter = self;
@@ -368,26 +326,18 @@ Message RunContext::take(int dst, int src, int tag) {
     // the abort's scan (serialized by box.mu) sees the waiter and wakes
     // it — never neither.
     if (aborted.load()) break;
-    bool candidate = false;
-    if (!registered) {
-      registered = true;
-      candidate = register_blocked(dst, src, tag);
-    }
+    check::RankWait& w = waits[static_cast<std::size_t>(dst)];
+    w.src = src;
+    w.tag = tag;
     lock.unlock();
-    if (candidate && confirm_deadlock()) fault_deadlock();
     RankScheduler::park();
     lock.lock();
   }
   box.waiter = nullptr;
-  if (registered) unregister_blocked(dst);
   if (queue.empty()) {
     // Another rank failed; propagate so the whole run unwinds cleanly
     // (when the failure was a declared deadlock, rethrow it as such so
-    // every rank's unwind carries the diagnostic dump). Drop the box
-    // lock FIRST: fault_deadlock blocks on wait_mu, and the declaring
-    // rank holds wait_mu while its abort_all sweep takes every box.mu —
-    // faulting with the box still locked closes that cycle into an ABBA
-    // deadlock between the detector and the ranks it just woke.
+    // every rank's unwind carries the diagnostic dump).
     lock.unlock();
     if (deadlocked.load()) fault_deadlock();
     throw Error("simulated run aborted by failure on a peer rank");
@@ -397,145 +347,44 @@ Message RunContext::take(int dst, int src, int tag) {
   return msg;
 }
 
-bool RunContext::register_blocked(int dst, int src, int tag) {
-  {
-    std::lock_guard<std::mutex> lock(wait_rec_mu[static_cast<std::size_t>(dst)]);
-    WaitRecord& w = waits[static_cast<std::size_t>(dst)];
-    w.active = true;
-    w.src = src;
-    w.tag = tag;
-  }
-  const int nb = n_blocked.fetch_add(1) + 1;
-  wait_seq.fetch_add(1);
-  // seq_cst counters: the transition that really completes the
-  // blocked-or-finished set happens last in real time, so its loads see
-  // the full totals and nominate a candidate; stale reads on earlier
-  // transitions only suppress candidates, and confirm re-validates.
-  const bool cand = nb > 0 && nb + n_finished.load() == p &&
-                    !deadlocked.load() && !aborted.load();
-  return cand;
-}
-
-void RunContext::unregister_blocked(int dst) {
-  {
-    std::lock_guard<std::mutex> lock(wait_rec_mu[static_cast<std::size_t>(dst)]);
-    WaitRecord& w = waits[static_cast<std::size_t>(dst)];
-    if (!w.active) return;
-    w.active = false;
-  }
-  n_blocked.fetch_sub(1);
-  wait_seq.fetch_add(1);
-}
-
-bool RunContext::finish_rank() {
-  const int nf = n_finished.fetch_add(1) + 1;
-  wait_seq.fetch_add(1);
-  const int nb = n_blocked.load();
-  const bool cand =
-      nb > 0 && nb + nf == p && !deadlocked.load() && !aborted.load();
-  return cand;
-}
-
-bool RunContext::confirm_deadlock() {
-  // wait_mu is held for the whole confirmation so at most one rank runs
-  // the validation/declare sequence at a time; the hot paths (register /
-  // unregister) never take it.
-  std::lock_guard<std::mutex> confirm_lock(wait_mu);
-  std::vector<check::RankWait> snapshot(static_cast<std::size_t>(p));
-  for (;;) {
-    if (deadlocked.load()) return true;  // a peer already declared; unwind
-    if (aborted.load()) return false;
-
-    // Step 1: snapshot the wait set under the per-rank record locks and
-    // recompute the blocked count from the snapshot itself (the atomic
-    // counters can be mid-update; the records are the ground truth). The
-    // candidate observed "every rank blocked or finished", so no rank of
-    // THIS run is executing — in particular no deliver is in flight —
-    // unless something moves, which step 3 detects. Other streams' ranks
-    // are invisible here: they touch their own RunContext only.
-    const std::uint64_t seq0 = wait_seq.load();
-    int blocked = 0;
-    for (int r = 0; r < p; ++r) {
-      std::lock_guard<std::mutex> lock(
-          wait_rec_mu[static_cast<std::size_t>(r)]);
-      const WaitRecord& w = waits[static_cast<std::size_t>(r)];
-      auto& s = snapshot[static_cast<std::size_t>(r)];
-      s.finished = !w.active;
-      s.src = w.src;
-      s.tag = w.tag;
-      if (w.active) ++blocked;
-    }
-    if (blocked == 0 || blocked + n_finished.load() != p) {
-      return false;
-    }
-
-    // Step 2: a pending message matching any blocked rank's wait means
-    // its wake-up is merely unscheduled — stand down.
-    bool pending_match = false;
-    for (int r = 0; r < p && !pending_match; ++r) {
-      const auto& s = snapshot[static_cast<std::size_t>(r)];
-      if (s.finished) continue;
-      Mailbox& box = box_of(r, s.src);
-      std::lock_guard<std::mutex> lock(box.mu);
-      if (!box.queue_for(s.tag).empty()) pending_match = true;
-    }
-    if (pending_match) {
-      return false;
-    }
-
-    // Step 3: declare only if nothing moved while we scanned. Any message
-    // consumption, new registration, or delivery-time unblock bumps
-    // wait_seq, so a stale snapshot can never be declared. A bump alone,
-    // however, does NOT prove the run is live: a peer's register/finish
-    // transition that was already counted in our snapshot may publish its
-    // seq increment late, and that peer saw a partial count so it will
-    // never nominate itself. Standing down here would therefore lose the
-    // only candidate. Retry with a fresh snapshot instead; the loop exits
-    // via the count or pending-message checks the moment any rank makes
-    // real progress, and settles on a stable snapshot in a true deadlock.
-    if (wait_seq.load() != seq0) {
-      continue;
-    }
-    break;
-  }
-  deadlocked.store(true);
-
-  // Every rank is parked and stays parked until abort_all below, so the
-  // mailboxes are quiescent: summarize them for the dump without racing.
-  std::vector<check::PendingQueue> pending;
-  for (int dst = 0; dst < p; ++dst) {
-    for (int src = 0; src < p; ++src) {
-      if (dst == src) continue;
-      Mailbox& box = box_of(dst, src);
-      std::lock_guard<std::mutex> lock(box.mu);
-      for (const auto& [qtag, q] : box.queues) {
-        if (q.empty()) continue;
-        std::size_t words = 0;
-        for (const Message& m : q) words += m.data.size();
-        pending.push_back({dst, src, qtag, q.size(), words});
+void RunContext::declare_deadlock() {
+  if (aborted.load()) return;
+  try {
+    // No rank of this run runs until abort_all below, so the mailboxes
+    // and waits are quiescent: summarize them for the dump without
+    // racing.
+    std::vector<check::PendingQueue> pending;
+    for (int dst = 0; dst < p; ++dst) {
+      for (int src = 0; src < p; ++src) {
+        if (dst == src) continue;
+        Mailbox& box = box_of(dst, src);
+        std::lock_guard<std::mutex> lock(box.mu);
+        for (const auto& [qtag, q] : box.queues) {
+          if (q.empty()) continue;
+          std::size_t words = 0;
+          for (const Message& m : q) words += m.data.size();
+          pending.push_back({dst, src, qtag, q.size(), words});
+        }
       }
     }
+    std::vector<std::string> contexts(static_cast<std::size_t>(p));
+    if (matcher != nullptr)
+      for (int r = 0; r < p; ++r)
+        contexts[static_cast<std::size_t>(r)] = matcher->context_of(r);
+    std::string dump = check::describe_deadlock(waits, pending, contexts);
+    std::lock_guard<std::mutex> lock(error_mu);
+    deadlock_dump = std::move(dump);
+    deadlocked.store(true);
+  } catch (...) {
+    fail(std::current_exception());  // could not build the dump
+    return;
   }
-  std::vector<std::string> contexts(static_cast<std::size_t>(p));
-  if (matcher != nullptr)
-    for (int r = 0; r < p; ++r)
-      contexts[static_cast<std::size_t>(r)] = matcher->context_of(r);
-  // wait_mu is still held, so the dump write is ordered before any
-  // fault_deadlock() read (which also takes wait_mu).
-  deadlock_dump = check::describe_deadlock(snapshot, pending, contexts);
   abort_all();
-  return true;
 }
 
 void RunContext::fault_deadlock() {
-  std::string dump;
-  {
-    std::lock_guard<std::mutex> lock(wait_mu);
-    dump = deadlock_dump;
-  }
-  if (dump.empty())
-    throw Error("simulated run aborted: deadlock detected on a peer rank");
-  throw check::DeadlockError(dump);
+  std::lock_guard<std::mutex> lock(error_mu);
+  throw check::DeadlockError(deadlock_dump);
 }
 
 void RunContext::abort_all() {
@@ -553,20 +402,20 @@ void RunContext::abort_all() {
   }
 }
 
+void RunContext::fail(std::exception_ptr error) {
+  {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (!first_error) first_error = std::move(error);
+  }
+  abort_all();
+}
+
 void RunContext::rank_main(int i) {
   try {
     body(*ranks[static_cast<std::size_t>(i)]);
-    // The last rank to finish while the rest are blocked is the one
-    // that can see their deadlock (e.g. a peer waiting on a rank that
-    // already returned): run the same detection a blocking receive
-    // would.
-    if (finish_rank() && confirm_deadlock()) fault_deadlock();
+    waits[static_cast<std::size_t>(i)].finished = true;
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-    abort_all();
+    fail(std::current_exception());
   }
 }
 
@@ -818,7 +667,8 @@ RunTicket Machine::run_async(const std::function<void(Rank&)>& fn,
     // rc) is broken at run completion.
     std::shared_ptr<RunContext> body_rc = rc;
     rc->sub = sched.submit([body_rc](int i) { body_rc->rank_main(i); },
-                           std::move(on_complete));
+                           std::move(on_complete),
+                           [body_rc] { body_rc->declare_deadlock(); });
     inflight_.push_back(rc);
   }
   return RunTicket(std::move(rc));

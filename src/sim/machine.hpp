@@ -17,7 +17,7 @@
 // run_async + RunTicket::wait), while Machine::run_async dispatches an
 // EXECUTION STREAM and returns a future-like RunTicket immediately. Up
 // to CATRSM_SIM_STREAMS runs (default 4) can be in flight at once; each
-// gets its own RunContext — mailboxes, wait-for-graph, virtual clocks,
+// gets its own RunContext — mailboxes, deadlock census, virtual clocks,
 // S/W/F counters, collective matcher, trace recorder, and fault injector
 // are all per-run state — so streams never exchange messages, a deadlock
 // or injected fault in one stream cannot abort or poison another, and
@@ -261,13 +261,13 @@ class Machine {
   HandleStore& handle_store();
 
   // --- Correctness tooling (sim/check) -----------------------------------
-  // A hung run is detected unconditionally: the wait-for-graph deadlock
-  // detector is always on (it costs nothing until a receive actually
-  // blocks — see sim/check/deadlock.hpp for the protocol) and faults the
-  // run with a per-rank diagnostic dump instead of hanging. The two
-  // tools below are opt-in; neither touches the cost counters, so
-  // modeled S/W/F are identical with or without them. Each run gets its
-  // own instance built from the machine-level setting at run_async time.
+  // A hung run is detected unconditionally: the deadlock detector is
+  // always on (it costs nothing until a receive actually blocks — see
+  // sim/check/deadlock.hpp for the rule) and faults the run with a
+  // per-rank diagnostic dump instead of hanging. The two tools below are
+  // opt-in; neither touches the cost counters, so modeled S/W/F are
+  // identical with or without them. Each run gets its own instance built
+  // from the machine-level setting at run_async time.
 
   /// Attach (or detach) the collective-matching validator: every coll::
   /// entry registers its (epoch, op, root, counts) and mismatched

@@ -102,11 +102,39 @@ namespace {
 // The running rank task's wake token (Fiber* or Worker*, by backend);
 // opaque because both types are private to RankScheduler.
 thread_local void* tls_rank = nullptr;
+
+constexpr std::uint64_t kOneUnfinished = std::uint64_t{1} << 32;
+constexpr std::uint64_t kOneParked = 1;
+
+/// True when a census word counts at least one parked task and as many
+/// parked tasks as unfinished ones. On fibers a wake can uncount a task
+/// before its park() counted it; the low field then borrows from the
+/// high one and reads near 2^32, which never equals an unfinished count.
+bool stalled(std::uint64_t census) {
+  const std::uint64_t parked = census & 0xffffffffu;
+  return parked != 0 && parked == census >> 32;
+}
 }  // namespace
 
 bool RankScheduler::fibers() const { return CATRSM_FIBERS != 0; }
 
 void* RankScheduler::current_rank() { return tls_rank; }
+
+bool RankScheduler::count_parked(Submission& sub) {
+  // acq_rel on every census update: whoever sees the stall also sees
+  // what each task wrote before it parked or returned.
+  return stalled(sub.census.fetch_add(kOneParked, std::memory_order_acq_rel) +
+                 kOneParked) &&
+         sub.on_stall;
+}
+
+void RankScheduler::count_returned(Submission& sub) {
+  if (stalled(sub.census.fetch_sub(kOneUnfinished,
+                                   std::memory_order_acq_rel) -
+              kOneUnfinished) &&
+      sub.on_stall)
+    sub.on_stall();
+}
 
 #if CATRSM_FIBERS
 
@@ -145,6 +173,13 @@ class GuardedStack {
   std::size_t total_ = 0;
 };
 
+/// Fiber::state values.
+enum FiberState : int {
+  kRunning,  // switched in, or finished
+  kReady,    // queued to run, or running with a wake pending
+  kParked,   // switched out in park(), counted as parked
+};
+
 }  // namespace
 
 struct RankScheduler::Fiber {
@@ -152,18 +187,16 @@ struct RankScheduler::Fiber {
   /// at a fresh frame for every life.
   void* sp = nullptr;
   GuardedStack stack;
-  /// Home worker of the current life; written by submit() before live
-  /// flips true, so a stale ready-queue entry popped after recycling is
-  /// detected by a worker mismatch.
+  /// Home worker of the current life; written by submit() before the
+  /// life's first ready-queue entry.
   std::atomic<Worker*> worker{nullptr};
   int index = 0;
   SubmissionPtr sub;
-  /// The wake flag: set by wake(), consumed by park() or by the worker
-  /// switching the fiber in.
-  std::atomic<bool> ready{false};
-  /// True from submit() until the home worker observes the fiber finish;
-  /// a ready-queue entry naming a non-live fiber is stale and skipped.
-  std::atomic<bool> live{false};
+  /// A wake turns kRunning into kReady, which the next park() consumes
+  /// without switching, and kParked into kReady plus one ready-queue
+  /// entry; the worker turns kReady back into kRunning when it pops that
+  /// entry.
+  std::atomic<int> state{kRunning};
   bool finished = true;
 };
 
@@ -180,12 +213,10 @@ struct RankScheduler::Worker {
   /// thread; both under mu. Bookkeeping only — dispatch runs off ready_q,
   /// so its size never enters the per-wake cost.
   std::vector<Fiber*> fibers;
-  /// Pending wakes, one entry per wake()/submit() arm. Entries are hints,
-  /// not ownership — a pop re-validates against the fiber's
-  /// live/worker/ready state, so duplicates and entries that outlived
-  /// their fiber's life are skipped in O(1). This keeps a wake O(1)
-  /// regardless of how many fibers (from how many concurrent submissions)
-  /// reside here.
+  /// Fibers to switch in: one entry per submit() arm or per wake of a
+  /// parked fiber, so each queued fiber appears exactly once and a wake
+  /// stays O(1) however many fibers (from however many concurrent
+  /// submissions) reside here.
   std::deque<Fiber*> ready_q;
   std::thread thread;
 };
@@ -209,6 +240,14 @@ struct RankScheduler::Worker {
   /// task starts so a wake aimed at an earlier task cannot outlive it by
   /// more than one spurious return. Guarded by mu.
   bool woken = false;
+  /// True while the running task sleeps in park() counted as parked in
+  /// running->census; the wake that clears it uncounts the task. Guarded
+  /// by mu.
+  bool parked = false;
+  /// Submission of the task this worker runs (or last ran); read only by
+  /// that task's park() and by a wake() that finds parked set. Guarded by
+  /// mu.
+  Submission* running = nullptr;
   std::thread thread;
 };
 
@@ -257,13 +296,17 @@ RankScheduler::~RankScheduler() {
 }
 
 RankScheduler::SubmissionPtr RankScheduler::submit(
-    std::function<void(int)> job, std::function<void()> on_complete) {
+    std::function<void(int)> job, std::function<void()> on_complete,
+    std::function<void()> on_stall) {
   CATRSM_CHECK(tls_rank == nullptr,
                "scheduler: submit() must not be called from a simulated rank");
   auto sub = std::make_shared<Submission>();
   sub->job = std::move(job);
   sub->on_complete = std::move(on_complete);
+  sub->on_stall = std::move(on_stall);
   sub->remaining.store(p_, std::memory_order_relaxed);
+  sub->census.store(static_cast<std::uint64_t>(p_) * kOneUnfinished,
+                    std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
   const int w = workers();
@@ -308,13 +351,10 @@ RankScheduler::SubmissionPtr RankScheduler::submit(
     *--frame = 0;                                                   // r15
     *--frame = static_cast<std::uint64_t>(mxcsr) << 32 | fcw;       // fpu
     f->sp = frame;
-    // Order matters for stale-entry filtering: home worker first, then
-    // the live flag (release), so any pop that observes live == true also
-    // observes the new worker assignment.
+    // Published to the home worker by the ready-queue push below.
     f->worker.store(workers_[static_cast<std::size_t>(i % w)].get(),
                     std::memory_order_relaxed);
-    f->live.store(true, std::memory_order_release);
-    f->ready.store(true, std::memory_order_release);
+    f->state.store(kReady, std::memory_order_relaxed);
   }
   for (auto& worker : workers_) {
     bool added = false;
@@ -365,11 +405,13 @@ void RankScheduler::complete_task(const SubmissionPtr& sub) {
   // Last rank of the submission: completion callback runs before waiters
   // are released so its effects are visible when wait() returns.
   if (sub->on_complete) sub->on_complete();
-  // Drop the job and callback now: they may close over state that owns
+  // Drop the job and callbacks now: they may close over state that owns
   // this submission (e.g. the machine's per-run context), and keeping
-  // them alive would make that ownership a reference cycle.
+  // them alive would make that ownership a reference cycle. No task is
+  // left to run on_stall: each calls it before it completes.
   sub->job = nullptr;
   sub->on_complete = nullptr;
+  sub->on_stall = nullptr;
   completed_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard<std::mutex> lock(sub->mu);
@@ -388,6 +430,7 @@ void RankScheduler::fiber_main(void* fiber) {
     // The job contract forbids leaks (Machine catches rank errors);
     // swallow so a violation cannot unwind across the context switch.
   }
+  count_returned(*f->sub);
   f->finished = true;
   // Final switch back to the owning worker. The saved frame is dead: the
   // next submit() re-arms the stack from the top.
@@ -411,12 +454,9 @@ void RankScheduler::worker_loop(Worker& w) {
       f = w.ready_q.front();
       w.ready_q.pop_front();
     }
-    // Entries are hints: re-validate before switching in. A fiber whose
-    // life ended (live false), one recycled onto another worker, or a
-    // duplicate wake whose ready flag was already consumed is skipped.
-    if (!f->live.load(std::memory_order_acquire)) continue;
-    if (f->worker.load(std::memory_order_acquire) != &w) continue;
-    if (!f->ready.exchange(false, std::memory_order_acquire)) continue;
+    // A wake arriving from here on finds kRunning and stays pending for
+    // the fiber's next park().
+    f->state.store(kRunning, std::memory_order_relaxed);
     tls_rank = f;
     // The residency window doubles as the sim-rank mark: while the worker
     // thread is inside the fiber, kernel-pool fan-out is off.
@@ -425,10 +465,6 @@ void RankScheduler::worker_loop(Worker& w) {
     exec::set_in_sim_rank(prev);
     tls_rank = nullptr;
     if (f->finished) {
-      // live drops before the freelist push, so any entry still naming
-      // this life is filtered; the next submit() re-arms live under the
-      // freelist lock's ordering.
-      f->live.store(false, std::memory_order_release);
       {
         std::lock_guard<std::mutex> lock(w.mu);
         w.fibers.erase(std::find(w.fibers.begin(), w.fibers.end(), f));
@@ -449,18 +485,30 @@ void RankScheduler::worker_loop(Worker& w) {
 void RankScheduler::park() {
   auto* f = static_cast<Fiber*>(tls_rank);
   CATRSM_CHECK(f != nullptr, "park: not on a simulated rank");
-  // A wake that raced ahead of the park is consumed without switching
-  // (its queue entry pops later with ready already false and is skipped).
-  if (f->ready.exchange(false, std::memory_order_acquire)) return;
+  int state = kRunning;
+  if (!f->state.compare_exchange_strong(state, kParked,
+                                        std::memory_order_acq_rel)) {
+    // A wake that raced ahead of the park is consumed without switching.
+    f->state.store(kRunning, std::memory_order_relaxed);
+    return;
+  }
+  // A wake may already have uncounted this park (see stalled()); the
+  // home worker cannot pop its entry before the switch below.
+  if (count_parked(*f->sub)) f->sub->on_stall();
   catrsm_ctx_swap(&f->sp, f->worker.load(std::memory_order_relaxed)->sched_sp);
 }
 
 void RankScheduler::wake(void* token) {
   auto* f = static_cast<Fiber*>(token);
-  // Flag first, entry second: once the entry is visible the flag is too,
-  // so a pop can never find a genuine wake's entry with a stale flag.
-  f->ready.store(true, std::memory_order_release);
-  Worker* w = f->worker.load(std::memory_order_acquire);
+  int state = f->state.load(std::memory_order_acquire);
+  do {
+    if (state == kReady) return;  // already pending or queued
+  } while (!f->state.compare_exchange_weak(state, kReady,
+                                           std::memory_order_acq_rel));
+  if (state == kRunning) return;  // its next park() returns at once
+  // Uncount before queueing, so the fiber never runs counted as parked.
+  f->sub->census.fetch_sub(kOneParked, std::memory_order_acq_rel);
+  Worker* w = f->worker.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(w->mu);
     w->ready_q.push_back(f);
@@ -482,12 +530,14 @@ void RankScheduler::worker_loop(Worker& w) {
       task = std::move(w.tasks.front());
       w.tasks.pop_front();
       w.woken = false;
+      w.running = task.sub.get();
     }
     tls_rank = &w;
     // Mark the rank body so kernel-pool fan-out stays off inside it (p
     // ranks already occupy the cores).
     const bool prev = exec::set_in_sim_rank(true);
     (task.sub->job)(task.index);
+    count_returned(*task.sub);
     exec::set_in_sim_rank(prev);
     tls_rank = nullptr;
     complete_task(task.sub);
@@ -499,7 +549,16 @@ void RankScheduler::park() {
   auto* w = static_cast<Worker*>(tls_rank);
   CATRSM_CHECK(w != nullptr, "park: not on a simulated rank");
   std::unique_lock<std::mutex> lock(w->mu);
-  w->cv.wait(lock, [w] { return w->woken; });
+  if (!w->woken) {
+    w->parked = true;
+    if (count_parked(*w->running)) {
+      // The handler wakes tasks, this one included: it needs mu free.
+      lock.unlock();
+      w->running->on_stall();
+      lock.lock();
+    }
+    w->cv.wait(lock, [w] { return w->woken; });
+  }
   w->woken = false;
 }
 
@@ -508,6 +567,10 @@ void RankScheduler::wake(void* token) {
   {
     std::lock_guard<std::mutex> lock(w->mu);
     w->woken = true;
+    if (w->parked) {
+      w->parked = false;
+      w->running->census.fetch_sub(kOneParked, std::memory_order_acq_rel);
+    }
   }
   // The worker's own thread is the only waiter on its condition variable.
   w->cv.notify_one();

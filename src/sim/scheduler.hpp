@@ -28,7 +28,14 @@
 //
 // Blocking: the transport waits only through current_rank() / park() /
 // wake(token), which both backends implement, so the mailbox protocol in
-// machine.cpp is the same code whichever backend runs it.
+// machine.cpp is the same code whichever backend runs it. Each
+// submission also counts its unfinished tasks and its parked ones (a
+// task that sleeps in park() with no wake pending; wake() uncounts it
+// before it can run again). The park or the job return that makes the
+// two counts equal calls the submission's on_stall: nothing in it is
+// running, so only a thread outside it could ever wake it again. A task
+// whose job has not started, or that was woken and waits for a worker,
+// is not parked, so a starved submission is never reported.
 //
 // Concurrency: submit() dispatches one SUBMISSION (p rank tasks) and
 // returns immediately; several submissions can be in flight at once.
@@ -71,7 +78,14 @@ class RankScheduler {
     /// BEFORE waiters are released — when wait() returns, the callback
     /// has completed.
     std::function<void()> on_complete;
+    /// Invoked inside a task of this submission when it stalls; see
+    /// submit().
+    std::function<void()> on_stall;
     std::atomic<int> remaining{0};
+    /// Stall census: unfinished tasks in the high 32 bits, parked tasks
+    /// in the low 32 bits, so one atomic update changes one count and
+    /// reads the other.
+    std::atomic<std::uint64_t> census{0};
     mutable std::mutex mu;
     std::condition_variable cv;
     bool done = false;
@@ -98,9 +112,15 @@ class RankScheduler {
   /// in-flight submissions. The job must not throw (Machine wraps the
   /// rank body with its own error capture; a leak here aborts the run).
   /// Must not be called from inside a rank task. `on_complete` (optional)
-  /// fires on a worker thread when the last rank finishes.
+  /// fires on a worker thread when the last rank finishes. `on_stall`
+  /// (optional) runs inside the task whose park() or return leaves every
+  /// unfinished task parked, before that task completes; it must not
+  /// throw. A handler that wakes tasks may be called again (a woken task
+  /// that returns while another is still parked reports once more), so
+  /// it must be idempotent.
   SubmissionPtr submit(std::function<void(int)> job,
-                       std::function<void()> on_complete = nullptr);
+                       std::function<void()> on_complete = nullptr,
+                       std::function<void()> on_stall = nullptr);
   /// Block until every rank task of `sub` finished.
   void wait(const SubmissionPtr& sub);
   /// True once every rank task of `sub` finished.
@@ -135,6 +155,12 @@ class RankScheduler {
 
   void worker_loop(Worker& w);
   void complete_task(const SubmissionPtr& sub);
+  /// Count the calling task as parked; true when that stalls `sub` and
+  /// the caller must run its on_stall.
+  static bool count_parked(Submission& sub);
+  /// Count a returned job, running on_stall when the return leaves every
+  /// unfinished task of `sub` parked. Called inside the task.
+  static void count_returned(Submission& sub);
   /// Fiber body: invoked by the assembly entry thunk with the Fiber*
   /// seeded into the initial stack frame; runs the rank job and switches
   /// back to the owning worker. Never returns.

@@ -1,5 +1,5 @@
-// The simulator correctness oracle (sim/check): wait-for-graph deadlock
-// detection under both scheduler backends, collective-matching
+// The simulator correctness oracle (sim/check): deadlock detection
+// under both scheduler backends, collective-matching
 // validation, trace capture / deterministic replay, and validated
 // environment-variable parsing.
 
@@ -152,6 +152,50 @@ TEST(Deadlock, MachineStaysUsableAfterFault) {
   const std::string dump = expect_deadlock(m, recv_cycle_body);
   EXPECT_NE(dump.find("0 -> 1 -> 0"), std::string::npos) << dump;
   ping_pong_works(m);
+}
+
+void ring_shift_body(Rank& r) {
+  const int p = r.nprocs();
+  std::vector<double> v{static_cast<double>(r.id())};
+  for (int round = 0; round < 200; ++round) {
+    Buffer got = r.shift((r.id() + 1) % p, (r.id() + p - 1) % p, v, 11);
+    v.assign(got.begin(), got.end());
+  }
+}
+
+/// One p = 4 machine runs a two-rank receive cycle and a healthy ring
+/// stream at once: the cycle must be declared, and the ring must neither
+/// be declared nor cost anything more than it does alone.
+void deadlock_beside_healthy_stream() {
+  Machine m(4);
+  const RunStats alone = m.run(ring_shift_body);
+  auto stuck = m.run_async([](Rank& r) {
+    if (r.id() < 2) (void)r.recv(1 - r.id(), 3);
+  });
+  auto healthy = m.run_async(ring_shift_body);
+  try {
+    (void)stuck.wait();
+    ADD_FAILURE() << "the receive cycle completed";
+  } catch (const DeadlockError& e) {
+    const std::string dump = e.what();
+    EXPECT_NE(dump.find("0 -> 1 -> 0"), std::string::npos) << dump;
+  }
+  const RunStats got = healthy.wait();
+  ASSERT_EQ(got.per_rank.size(), alone.per_rank.size());
+  for (std::size_t r = 0; r < got.per_rank.size(); ++r)
+    EXPECT_EQ(got.per_rank[r].msgs, alone.per_rank[r].msgs) << "rank " << r;
+  EXPECT_EQ(got.critical_time, alone.critical_time);
+}
+
+TEST(Deadlock, DeclaredBesideAHealthyStream) {
+  deadlock_beside_healthy_stream();
+}
+
+TEST(Deadlock, DeclaredBesideAHealthyStreamOnOneWorker) {
+  // Read when the machine's first run creates its scheduler: every fiber
+  // of both runs interleaves on one worker (thread-per-rank ignores it).
+  ScopedEnv one("CATRSM_SIM_WORKERS", "1");
+  deadlock_beside_healthy_stream();
 }
 
 TEST(Deadlock, ThrownRankErrorStillWinsOverAbort) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -305,6 +306,142 @@ TEST(Scheduler, ParkConsumesAnEarlyWakeAndResumesOnAPeerWake) {
   // spurious return on top of the real one.
   EXPECT_LE(rank0_parks, 2);
   EXPECT_EQ(RankScheduler::current_rank(), nullptr);
+}
+
+TEST(Scheduler, StallIsReportedWhenEveryUnfinishedTaskParks) {
+  // Tasks 0 and 1 park with nobody to wake them while task 2 returns:
+  // whichever of those events comes last stalls the submission. The
+  // handler releases both sleepers; the first of them to return while
+  // the other is still parked stalls it again, and the handler must
+  // ignore that repeat for the submission to complete.
+  RankScheduler sched(3);
+  std::mutex mu;
+  void* tokens[2] = {nullptr, nullptr};
+  bool released = false;
+  int reports = 0;
+  const auto is_released = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return released;
+  };
+  auto sub = sched.submit(
+      [&](int i) {
+        if (i == 2) return;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          tokens[i] = RankScheduler::current_rank();
+        }
+        while (!is_released()) RankScheduler::park();
+      },
+      nullptr,
+      [&] {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ++reports;
+          if (released) return;
+          released = true;
+        }
+        for (void* t : tokens) RankScheduler::wake(t);
+      });
+  sched.wait(sub);
+  EXPECT_TRUE(released);
+  EXPECT_GE(reports, 1);
+  EXPECT_LE(reports, 2);
+}
+
+TEST(Scheduler, ReturnBesideAParkedTaskReportsOnceInsideATask) {
+  // Task 0 parks until released; task 1 returns once task 0 has
+  // published its token (and, after a pause, most likely parked). The
+  // report runs exactly once and inside a task: either task 1's return
+  // or task 0's park, never the completion that follows them.
+  RankScheduler sched(2);
+  std::mutex mu;
+  void* tokens[2] = {nullptr, nullptr};
+  bool released = false;
+  int reports = 0;
+  void* reporter = nullptr;
+  const auto is_released = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return released;
+  };
+  auto sub = sched.submit(
+      [&](int i) {
+        void* const self = RankScheduler::current_rank();
+        if (i == 0) {
+          void* peer = nullptr;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            tokens[0] = self;
+            peer = tokens[1];
+          }
+          if (peer != nullptr) RankScheduler::wake(peer);
+          while (!is_released()) RankScheduler::park();
+          return;
+        }
+        while (true) {
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            tokens[1] = self;
+            if (tokens[0] != nullptr) break;
+          }
+          RankScheduler::park();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      },
+      nullptr,
+      [&] {
+        void* peer = nullptr;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ++reports;
+          reporter = RankScheduler::current_rank();
+          released = true;
+          peer = tokens[0];
+        }
+        RankScheduler::wake(peer);
+      });
+  sched.wait(sub);
+  EXPECT_EQ(reports, 1);
+  EXPECT_NE(reporter, nullptr);
+}
+
+TEST(Scheduler, PingPongNeverReportsAStall) {
+  // Two tasks take 2000 turns: each parks until it holds the turn, and
+  // the task passing the turn wakes the other before it parks itself, so
+  // one of them is always running or woken.
+  RankScheduler sched(2);
+  constexpr int kMoves = 2000;
+  std::mutex mu;
+  void* tokens[2] = {nullptr, nullptr};
+  int turn = 0;
+  int moves = 0;
+  std::atomic<int> reports{0};
+  auto sub = sched.submit(
+      [&](int i) {
+        void* const self = RankScheduler::current_rank();
+        for (int m = i; m < kMoves; m += 2) {
+          while (true) {
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              tokens[i] = self;
+              if (turn == i) break;
+            }
+            RankScheduler::park();
+          }
+          void* peer = nullptr;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            ++moves;
+            if (m + 1 == kMoves) break;
+            turn = 1 - i;
+            peer = tokens[1 - i];
+          }
+          if (peer != nullptr) RankScheduler::wake(peer);
+        }
+      },
+      nullptr, [&] { reports.fetch_add(1); });
+  sched.wait(sub);
+  EXPECT_EQ(moves, kMoves);
+  EXPECT_EQ(reports.load(), 0);
 }
 
 TEST(Machine, RankContextKernelCallsDoNotSpawnPoolWorkers) {
