@@ -4,7 +4,7 @@
 // p ranks execute a user SPMD function concurrently on a persistent
 // worker pool (see sim/scheduler.hpp — workers are created on the first
 // run and reused for the machine's lifetime; ranks are cooperative
-// fibers where the build supports them and one thread each elsewhere).
+// fibers).
 // Ranks exchange zero-copy sim::Buffer payloads through matched
 // (src, dst, tag) mailboxes, one mailbox per ordered (dst, src) pair so
 // concurrent senders to one receiver never contend on a lock. Every transfer advances

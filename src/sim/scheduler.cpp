@@ -1,5 +1,12 @@
 #include "sim/scheduler.hpp"
 
+#if !defined(__linux__) || !defined(__x86_64__)
+#error "catrsm's rank scheduler needs Linux x86-64: catrsm_ctx_swap below is its only stack switch"
+#endif
+
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <limits>
 #include <utility>
@@ -8,30 +15,28 @@
 #include "support/env.hpp"
 #include "support/exec_context.hpp"
 
-// Thread- and AddressSanitizer cannot follow the hand-rolled stack switch
-// below without fiber annotations; sanitized builds run thread-per-rank.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define CATRSM_SANITIZER 1
+// AddressSanitizer and ThreadSanitizer follow the stack switch through
+// their fiber APIs; builds without them compile none of these hooks.
+#if defined(__SANITIZE_ADDRESS__)
+#define CATRSM_ASAN 1
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define CATRSM_SANITIZER 1
+#if __has_feature(address_sanitizer)
+#define CATRSM_ASAN 1
 #endif
 #endif
-#ifndef CATRSM_SANITIZER
-#define CATRSM_SANITIZER 0
+#if defined(__SANITIZE_THREAD__)
+#define CATRSM_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CATRSM_TSAN 1
 #endif
-
-// The fiber backend exists where catrsm_ctx_swap does; every other build
-// runs thread-per-rank.
-#if defined(__linux__) && defined(__x86_64__) && !CATRSM_SANITIZER
-#define CATRSM_FIBERS 1
-#else
-#define CATRSM_FIBERS 0
 #endif
-
-#if CATRSM_FIBERS
-#include <sys/mman.h>
-#include <unistd.h>
+#ifdef CATRSM_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef CATRSM_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 extern "C" {
 /// Save the current execution context (callee-saved registers + x87/SSE
@@ -94,29 +99,26 @@ catrsm_ctx_entry:
 )");
 
 extern "C" void catrsm_ctx_entry();
-#endif  // CATRSM_FIBERS
 
 namespace catrsm::sim {
 
 namespace {
-// The running rank task's wake token (Fiber* or Worker*, by backend);
-// opaque because both types are private to RankScheduler.
+// The running fiber, the token wake() takes; opaque because Fiber is
+// private to RankScheduler.
 thread_local void* tls_rank = nullptr;
 
 constexpr std::uint64_t kOneUnfinished = std::uint64_t{1} << 32;
 constexpr std::uint64_t kOneParked = 1;
 
 /// True when a census word counts at least one parked task and as many
-/// parked tasks as unfinished ones. On fibers a wake can uncount a task
-/// before its park() counted it; the low field then borrows from the
-/// high one and reads near 2^32, which never equals an unfinished count.
+/// parked tasks as unfinished ones. A wake can uncount a task before its
+/// park() counted it; the low field then borrows from the high one and
+/// reads near 2^32, which never equals an unfinished count.
 bool stalled(std::uint64_t census) {
   const std::uint64_t parked = census & 0xffffffffu;
   return parked != 0 && parked == census >> 32;
 }
 }  // namespace
-
-bool RankScheduler::fibers() const { return CATRSM_FIBERS != 0; }
 
 void* RankScheduler::current_rank() { return tls_rank; }
 
@@ -136,8 +138,6 @@ void RankScheduler::count_returned(Submission& sub) {
     sub.on_stall();
 }
 
-#if CATRSM_FIBERS
-
 namespace {
 
 constexpr std::size_t kFiberStackBytes = 1024 * 1024;
@@ -148,30 +148,69 @@ constexpr std::size_t kFiberStackBytes = 1024 * 1024;
 /// from their kernel guard pages).
 class GuardedStack {
  public:
-  GuardedStack() = default;
-  ~GuardedStack() {
-    if (base_ != nullptr) munmap(base_, total_);
-  }
-  GuardedStack(const GuardedStack&) = delete;
-  GuardedStack& operator=(const GuardedStack&) = delete;
-
-  void allocate(std::size_t usable) {
-    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    total_ = ((usable + page - 1) / page) * page + page;
+  explicit GuardedStack(std::size_t usable)
+      : guard_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))),
+        total_((usable + guard_ - 1) / guard_ * guard_ + guard_) {
     void* raw = mmap(nullptr, total_, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     CATRSM_CHECK(raw != MAP_FAILED, "scheduler: fiber stack mmap failed");
-    CATRSM_CHECK(mprotect(raw, page, PROT_NONE) == 0,
+    CATRSM_CHECK(mprotect(raw, guard_, PROT_NONE) == 0,
                  "scheduler: fiber guard page mprotect failed");
     base_ = static_cast<char*>(raw);
   }
-  /// One past the highest usable byte (stacks grow down).
+  ~GuardedStack() { munmap(base_, total_); }
+  GuardedStack(const GuardedStack&) = delete;
+  GuardedStack& operator=(const GuardedStack&) = delete;
+
+  /// The usable region: its lowest byte, its size, and one past its
+  /// highest byte (stacks grow down).
+  char* bottom() const { return base_ + guard_; }
+  std::size_t size() const { return total_ - guard_; }
   char* top() const { return base_ + total_; }
 
  private:
+  std::size_t guard_;
+  std::size_t total_;
   char* base_ = nullptr;
-  std::size_t total_ = 0;
 };
+
+/// One stack a worker thread runs on: its own, or a fiber's. Besides the
+/// saved stack pointer it holds what a sanitizer needs to follow a switch
+/// onto or off the stack; other builds have no such fields.
+struct StackContext {
+  /// Saved stack pointer while switched out.
+  void* sp = nullptr;
+#ifdef CATRSM_ASAN
+  /// ASan's fake frames while switched out, and the stack's bounds.
+  void* fake_stack = nullptr;
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+#endif
+#ifdef CATRSM_TSAN
+  void* tsan_fiber = nullptr;
+#endif
+};
+
+/// Switch the calling thread from stack `from` onto stack `to`; returns
+/// when a later switch resumes `from`. `from_finished` marks the last
+/// switch off a finished fiber's stack, which never resumes: ASan drops
+/// its fake frames.
+void switch_stacks(StackContext& from, StackContext& to,
+                   [[maybe_unused]] bool from_finished = false) {
+#ifdef CATRSM_ASAN
+  __sanitizer_start_switch_fiber(from_finished ? nullptr : &from.fake_stack,
+                                 to.bottom, to.size);
+#endif
+#ifdef CATRSM_TSAN
+  // Flag 0 makes the switch a synchronization: whatever ran before it
+  // happens before whatever runs after it, on either stack.
+  __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+  catrsm_ctx_swap(&from.sp, to.sp);
+#ifdef CATRSM_ASAN
+  __sanitizer_finish_switch_fiber(from.fake_stack, nullptr, nullptr);
+#endif
+}
 
 /// Fiber::state values.
 enum FiberState : int {
@@ -183,10 +222,17 @@ enum FiberState : int {
 }  // namespace
 
 struct RankScheduler::Fiber {
-  /// Saved stack pointer while the fiber is parked; submit() re-arms it
-  /// at a fresh frame for every life.
-  void* sp = nullptr;
-  GuardedStack stack;
+  Fiber() {
+#ifdef CATRSM_ASAN
+    ctx.bottom = stack.bottom();
+    ctx.size = stack.size();
+#endif
+  }
+
+  GuardedStack stack{kFiberStackBytes};
+  /// The stack pointer is saved here while the fiber is parked; submit()
+  /// re-arms it at a fresh frame for every life.
+  StackContext ctx;
   /// Home worker of the current life; written by submit() before the
   /// life's first ready-queue entry.
   std::atomic<Worker*> worker{nullptr};
@@ -204,10 +250,10 @@ struct RankScheduler::Worker {
   int id = 0;
   std::mutex mu;
   std::condition_variable cv;
-  /// Saved scheduler-loop stack pointer while a fiber runs on this
-  /// worker. Touched only by this worker's thread and by the single
+  /// The worker thread's own stack, switched out while a fiber runs on
+  /// this worker. Touched only by this worker's thread and by the single
   /// fiber currently executing on it, so no synchronization is needed.
-  void* sched_sp = nullptr;
+  StackContext ctx;
   /// In-flight fibers assigned here (rank i of every live submission with
   /// i % W == id). Appended by submit(), removed only by this worker's
   /// thread; both under mu. Bookkeeping only — dispatch runs off ready_q,
@@ -221,59 +267,22 @@ struct RankScheduler::Worker {
   std::thread thread;
 };
 
-#else  // thread-per-rank
-
-struct RankScheduler::Fiber {};  // owned by the fiber backend only
-
-struct RankScheduler::Task {
-  SubmissionPtr sub;
-  int index = 0;
-};
-
-struct RankScheduler::Worker {
-  int id = 0;
-  std::mutex mu;
-  std::condition_variable cv;
-  /// Pending rank tasks, FIFO in submission order.
-  std::deque<Task> tasks;
-  /// The wake flag: set by wake(), consumed by park(), cleared when a
-  /// task starts so a wake aimed at an earlier task cannot outlive it by
-  /// more than one spurious return. Guarded by mu.
-  bool woken = false;
-  /// True while the running task sleeps in park() counted as parked in
-  /// running->census; the wake that clears it uncounts the task. Guarded
-  /// by mu.
-  bool parked = false;
-  /// Submission of the task this worker runs (or last ran); read only by
-  /// that task's park() and by a wake() that finds parked set. Guarded by
-  /// mu.
-  Submission* running = nullptr;
-  std::thread thread;
-};
-
-#endif  // CATRSM_FIBERS
-
 RankScheduler::RankScheduler(int p) : p_(p) {
   CATRSM_CHECK(p >= 1, "scheduler needs at least one rank");
-  int w = p;
-#if CATRSM_FIBERS
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   // Strict parsing: a malformed or non-positive override warns and falls
   // back to the core count instead of silently running with a
   // nonsensical pool. More workers than ranks is just idle threads.
-  w = std::min(p, env::int_or("CATRSM_SIM_WORKERS", hw > 0 ? hw : 1, 1,
-                              std::numeric_limits<int>::max()));
+  const int w = std::min(p, env::int_or("CATRSM_SIM_WORKERS", hw > 0 ? hw : 1,
+                                        1, std::numeric_limits<int>::max()));
   // Seed the freelist with one fiber per rank; concurrent submissions
   // grow it on demand and every stack is reused afterwards.
   all_fibers_.reserve(static_cast<std::size_t>(p));
   free_fibers_.reserve(static_cast<std::size_t>(p));
   for (int i = 0; i < p; ++i) {
-    auto f = std::make_unique<Fiber>();
-    f->stack.allocate(kFiberStackBytes);
-    free_fibers_.push_back(f.get());
-    all_fibers_.push_back(std::move(f));
+    all_fibers_.push_back(std::make_unique<Fiber>());
+    free_fibers_.push_back(all_fibers_.back().get());
   }
-#endif
   workers_.reserve(static_cast<std::size_t>(w));
   for (int i = 0; i < w; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -310,16 +319,13 @@ RankScheduler::SubmissionPtr RankScheduler::submit(
 
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
   const int w = workers();
-#if CATRSM_FIBERS
   std::vector<Fiber*> picked(static_cast<std::size_t>(p_));
   {
     std::lock_guard<std::mutex> lock(free_mu_);
     for (int i = 0; i < p_; ++i) {
       if (free_fibers_.empty()) {
-        auto f = std::make_unique<Fiber>();
-        f->stack.allocate(kFiberStackBytes);
-        free_fibers_.push_back(f.get());
-        all_fibers_.push_back(std::move(f));
+        all_fibers_.push_back(std::make_unique<Fiber>());
+        free_fibers_.push_back(all_fibers_.back().get());
       }
       picked[static_cast<std::size_t>(i)] = free_fibers_.back();
       free_fibers_.pop_back();
@@ -350,7 +356,13 @@ RankScheduler::SubmissionPtr RankScheduler::submit(
     *--frame = 0;                                                   // r14
     *--frame = 0;                                                   // r15
     *--frame = static_cast<std::uint64_t>(mxcsr) << 32 | fcw;       // fpu
-    f->sp = frame;
+    f->ctx.sp = frame;
+#ifdef CATRSM_TSAN
+    // One TSan fiber per life, destroyed by worker_loop when the life
+    // ends: a life ends inside fiber_main, and TSan's shadow call stack
+    // would keep that frame, overflowing after ~64K lives of one fiber.
+    f->ctx.tsan_fiber = __tsan_create_fiber(0);
+#endif
     // Published to the home worker by the ready-queue push below.
     f->worker.store(workers_[static_cast<std::size_t>(i % w)].get(),
                     std::memory_order_relaxed);
@@ -368,19 +380,6 @@ RankScheduler::SubmissionPtr RankScheduler::submit(
     }
     if (added) worker->cv.notify_all();
   }
-#else
-  // FIFO per worker in one submission order: every worker sees run A's
-  // task before run B's, so concurrent submissions pipeline without
-  // cross-submission blocking (W == p: each rank has its own worker).
-  for (int i = 0; i < p_; ++i) {
-    Worker& worker = *workers_[static_cast<std::size_t>(i % w)];
-    {
-      std::lock_guard<std::mutex> lock(worker.mu);
-      worker.tasks.push_back(Task{sub, i});
-    }
-    worker.cv.notify_all();
-  }
-#endif
   return sub;
 }
 
@@ -420,10 +419,16 @@ void RankScheduler::complete_task(const SubmissionPtr& sub) {
   sub->cv.notify_all();
 }
 
-#if CATRSM_FIBERS
-
 void RankScheduler::fiber_main(void* fiber) {
   auto* f = static_cast<Fiber*>(fiber);
+  StackContext& home = f->worker.load(std::memory_order_relaxed)->ctx;
+#ifdef CATRSM_ASAN
+  // First entry of this life: no fake frames to restore, and ASan reports
+  // the bounds of the stack it came from, the home worker's thread stack.
+  // A fiber never leaves its home worker within a life, so the bounds hold
+  // for every switch back.
+  __sanitizer_finish_switch_fiber(nullptr, &home.bottom, &home.size);
+#endif
   try {
     (f->sub->job)(f->index);
   } catch (...) {
@@ -432,13 +437,16 @@ void RankScheduler::fiber_main(void* fiber) {
   }
   count_returned(*f->sub);
   f->finished = true;
-  // Final switch back to the owning worker. The saved frame is dead: the
+  // Final switch back to the home worker. The saved frame is dead: the
   // next submit() re-arms the stack from the top.
-  catrsm_ctx_swap(&f->sp, f->worker.load(std::memory_order_relaxed)->sched_sp);
+  switch_stacks(f->ctx, home, /*from_finished=*/true);
   __builtin_unreachable();
 }
 
 void RankScheduler::worker_loop(Worker& w) {
+#ifdef CATRSM_TSAN
+  w.ctx.tsan_fiber = __tsan_get_current_fiber();
+#endif
   while (true) {
     Fiber* f = nullptr;
     {
@@ -461,7 +469,7 @@ void RankScheduler::worker_loop(Worker& w) {
     // The residency window doubles as the sim-rank mark: while the worker
     // thread is inside the fiber, kernel-pool fan-out is off.
     const bool prev = exec::set_in_sim_rank(true);
-    catrsm_ctx_swap(&w.sched_sp, f->sp);
+    switch_stacks(w.ctx, f->ctx);
     exec::set_in_sim_rank(prev);
     tls_rank = nullptr;
     if (f->finished) {
@@ -469,6 +477,9 @@ void RankScheduler::worker_loop(Worker& w) {
         std::lock_guard<std::mutex> lock(w.mu);
         w.fibers.erase(std::find(w.fibers.begin(), w.fibers.end(), f));
       }
+#ifdef CATRSM_TSAN
+      __tsan_destroy_fiber(f->ctx.tsan_fiber);
+#endif
       // Recycle before completing: the stack is quiescent (we returned
       // from the swap) and the submission handle has been moved out, so
       // a concurrent submit() may re-arm it immediately.
@@ -495,7 +506,7 @@ void RankScheduler::park() {
   // A wake may already have uncounted this park (see stalled()); the
   // home worker cannot pop its entry before the switch below.
   if (count_parked(*f->sub)) f->sub->on_stall();
-  catrsm_ctx_swap(&f->sp, f->worker.load(std::memory_order_relaxed)->sched_sp);
+  switch_stacks(f->ctx, f->worker.load(std::memory_order_relaxed)->ctx);
 }
 
 void RankScheduler::wake(void* token) {
@@ -515,67 +526,5 @@ void RankScheduler::wake(void* token) {
   }
   w->cv.notify_one();
 }
-
-#else  // thread-per-rank
-
-void RankScheduler::worker_loop(Worker& w) {
-  while (true) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(w.mu);
-      w.cv.wait(lock, [&] {
-        return shutdown_.load(std::memory_order_acquire) || !w.tasks.empty();
-      });
-      if (w.tasks.empty()) return;  // shutdown with nothing pending
-      task = std::move(w.tasks.front());
-      w.tasks.pop_front();
-      w.woken = false;
-      w.running = task.sub.get();
-    }
-    tls_rank = &w;
-    // Mark the rank body so kernel-pool fan-out stays off inside it (p
-    // ranks already occupy the cores).
-    const bool prev = exec::set_in_sim_rank(true);
-    (task.sub->job)(task.index);
-    count_returned(*task.sub);
-    exec::set_in_sim_rank(prev);
-    tls_rank = nullptr;
-    complete_task(task.sub);
-    task.sub.reset();
-  }
-}
-
-void RankScheduler::park() {
-  auto* w = static_cast<Worker*>(tls_rank);
-  CATRSM_CHECK(w != nullptr, "park: not on a simulated rank");
-  std::unique_lock<std::mutex> lock(w->mu);
-  if (!w->woken) {
-    w->parked = true;
-    if (count_parked(*w->running)) {
-      // The handler wakes tasks, this one included: it needs mu free.
-      lock.unlock();
-      w->running->on_stall();
-      lock.lock();
-    }
-    w->cv.wait(lock, [w] { return w->woken; });
-  }
-  w->woken = false;
-}
-
-void RankScheduler::wake(void* token) {
-  auto* w = static_cast<Worker*>(token);
-  {
-    std::lock_guard<std::mutex> lock(w->mu);
-    w->woken = true;
-    if (w->parked) {
-      w->parked = false;
-      w->running->census.fetch_sub(kOneParked, std::memory_order_acq_rel);
-    }
-  }
-  // The worker's own thread is the only waiter on its condition variable.
-  w->cv.notify_one();
-}
-
-#endif  // CATRSM_FIBERS
 
 }  // namespace catrsm::sim

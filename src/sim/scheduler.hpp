@@ -1,58 +1,39 @@
 #pragma once
 // Persistent rank scheduler backing Machine::run / Machine::run_async.
 //
-// The seed execution model spawned and joined p fresh OS threads on every
-// run, so a Plan::execute_batch of m items at p ranks paid m*p thread
-// start-ups — and, worse, every blocked receive cost a kernel context
-// switch. Production machines simulate p = 64+ ranks on a handful of
-// cores, where that kernel churn dominates wall-clock while the cost
-// model charges nothing for it.
-//
-// The build picks one of two backends:
-//
-//  - FIBERS (Linux x86-64 without Address- or ThreadSanitizer): ranks run
-//    as cooperative fibers multiplexed over a small pool of persistent
-//    worker threads (min(p, hardware cores) by default; override with
-//    CATRSM_SIM_WORKERS). A switch is a ~20-instruction register
-//    save/restore that stays in user space; it skips the signal-mask
-//    save, a per-switch syscall once measured at >90% of run CPU at
-//    simulator message sizes. A parked rank yields its fiber back to its
-//    worker, which runs the next runnable rank; a worker sleeps on its
-//    condition variable only when every fiber it owns is parked.
-//    Workers are created once; fiber stacks live in a freelist and are
-//    reused.
-//  - THREAD-PER-RANK (every other build, including both sanitizers, which
-//    cannot follow hand-rolled stack switches): one persistent worker
-//    thread per rank; a parked rank sleeps on its worker's condition
-//    variable. Same semantics, same persistence, kernel-scheduled.
+// Ranks run as cooperative fibers multiplexed over a small pool of
+// persistent worker threads (min(p, hardware cores) by default; override
+// with CATRSM_SIM_WORKERS). A switch is a ~20-instruction register
+// save/restore that stays in user space; it skips the signal-mask save, a
+// per-switch syscall once measured at >90% of run CPU at simulator
+// message sizes. A parked rank yields its fiber back to its worker, which
+// runs the next runnable rank; a worker sleeps on its condition variable
+// only when every fiber it owns is parked. Workers are created once; fiber
+// stacks live in a freelist and are reused. The switch is hand-written
+// for Linux x86-64, and the build stops on any other host. ASan and TSan
+// builds run the same fibers and follow each switch through their fiber
+// APIs.
 //
 // Blocking: the transport waits only through current_rank() / park() /
-// wake(token), which both backends implement, so the mailbox protocol in
-// machine.cpp is the same code whichever backend runs it. Each
-// submission also counts its unfinished tasks and its parked ones (a
-// task that sleeps in park() with no wake pending; wake() uncounts it
-// before it can run again). The park or the job return that makes the
-// two counts equal calls the submission's on_stall: nothing in it is
-// running, so only a thread outside it could ever wake it again. A task
-// whose job has not started, or that was woken and waits for a worker,
-// is not parked, so a starved submission is never reported.
+// wake(token). Each submission also counts its unfinished tasks and its
+// parked ones (a task that sleeps in park() with no wake pending; wake()
+// uncounts it before it can run again). The park or the job return that
+// makes the two counts equal calls the submission's on_stall: nothing in
+// it is running, so only a thread outside it could ever wake it again. A
+// task whose job has not started, or that was woken and waits for a
+// worker, is not parked, so a starved submission is never reported.
 //
 // Concurrency: submit() dispatches one SUBMISSION (p rank tasks) and
 // returns immediately; several submissions can be in flight at once.
 // Fibers of different submissions interleave on the same workers: a
 // worker whose fibers of run A are all parked runs runnable fibers of run
 // B instead of sleeping — that overlap is where multi-stream throughput
-// comes from. Thread-per-rank queues tasks FIFO per worker, so a later
-// submission's rank task runs on worker i only after earlier tasks on
-// worker i finished; cross-rank blocking still never deadlocks because
-// every rank has its own worker (W == p there). run() is submit() +
-// wait().
+// comes from. run() is submit() + wait().
 //
 // Worker/fiber assignment is static: rank i always lives on worker
-// i % W (NOT necessarily worker i — there are fewer workers than ranks
-// in the fiber backend), so each rank's thread identity is stable across
-// runs — tests assert reuse by capturing std::this_thread::get_id()
-// inside consecutive runs.
+// i % W, so each rank's thread identity is stable across runs — tests
+// assert reuse by capturing std::this_thread::get_id() inside consecutive
+// runs.
 
 #include <atomic>
 #include <condition_variable>
@@ -103,9 +84,9 @@ class RankScheduler {
   int size() const { return p_; }
   /// Number of OS worker threads backing the p ranks.
   int workers() const { return static_cast<int>(workers_.size()); }
-  /// True when ranks run as cooperative fibers (false: thread-per-rank).
-  /// Fixed by the build.
-  bool fibers() const;
+  /// True: ranks always run as fibers. Kept because bench_e2e's result
+  /// file records it.
+  bool fibers() const { return true; }
 
   /// Dispatch job(i) for every i in [0, p) as one submission and return
   /// immediately; rank i runs on worker i % W, interleaved with any other
@@ -142,8 +123,8 @@ class RankScheduler {
   /// Block the calling rank task until wake(current_rank()); returns at
   /// once when a wake arrived since the task started or since its last
   /// park() returned. A wake meant for an earlier task on the same fiber
-  /// or worker costs at most one spurious return, so callers re-check
-  /// their condition.
+  /// costs at most one spurious return, so callers re-check their
+  /// condition.
   static void park();
   /// Make the rank named by `token` runnable again (safe from any thread).
   static void wake(void* token);
@@ -151,7 +132,6 @@ class RankScheduler {
  private:
   struct Fiber;
   struct Worker;
-  struct Task;  // thread backend: one queued (submission, rank) pair
 
   void worker_loop(Worker& w);
   void complete_task(const SubmissionPtr& sub);

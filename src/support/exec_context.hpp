@@ -15,9 +15,9 @@ namespace catrsm::exec {
 /// True while the calling OS thread is executing a simulated rank body.
 bool in_sim_rank() noexcept;
 
-/// Set by sim::RankScheduler around rank execution (fiber backend: around
-/// each residency window on the worker thread; thread backend: around the
-/// whole rank body). Returns the previous value so nesting restores it.
+/// Set by sim::RankScheduler around each residency window of a rank fiber
+/// on its worker thread. Returns the previous value so nesting restores
+/// it.
 bool set_in_sim_rank(bool value) noexcept;
 
 }  // namespace catrsm::exec

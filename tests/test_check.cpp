@@ -193,7 +193,7 @@ TEST(Deadlock, DeclaredBesideAHealthyStream) {
 
 TEST(Deadlock, DeclaredBesideAHealthyStreamOnOneWorker) {
   // Read when the machine's first run creates its scheduler: every fiber
-  // of both runs interleaves on one worker (thread-per-rank ignores it).
+  // of both runs interleaves on one worker.
   ScopedEnv one("CATRSM_SIM_WORKERS", "1");
   deadlock_beside_healthy_stream();
 }

@@ -1,6 +1,6 @@
 // Larger-machine smoke tests: the algorithms must stay correct and keep
 // their cost shapes at p = 128-256 simulated ranks, the largest scale the
-// thread-per-rank simulator exercises routinely.
+// test suite runs.
 
 #include <gtest/gtest.h>
 

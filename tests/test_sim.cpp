@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -227,11 +229,35 @@ TEST(Scheduler, WorkersPersistAcrossRuns) {
   };
   const auto first = capture();
   const auto second = capture();
-  // Worker i always executes rank i, so the id vectors — not just the id
-  // sets — must coincide: the pool is reused, never respawned.
+  // Rank i always runs on worker i % W, so the id vectors — not just the
+  // id sets — must coincide: the pool is reused, never respawned.
   EXPECT_EQ(first, second);
   EXPECT_EQ(m.scheduler().size(), p);
   EXPECT_EQ(m.scheduler().runs(), 2u);
+}
+
+TEST(Scheduler, RanksShareWorkersModuloTheWorkerCount) {
+  // CATRSM_SIM_WORKERS is read when the machine creates its scheduler;
+  // restore it right after, so a failing check cannot leak it into later
+  // tests. With W = 2 < p = 4, rank i runs on worker i % 2.
+  const char* old = std::getenv("CATRSM_SIM_WORKERS");
+  const std::string saved = old != nullptr ? old : "";
+  setenv("CATRSM_SIM_WORKERS", "2", 1);
+  Machine m(4);
+  const int workers = m.scheduler().workers();
+  if (old != nullptr) {
+    setenv("CATRSM_SIM_WORKERS", saved.c_str(), 1);
+  } else {
+    unsetenv("CATRSM_SIM_WORKERS");
+  }
+  EXPECT_EQ(workers, 2);
+  std::vector<std::thread::id> ids(4);
+  m.run([&](Rank& r) {
+    ids[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ids[0], ids[2]);
+  EXPECT_EQ(ids[1], ids[3]);
+  EXPECT_NE(ids[0], ids[1]);
 }
 
 TEST(Scheduler, WorkersPersistAcrossFailedRuns) {
@@ -248,13 +274,13 @@ TEST(Scheduler, WorkersPersistAcrossFailedRuns) {
 }
 
 TEST(Scheduler, ParkConsumesAnEarlyWakeAndResumesOnAPeerWake) {
-  // The transport's one blocking primitive, on whichever backend this
-  // build runs. Rank 0 first wakes itself and then parks: that wake came
-  // before the park, so park() must return without blocking (no peer
-  // knows rank 0's token yet, so a blocking park would hang here). Rank 0
-  // then publishes its token and parks until rank 1 wakes it. Rank 1
-  // waits for that token by parking too, so the rendezvous never spins
-  // and works on a single fiber worker as well as thread-per-rank.
+  // The transport's one blocking primitive. Rank 0 first wakes itself and
+  // then parks: that wake came before the park, so park() must return
+  // without blocking (no peer knows rank 0's token yet, so a blocking
+  // park would hang here). Rank 0 then publishes its token and parks
+  // until rank 1 wakes it. Rank 1 waits for that token by parking too, so
+  // the rendezvous never spins and works whether the two ranks share a
+  // worker or not.
   RankScheduler sched(2);
   std::mutex mu;
   void* tokens[2] = {nullptr, nullptr};

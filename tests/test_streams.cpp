@@ -5,9 +5,8 @@
 // and the stream-count knob's warn-and-fallback discipline.
 //
 // The concurrent stress case doubles as the CI ThreadSanitizer target:
-// under CATRSM_SANITIZER the scheduler degrades to the thread backend and
-// TSan watches the per-run transport, detector, and handle-store paths
-// race against each other across streams.
+// TSan follows the rank fibers and watches the per-run transport, stall
+// census, and handle-store paths race against each other across streams.
 
 #include <gtest/gtest.h>
 
