@@ -317,6 +317,41 @@ void run_resident_batch_case(std::vector<Record>& records) {
             << " solves (" << wall / items << " ms/solve)\n";
 }
 
+/// The recursive TRSM against a resident L: the first execute_dist records
+/// the replica of L its base-case and column-split collectives gather,
+/// and the second replays it, sending nothing for L. The record is the
+/// second (warm) solve's modeled cost; wall_ms times that solve alone.
+/// Shapes: replication is almost all of W at (16, 256, 4) and all of it
+/// at (8, 16, 512), a column split over the 1 x 8 face; (8, 128, 128)
+/// splits a 2 x 4 face and recurses below n0, with mm3d updates between
+/// base cases.
+void run_rec_warm_cases(std::vector<Record>& records) {
+  struct Shape {
+    int p;
+    index_t n, k;
+  };
+  for (const Shape s : {Shape{16, 256, 4}, Shape{8, 16, 512},
+                        Shape{8, 128, 128}}) {
+    api::Context ctx(s.p);
+    api::TrsmSpec spec;
+    spec.force_algorithm = true;
+    spec.algorithm = model::Algorithm::kRecursive;
+    auto plan = ctx.plan(api::trsm_op(s.n, s.k, spec));
+    const api::DistHandle hl = ctx.upload(la::make_lower_triangular(61, s.n),
+                                          plan->input_layout(0));
+    const api::DistHandle hb =
+        ctx.upload(la::make_rhs(62, s.n, s.k), plan->input_layout(1));
+    (void)plan->execute_dist(hl, hb);
+    const auto t0 = Clock::now();
+    const api::DistExecResult warm = plan->execute_dist(hl, hb);
+    records.push_back({"resident/rec_trsm_warm", s.p, s.n, s.k, ms_since(t0),
+                       1.0, warm.algorithm_cost(), warm.stats.critical_time});
+    std::cout << "resident/rec_trsm_warm p=" << s.p << " n=" << s.n
+              << " k=" << s.k << ": W " << warm.algorithm_cost().words
+              << ", critical " << warm.stats.critical_time * 1e6 << " us\n";
+  }
+}
+
 /// The full SPD pipeline as a 3-op program (factor -> solve -> reversed
 /// solve) in one simulated run with no intermediate collects.
 void run_program_case(std::vector<Record>& records) {
@@ -669,6 +704,7 @@ int main(int argc, char** argv) {
   // Appended LAST so every pre-existing record keeps its position (and
   // its modeled fields byte-identical) in the committed JSON.
   const auto [streams_serial, streams_conc] = run_stream_cases(records);
+  run_rec_warm_cases(records);
 
   std::string out = "[\n";
   for (std::size_t i = 0; i < records.size(); ++i)

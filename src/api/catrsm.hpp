@@ -6,11 +6,12 @@
 // parameters). A Plan is a frozen configuration — the Section VIII regime
 // classification, algorithm choice, grid factorization and block counts
 // are decided exactly once, at plan time — plus reusable execution state:
-// grid membership and, for the iterative TRSM, Ltilde (the operand with
-// its diagonal blocks inverted), kept resident from the first execute
-// against an operand and reused for every further solve against the same
-// matrix (the FFTW / cuBLAS plan-and-execute pattern the paper's a-priori
-// cost analysis enables).
+// grid membership and the output of the phases that read only L, kept
+// resident from the first execute against an operand and reused for
+// every further solve against the same matrix: Ltilde (the operand with
+// its diagonal blocks inverted) for the iterative TRSM, the replica of
+// L's gathered blocks for the recursive one (the FFTW / cuBLAS
+// plan-and-execute pattern the paper's a-priori cost analysis enables).
 //
 //   catrsm::api::Context ctx(/*p=*/64);
 //   auto plan = ctx.plan(catrsm::api::trsm_op(n, k));
@@ -78,6 +79,10 @@ class Distribution;
 namespace catrsm::api {
 
 using la::index_t;
+
+namespace detail {
+struct Replica;
+}  // namespace detail
 
 enum class Op {
   kTrsm,           // op(T) X = B (left) or X op(T) = B (right)
@@ -314,7 +319,10 @@ struct BatchResult {
   ProgramStats program_stats;
 
   /// Max-over-ranks cost of the distributed computation across the WHOLE
-  /// batch (one run — compare against items x the per-solve cost).
+  /// batch (one run). Phases that read only L run once per operand, not
+  /// once per panel, and not at all when the plan already holds their
+  /// output for this operand: compare against the first panel's solve
+  /// plus the later panels' warm solves, not items x a cold solve.
   sim::Cost algorithm_cost() const;
 };
 
@@ -341,7 +349,8 @@ class Plan : public std::enable_shared_from_this<Plan> {
 
   /// Execute against RESIDENT operands: the one-panel stream_program on
   /// handles, with no scatter and no collect — the whole point for
-  /// repeated solves against a fixed factor. A handle
+  /// repeated solves against a fixed factor, whose Ltilde or replica the
+  /// plan keeps from the first solve (keyed on the handle). A handle
   /// whose layout differs from the required input_layout() is
   /// redistributed automatically (charged to the "redistribute" phase).
   /// TRSM on this path supports the normalized kernel variants only
@@ -378,11 +387,13 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// in the plan's input layouts and the whole stream runs as one Program
   /// (stream_program) in one Machine::run; kCholeskySolve factors `a`
   /// once and solves every panel against that factor. For the iterative
-  /// TRSM the plan keeps the last uploaded `a` resident, and a
-  /// byte-identical `a` on the next call reuses that handle, so the
-  /// diagonal blocks of one matrix are inverted once across all batches
-  /// and executes. Rejects tri-inv and Cholesky, which take no
-  /// right-hand side (use execute).
+  /// and recursive TRSM the plan keeps the last uploaded `a` resident,
+  /// and a byte-identical `a` on the next call reuses that handle, so the
+  /// diagonal blocks of one matrix are inverted, or its blocks
+  /// replicated, once across all batches and executes: the first panel
+  /// of a recursive batch records the replica and the later panels
+  /// replay it. Rejects tri-inv and Cholesky, which take no right-hand
+  /// side (use execute).
   BatchResult execute_batch(const la::Matrix& a,
                             std::span<const la::Matrix> bs);
 
@@ -404,7 +415,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// diagonal blocks. execute() of a TRSM variant counts on its
   /// lower-left plan, which runs the reduced system.
   std::uint64_t diag_inversions() const {
-    std::lock_guard<std::mutex> lock(diag_mu_);
+    std::lock_guard<std::mutex> lock(l_mu_);
     return diag_inversions_;
   }
 
@@ -419,14 +430,15 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// output. The iterative TRSM solves every panel against Ltilde: with
   /// `ltilde_bound` the cached one is the input after the panels,
   /// otherwise one inversion step computes it and is the last output.
+  /// The recursive TRSM's steps share the run's replica (launch).
   /// kCholeskySolve factors A once, inverts the factor's diagonal blocks
   /// once, and wires one forward and one backward solve per panel. A
   /// unary op (tri-inv, Cholesky) takes no panels: its program is one
   /// step on A.
   Program stream_program(std::size_t panels, bool ltilde_bound);
   /// Launch stream_program over `inputs` (A, then one handle per panel)
-  /// as one execution stream, binding the cached Ltilde when it belongs
-  /// to A.
+  /// as one execution stream, binding the cached Ltilde or replica when
+  /// it belongs to A, else building it for A.
   DistTicket launch(std::vector<DistHandle> inputs);
   /// Upload `a` (via operand_handle) and every panel, run the stream in
   /// one Machine::run, download every output. No residuals.
@@ -436,36 +448,45 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// residuals.
   BatchResult run_trsm(const la::Matrix& t, std::span<const la::Matrix> bs,
                        const TrsmSpec& spec);
-  /// The handle of operand `a` for one call. When the run inverts
-  /// diagonal blocks, it is the memoized handle if `a`'s bytes equal the
-  /// last call's (else a fresh memoized upload); otherwise a transient
-  /// upload.
+  /// The handle of operand `a` for one call. When the plan keeps L-only
+  /// state (inverts_diag or replicates_l), it is the memoized handle if
+  /// `a`'s bytes equal the last call's (else a fresh memoized upload), so
+  /// a fixed matrix keeps one handle and that state keeps hitting.
+  /// Otherwise it is a transient upload: nothing keyed on the handle
+  /// outlives the call.
   DistHandle operand_handle(const la::Matrix& a);
   /// Whether runs of this plan invert diagonal blocks (the iterative
   /// non-transposed TRSM kernel), i.e. run as an inversion step and solve
   /// steps and use the diagonal-inverse cache.
   bool inverts_diag() const;
+  /// Whether runs of this plan replicate L (the recursive non-transposed
+  /// TRSM kernel) and keep the replica.
+  bool replicates_l() const;
 
   Context* ctx_;
   OpDesc desc_;
   model::Config config_;
 
-  // Iterative-TRSM diagonal-inverse cache: Ltilde, the resident output of
-  // the last run that inverted, valid for the operand handle (diag_id_,
-  // diag_epoch_) — handles are never rewritten in place, so that pair pins
-  // the bytes. diag_mu_ guards these fields against the settles of
-  // concurrent streams. A run reading ltilde_ holds its own reference and
-  // run-use mark, so a miss may replace it while that run is in flight.
-  mutable std::mutex diag_mu_;
+  // L-only state, kept from the last run that built it and valid for the
+  // operand handle (l_id_, l_epoch_) — handles are never rewritten in
+  // place, so that pair pins the bytes: the iterative TRSM's Ltilde (the
+  // resident output of its inversion step) or the recursive TRSM's
+  // replica. Either is attached to the operand's store entry, so it is
+  // released when the operand is, as well as when it is replaced or the
+  // plan dies. l_mu_ guards these fields against the settles of
+  // concurrent streams. A run reading the state holds its own reference
+  // and run-use marks, so a miss may replace it while that run flies.
+  mutable std::mutex l_mu_;
+  std::uint64_t l_id_ = 0;
+  std::uint64_t l_epoch_ = 0;
   DistHandle ltilde_;
-  std::uint64_t diag_id_ = 0;
-  std::uint64_t diag_epoch_ = 0;
+  std::shared_ptr<detail::Replica> replica_;
   std::uint64_t diag_inversions_ = 0;
 
-  // The operand memo of execute() and execute_batch() when runs invert
-  // diagonal blocks: the last uploaded `a` and its handle. The
-  // byte comparison against operand_src_ is the only content check on
-  // any path; the diagonal-inverse cache keys on the handle.
+  // The operand memo of execute() and execute_batch() when the plan keeps
+  // L-only state: the last uploaded `a` and its handle. The byte
+  // comparison against operand_src_ is the only content check on any
+  // path; the L-only state keys on the handle.
   std::shared_ptr<const la::Matrix> operand_src_;
   DistHandle operand_;
 };
@@ -700,6 +721,14 @@ class Program {
   /// input_layout(0); kSolveInverted takes {Ltilde, B}.
   NodeId add_stage(std::shared_ptr<Plan> plan, std::vector<NodeId> args,
                    std::string phase, detail::Stage stage);
+
+  /// run_async for a recursive plan's stream (Plan::launch): every step
+  /// solves against the same operand and shares `replica`. A resident
+  /// replica is run-use marked and replayed by every step; an empty one
+  /// is recorded by the first step, replayed by the later ones, and
+  /// staged for the host to make resident after the run succeeds.
+  AsyncResult run_async(const std::vector<DistHandle>& inputs,
+                        std::shared_ptr<detail::Replica> replica);
 
   struct Node {
     index_t rows = 0;

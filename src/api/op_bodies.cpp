@@ -93,8 +93,25 @@ int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p) {
   }
 }
 
+bool Replica::make_resident() {
+  const std::size_t blocks = staged.front().size();
+  for (const std::vector<la::Matrix>& mine : staged)
+    CATRSM_CHECK(mine.size() == blocks,
+                 "replica: ranks recorded different block counts");
+  for (std::size_t i = 0; i < blocks; ++i) {
+    ids.push_back(store.create());
+    if (!store.attach(ids.back(), operand)) return false;
+    for (std::size_t r = 0; r < staged.size(); ++r)
+      store.local(ids.back(), static_cast<int>(r)) = std::move(staged[r][i]);
+    store.touch(ids.back());
+  }
+  staged.clear();
+  return true;
+}
+
 DistMatrix trsm_solve(const model::Config& cfg, const sim::Comm& grid,
-                      const DistMatrix& dl, const DistMatrix& db) {
+                      const DistMatrix& dl, const DistMatrix& db,
+                      trsm::RecReplica* replica) {
   switch (cfg.algorithm) {
     case model::Algorithm::kIterative: {
       trsm::ItInvOptions iio;
@@ -102,7 +119,7 @@ DistMatrix trsm_solve(const model::Config& cfg, const sim::Comm& grid,
       return trsm::it_inv_trsm(dl, db, grid, cfg.p1, cfg.p2, iio);
     }
     case model::Algorithm::kRecursive:
-      return trsm::rec_trsm(dl, db, grid);
+      return trsm::rec_trsm(dl, db, grid, {}, replica);
     case model::Algorithm::kTrsm2D:
       return trsm::trsm2d(dl, db, grid);
     case model::Algorithm::kTrsv1D:
@@ -127,7 +144,7 @@ DistMatrix trsm_transposed_solve(const model::Config& cfg,
 
 DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
                    Stage stage, const sim::Comm& grid, const DistMatrix& a,
-                   const DistMatrix& b) {
+                   const DistMatrix& b, trsm::RecReplica* replica) {
   if (!grid.is_member()) return {};
   switch (stage) {
     case Stage::kInvert: {
@@ -144,7 +161,7 @@ DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
   switch (desc.op) {
     case Op::kTrsm:
       return desc.trsm.transpose ? trsm_transposed_solve(cfg, grid, a, b)
-                                 : trsm_solve(cfg, grid, a, b);
+                                 : trsm_solve(cfg, grid, a, b, replica);
     case Op::kTriInv:
       return trsm::tri_inv_dist(a, grid);
     case Op::kCholesky:

@@ -22,6 +22,7 @@
 #include "dist/dist_matrix.hpp"
 #include "dist/redistribute.hpp"
 #include "sim/handle_store.hpp"
+#include "trsm/rec_trsm.hpp"
 
 namespace catrsm::api {
 
@@ -51,6 +52,35 @@ struct DistHandle::State {
 
 namespace detail {
 
+/// A recursive-TRSM plan's replica of one operand: the blocks of L its
+/// L-only collectives gathered (trsm::RecReplica), one store entry per
+/// block in call order, each attached to the operand's entry so it is
+/// released with the operand. Run-output entries: counted in
+/// resident_bytes() and never evicted. A recording run fills `staged`;
+/// settling it makes the blocks resident. The last reference releases
+/// the entries.
+struct Replica {
+  Replica(sim::HandleStore& s, std::uint64_t operand_id, int p)
+      : store(s), operand(operand_id), staged(static_cast<std::size_t>(p)) {}
+  ~Replica() {
+    for (const std::uint64_t id : ids) store.release(id);
+  }
+  Replica(const Replica&) = delete;
+  Replica& operator=(const Replica&) = delete;
+
+  /// Move the staged blocks into entries attached to the operand. Returns
+  /// false, keeping nothing, when the operand is already released.
+  bool make_resident();
+
+  sim::HandleStore& store;
+  std::uint64_t operand;
+  /// The resident blocks' entries; empty until make_resident().
+  std::vector<std::uint64_t> ids;
+  /// Per rank, the blocks a recording run gathered (each rank writes only
+  /// its own).
+  std::vector<std::vector<la::Matrix>> staged;
+};
+
 /// Operand count of an op (see Plan::execute operand roles): tri-inv and
 /// Cholesky take only A, every other op also a right-hand side.
 inline int op_arity(Op op) {
@@ -78,10 +108,12 @@ std::shared_ptr<const dist::Distribution> realize_host(const Layout& lay,
 int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p);
 
 /// Solve L X = B with the planned algorithm (the normalized lower-left
-/// non-transposed kernel; dl/db in the plan's input layouts).
+/// non-transposed kernel; dl/db in the plan's input layouts). The
+/// recursive algorithm records into or replays `replica` when given one.
 dist::DistMatrix trsm_solve(const model::Config& cfg, const sim::Comm& grid,
                             const dist::DistMatrix& dl,
-                            const dist::DistMatrix& db);
+                            const dist::DistMatrix& db,
+                            trsm::RecReplica* replica = nullptr);
 
 /// L^T X = B entirely in the distributed domain: J L^T J is lower, so
 /// transpose + reverse, solve iteratively, reverse back — the Cholesky
@@ -95,10 +127,12 @@ dist::DistMatrix trsm_transposed_solve(const model::Config& cfg,
 /// the whole op, or the iterative TRSM's inversion of `a` (under the
 /// "inversion" phase) or solve of `b` against the Ltilde `a`. Ranks
 /// outside `grid` return an empty DistMatrix without communicating. `b`
-/// is ignored by the unary ops and the inversion.
+/// is ignored by the unary ops and the inversion. A non-transposed
+/// recursive TRSM records into or replays `replica` when given one.
 dist::DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
                          Stage stage, const sim::Comm& grid,
-                         const dist::DistMatrix& a, const dist::DistMatrix& b);
+                         const dist::DistMatrix& a, const dist::DistMatrix& b,
+                         trsm::RecReplica* replica = nullptr);
 
 /// Move rank `me`'s resident block out of the store into a DistMatrix
 /// view under `d` (shape-checked); restore_slot moves it back. Never

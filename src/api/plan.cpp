@@ -79,16 +79,20 @@ int square_side(int p) {
 }  // namespace
 
 // One launched stream program, settled once: the first settle() records
-// the outcome — for a run that inverted, its last output is Ltilde of the
-// operand (diag_id, diag_epoch), which becomes the plan's cache — and
-// every later one returns the same outcome.
+// the outcome — a run that missed the plan's L-only state built it for
+// the operand (l_id, l_epoch): Ltilde, its last output, or the replica it
+// recorded. A successful run attaches that state to the operand's entry
+// and makes it the plan's; a run whose operand was released meanwhile
+// keeps nothing, since no later run can name that operand. Every later
+// settle() returns the same outcome.
 struct DistTicket::Shared {
   std::shared_ptr<Plan> plan;
   Program::AsyncResult async;
   ProgramStats program_stats;
   bool inverts = false;
-  std::uint64_t diag_id = 0;
-  std::uint64_t diag_epoch = 0;
+  std::shared_ptr<detail::Replica> records;
+  std::uint64_t l_id = 0;
+  std::uint64_t l_epoch = 0;
 
   std::mutex mu;
   bool settled = false;
@@ -101,17 +105,30 @@ struct DistTicket::Shared {
       settled = true;
       try {
         result = async.wait();
+        DistHandle ltilde;
+        bool kept = false;
         if (inverts) {
-          std::lock_guard<std::mutex> cache_lock(plan->diag_mu_);
-          ++plan->diag_inversions_;
-          plan->ltilde_ = std::move(result.outputs.back());
-          plan->diag_id_ = diag_id;
-          plan->diag_epoch_ = diag_epoch;
+          ltilde = std::move(result.outputs.back());
           result.outputs.pop_back();
+          kept = plan->ctx_->machine().handle_store().attach(ltilde.id(),
+                                                             l_id);
+        } else if (records != nullptr) {
+          kept = records->make_resident();
+        }
+        if (inverts || kept) {
+          std::lock_guard<std::mutex> cache_lock(plan->l_mu_);
+          if (inverts) ++plan->diag_inversions_;
+          if (kept) {
+            plan->ltilde_ = std::move(ltilde);
+            plan->replica_ = std::move(records);
+            plan->l_id_ = l_id;
+            plan->l_epoch_ = l_epoch;
+          }
         }
       } catch (...) {
         outcome = std::current_exception();
       }
+      records.reset();  // a failed or orphaned recording keeps nothing
     }
     if (outcome) std::rethrow_exception(outcome);
     return result;
@@ -424,7 +441,8 @@ DistHandle Plan::operand_handle(const Matrix& a) {
   const auto d = [&] {
     return detail::realize_host(lay, a.rows(), a.cols(), ctx_->nprocs());
   };
-  if (!inverts_diag()) return ctx_->upload_on(borrowed(a), lay, d());
+  if (!inverts_diag() && !replicates_l())
+    return ctx_->upload_on(borrowed(a), lay, d());
   // A faulted run may have poisoned the memoized blocks: never reuse them.
   if (!operand_.valid() || operand_.poisoned() ||
       !same_bytes(*operand_src_, a)) {
@@ -465,6 +483,12 @@ ExecResult Plan::execute_generated(const Gen& a_gen, const Gen& b_gen,
 bool Plan::inverts_diag() const {
   return desc_.op == Op::kTrsm &&
          config_.algorithm == model::Algorithm::kIterative &&
+         !desc_.trsm.transpose;
+}
+
+bool Plan::replicates_l() const {
+  return desc_.op == Op::kTrsm &&
+         config_.algorithm == model::Algorithm::kRecursive &&
          !desc_.trsm.transpose;
 }
 
@@ -537,22 +561,31 @@ DistTicket Plan::launch(std::vector<DistHandle> inputs) {
   // DAG, so the local Program may die while the stream flies.
   auto sh = std::make_shared<DistTicket::Shared>();
   sh->plan = shared_from_this();
+  sh->l_id = inputs[0].id();
+  sh->l_epoch = inputs[0].epoch();
   const std::size_t panels = inputs.size() - 1;
   bool hit = false;
-  if (inverts_diag()) {
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    hit = ltilde_.valid() && diag_id_ == inputs[0].id() &&
-          diag_epoch_ == inputs[0].epoch();
-    if (hit) {
-      inputs.push_back(ltilde_);
+  std::shared_ptr<detail::Replica> replica;
+  if (inverts_diag() || replicates_l()) {
+    std::lock_guard<std::mutex> lock(l_mu_);
+    const bool same = l_id_ == sh->l_id && l_epoch_ == sh->l_epoch;
+    if (inverts_diag()) {
+      hit = same && ltilde_.valid();
+      if (hit)
+        inputs.push_back(ltilde_);
+      else
+        sh->inverts = true;
+    } else if (same && replica_ != nullptr) {
+      replica = replica_;
     } else {
-      sh->inverts = true;
-      sh->diag_id = inputs[0].id();
-      sh->diag_epoch = inputs[0].epoch();
+      replica = std::make_shared<detail::Replica>(
+          ctx_->machine().handle_store(), sh->l_id, ctx_->nprocs());
+      sh->records = replica;
     }
   }
   Program prog = stream_program(panels, hit);
-  sh->async = prog.run_async(inputs);
+  sh->async = replica != nullptr ? prog.run_async(inputs, std::move(replica))
+                                 : prog.run_async(inputs);
   sh->program_stats = prog.stats();
   return DistTicket(std::move(sh));
 }

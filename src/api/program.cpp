@@ -169,6 +169,9 @@ struct Program::AsyncResult::Shared {
   std::vector<DistHandle> inputs;
   std::vector<std::uint64_t> in_ids;  // distinct, run-use marked in flight
   std::vector<std::uint64_t> out_ids;
+  // The replica every op step shares (Plan::launch); its resident entries
+  // are run-use marked with the inputs.
+  std::shared_ptr<detail::Replica> replica;
 
   sim::RunTicket ticket;
 
@@ -184,8 +187,18 @@ Program::Result Program::run(const std::vector<DistHandle>& inputs) {
 }
 
 Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
+  return run_async(inputs, nullptr);
+}
+
+Program::AsyncResult Program::run_async(
+    const std::vector<DistHandle>& inputs,
+    std::shared_ptr<detail::Replica> replica) {
   CATRSM_CHECK(static_cast<int>(inputs.size()) == n_inputs_,
                "program: wrong number of input handles");
+  if (replica != nullptr)
+    for (const Step& step : steps_)
+      CATRSM_CHECK(step.args[0] == steps_.front().args[0],
+                   "program: a replica serves steps against one operand");
   sim::Machine& machine = ctx_->machine();
   sim::HandleStore& store = machine.handle_store();
   const int p = machine.nprocs();
@@ -247,6 +260,10 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
         sh->in_ids.end())
       sh->in_ids.push_back(id);
   }
+  if (replica != nullptr)
+    sh->in_ids.insert(sh->in_ids.end(), replica->ids.begin(),
+                      replica->ids.end());
+  sh->replica = std::move(replica);
 
   // Serialize against any in-flight run sharing an operand: load_slot
   // MOVES blocks out of the store for the run's duration, so two
@@ -285,13 +302,28 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
     // failed program never destroys the caller's resident operands. A
     // handle bound to several input nodes is moved out once and copied
     // for the rest. Inputs feeding only elided steps are never touched.
+    // A resident replica's blocks are moved out and back the same way.
     std::unordered_map<std::uint64_t, std::size_t> first_node_of;
+    trsm::RecReplica local_replica;
+    const std::vector<std::uint64_t> no_ids;
+    const std::vector<std::uint64_t>& replica_ids =
+        sh->replica != nullptr ? sh->replica->ids : no_ids;
     const auto restore_inputs = [&] {
       for (const auto& [id, node] : first_node_of)
         detail::restore_slot(store, id, vals[node]);
       first_node_of.clear();
+      if (!replica_ids.empty())
+        for (std::size_t i = 0; i < local_replica.blocks.size(); ++i)
+          store.local(replica_ids[i], me) =
+              std::move(local_replica.blocks[i]);
+      local_replica.blocks.clear();
     };
     try {
+    for (const std::uint64_t id : replica_ids)
+      local_replica.blocks.push_back(std::move(store.local(id, me)));
+    local_replica.complete = !replica_ids.empty();
+    trsm::RecReplica* const step_replica =
+        sh->replica != nullptr ? &local_replica : nullptr;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const Node& node = nodes_[i];
       if (node.input_index < 0 || !sched.live[i]) continue;
@@ -339,7 +371,8 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
         out = detail::op_body(
             plan.desc(), plan.config(), step.stage, grid, a0,
             st.arg[1] >= 0 ? vals[static_cast<std::size_t>(st.arg[1])]
-                           : empty);
+                           : empty,
+            step_replica);
       }
       if (out.dist_ptr() == nullptr) {
         // Idle rank (outside the step's grid): keep a proper empty view of
@@ -367,6 +400,11 @@ Program::AsyncResult Program::run_async(const std::vector<DistHandle>& inputs) {
       else
         store.local(out_ids[i], me) = vals[src].local();
     }
+    // A recording run hands its blocks to the host, which makes them
+    // resident once the whole run has succeeded (Plan settles it).
+    if (step_replica != nullptr && replica_ids.empty())
+      sh->replica->staged[static_cast<std::size_t>(me)] =
+          std::move(local_replica.blocks);
 
     restore_inputs();
     } catch (...) {
@@ -447,6 +485,7 @@ Program::Result Program::AsyncResult::wait() {
     store.evict_to_budget();
     sh.ticket = sim::RunTicket{};
     sh.inputs.clear();  // drop operand refs; result keeps the outputs
+    sh.replica.reset();
   }
   if (sh.outcome) std::rethrow_exception(sh.outcome);
   return sh.result;

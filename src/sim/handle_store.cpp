@@ -32,10 +32,29 @@ std::uint64_t HandleStore::create() {
 
 void HandleStore::release(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
+  release_locked(id);
+}
+
+void HandleStore::release_locked(std::uint64_t id) {
   const auto it = entries_.find(id);
   if (it == entries_.end()) return;
-  if (it->second->resident) resident_bytes_ -= it->second->bytes;
+  const std::unique_ptr<Entry> e = std::move(it->second);
   entries_.erase(it);
+  if (e->resident) resident_bytes_ -= e->bytes;
+  if (Entry* parent = find(e->parent)) std::erase(parent->children, id);
+  for (const std::uint64_t child : e->children) release_locked(child);
+}
+
+bool HandleStore::attach(std::uint64_t child, std::uint64_t parent) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry* c = find(child);
+  CATRSM_CHECK(c != nullptr && c->parent == 0,
+               "HandleStore: attach needs a live, unattached child");
+  Entry* pa = find(parent);
+  if (pa == nullptr) return false;
+  c->parent = parent;
+  pa->children.push_back(child);
+  return true;
 }
 
 std::size_t HandleStore::count() const {

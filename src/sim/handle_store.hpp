@@ -57,9 +57,17 @@ class HandleStore {
   /// never reused). Entries start resident, unpinned, non-evictable.
   std::uint64_t create();
 
-  /// Drop an entry and free its blocks. No-op for unknown ids (handles
-  /// may race machine teardown in shutdown paths).
+  /// Drop an entry and free its blocks, and release every entry attached
+  /// to it with it. No-op for unknown ids (handles may race machine
+  /// teardown in shutdown paths).
   void release(std::uint64_t id);
+
+  /// Attach entry `child` to entry `parent`, so that releasing the parent
+  /// releases the child too: state derived from an operand (a plan's
+  /// Ltilde or replica of it) dies with the operand, whose id never
+  /// returns. Returns false, attaching nothing, when the parent is already
+  /// released.
+  bool attach(std::uint64_t child, std::uint64_t parent);
 
   /// Live entry count (observability for leak tests).
   std::size_t count() const;
@@ -152,10 +160,13 @@ class HandleStore {
     std::uint64_t lru_tick = 0;
     int pins = 0;
     int busy = 0;  // in-flight runs using this entry
+    std::uint64_t parent = 0;              // 0: attached to nothing
+    std::vector<std::uint64_t> children;   // released with this entry
   };
 
   Entry& entry(std::uint64_t id) const;
   Entry* find(std::uint64_t id) const;  // mu_ held; null for unknown ids
+  void release_locked(std::uint64_t id);
   void touch_locked(Entry& e);
   void evict_to_budget_locked();
 

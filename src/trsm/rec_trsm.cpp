@@ -23,16 +23,67 @@ const BlockCyclicDist& as_cyclic(const DistMatrix& m, const char* who) {
   return *d;
 }
 
+/// One rec_trsm call's pass over its replica (none: `replica` is null).
+/// The L-only sites claim blocks in call order.
+struct Pass {
+  RecReplica* replica = nullptr;
+  bool replay = false;
+  std::size_t next = 0;
+};
+
+/// The block of one L-only site, held in `home` for the site's scope. On a
+/// replay the next replica block (shape-checked against rows x cols) is
+/// moved in and the site gathers nothing; otherwise the site gathers into
+/// `home`. When the scope ends, unwinding included, the block moves back
+/// to its slot: a recording keeps what the site gathered, and a replay
+/// leaves the replica whole for the next call.
+class SiteBlock {
+ public:
+  SiteBlock(Pass& pass, la::Matrix& home, index_t rows, index_t cols)
+      : pass_(pass), home_(home), slot_(pass.next++) {
+    if (pass_.replica == nullptr) return;
+    std::vector<la::Matrix>& blocks = pass_.replica->blocks;
+    if (!pass_.replay) {
+      blocks.emplace_back();
+      return;
+    }
+    // data().size(), not only rows x cols: a moved-from la::Matrix keeps
+    // its dimensions but not its storage.
+    CATRSM_CHECK(slot_ < blocks.size() && blocks[slot_].rows() == rows &&
+                     blocks[slot_].cols() == cols &&
+                     blocks[slot_].data().size() ==
+                         static_cast<std::size_t>(rows * cols),
+                 "rec_trsm: the replica was recorded from another L");
+    home_ = std::move(blocks[slot_]);
+  }
+  ~SiteBlock() {
+    if (pass_.replica != nullptr)
+      pass_.replica->blocks[slot_] = std::move(home_);
+  }
+  SiteBlock(const SiteBlock&) = delete;
+  SiteBlock& operator=(const SiteBlock&) = delete;
+
+ private:
+  Pass& pass_;
+  la::Matrix& home_;
+  std::size_t slot_;
+};
+
 /// Base case: gather L onto every rank, split B's columns over all p ranks
 /// (paper lines 6-9), solve locally, and return to B's layout.
 DistMatrix rec_base(const DistMatrix& l, const DistMatrix& b,
-                    const sim::Comm& comm) {
+                    const sim::Comm& comm, Pass& pass) {
   const index_t n = l.dist().rows();
   const index_t k = b.dist().cols();
   auto& ctx = comm.ctx();
   const int p = comm.size();
 
-  const la::Matrix lfull = dist::collect(l, comm);
+  la::Matrix lfull;
+  const SiteBlock site(pass, lfull, n, n);
+  if (!pass.replay) {
+    sim::PhaseScope scope(ctx, "replication");
+    lfull = dist::collect(l, comm);
+  }
 
   // Column split over a flat 1 x p face: rank q gets a contiguous slab.
   Face2D flat(comm, 1, p);
@@ -51,12 +102,12 @@ DistMatrix rec_base(const DistMatrix& l, const DistMatrix& b,
 }
 
 DistMatrix rec_trsm_impl(const DistMatrix& l, DistMatrix b,
-                         const sim::Comm& comm, index_t n0);
+                         const sim::Comm& comm, index_t n0, Pass& pass);
 
 /// pc = q * pr with q > 1: replicate L into q square subgrids and solve an
 /// independent column subset of B on each (paper lines 1-4).
 DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
-                             const sim::Comm& comm, index_t n0) {
+                             const sim::Comm& comm, index_t n0, Pass& pass) {
   const auto& ld = as_cyclic(l, "rec_trsm");
   const Face2D& face = ld.face();
   const int pr = face.pr();
@@ -73,19 +124,23 @@ DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
   const int z = gj / pr;   // which subgrid
 
   // --- Replicate L: allgather over the fiber (gi, y + pr*z') for all z'.
-  std::vector<int> fiber_idx;
-  fiber_idx.reserve(static_cast<std::size_t>(q));
-  for (int zz = 0; zz < q; ++zz) fiber_idx.push_back(face.at(gi, y + pr * zz));
-  sim::Comm fiber = face.comm().subset(fiber_idx);
-
+  // A replay skips it; the subgrid block comes from the replica below.
   coll::Counts counts(static_cast<std::size_t>(q));
-  for (int zz = 0; zz < q; ++zz) {
-    const auto shape = ld.local_shape(fiber.world_rank(zz));
-    counts[static_cast<std::size_t>(zz)] =
-        static_cast<std::size_t>(shape.first * shape.second);
+  coll::Buffer all;
+  if (!pass.replay) {
+    sim::PhaseScope scope(comm.ctx(), "replication");
+    std::vector<int> fiber_idx;
+    fiber_idx.reserve(static_cast<std::size_t>(q));
+    for (int zz = 0; zz < q; ++zz)
+      fiber_idx.push_back(face.at(gi, y + pr * zz));
+    sim::Comm fiber = face.comm().subset(fiber_idx);
+    for (int zz = 0; zz < q; ++zz) {
+      const auto shape = ld.local_shape(fiber.world_rank(zz));
+      counts[static_cast<std::size_t>(zz)] =
+          static_cast<std::size_t>(shape.first * shape.second);
+    }
+    all = coll::allgather(fiber, l.local().data(), counts);
   }
-  const coll::Buffer all =
-      coll::allgather(fiber, l.local().data(), counts);
 
   // --- The square subgrid face (ranks (x', y' + pr*z) ordered x' + pr*y').
   std::vector<int> sub_idx;
@@ -96,7 +151,9 @@ DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
 
   auto lsub_dist = dist::cyclic_on(subface, n, n);
   DistMatrix lsub(lsub_dist, comm.ctx().id());
-  {
+  const SiteBlock site(pass, lsub.local(), lsub.local().rows(),
+                       lsub.local().cols());
+  if (!pass.replay) {
     // Piece z' holds my rows x columns j ≡ y + pr z' (mod pc). Column t of
     // the assembled block (global j = y + pr t) comes from piece t mod q.
     const index_t lrows = static_cast<index_t>(l.my_rows().size());
@@ -133,7 +190,7 @@ DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
   bsub.local() = b.local();
 
   sim::Comm subcomm = subface.comm();
-  DistMatrix xsub = rec_trsm_impl(lsub, std::move(bsub), subcomm, n0);
+  DistMatrix xsub = rec_trsm_impl(lsub, std::move(bsub), subcomm, n0, pass);
 
   // --- Relabel the solution back onto the original face.
   DistMatrix x(b.dist_ptr(), comm.ctx().id());
@@ -142,7 +199,7 @@ DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
 }
 
 DistMatrix rec_trsm_impl(const DistMatrix& l, DistMatrix b,
-                         const sim::Comm& comm, index_t n0) {
+                         const sim::Comm& comm, index_t n0, Pass& pass) {
   const auto& ld = as_cyclic(l, "rec_trsm");
   const Face2D& face = ld.face();
   const int pr = face.pr();
@@ -152,11 +209,11 @@ DistMatrix rec_trsm_impl(const DistMatrix& l, DistMatrix b,
 
   if (pc > pr) {
     CATRSM_CHECK(pc % pr == 0, "rec_trsm: pr must divide pc");
-    return rec_split_columns(l, b, comm, n0);
+    return rec_split_columns(l, b, comm, n0, pass);
   }
 
   if (n <= n0 || comm.size() == 1 || n <= 1) {
-    return rec_base(l, b, comm);
+    return rec_base(l, b, comm, pass);
   }
 
   const index_t h = n / 2;
@@ -166,7 +223,7 @@ DistMatrix rec_trsm_impl(const DistMatrix& l, DistMatrix b,
   DistMatrix b1 = dist::cyclic_subblock(b, 0, 0, h, k);
   DistMatrix b2 = dist::cyclic_subblock(b, h, 0, n - h, k);
 
-  DistMatrix x1 = rec_trsm_impl(l11, std::move(b1), comm, n0);
+  DistMatrix x1 = rec_trsm_impl(l11, std::move(b1), comm, n0, pass);
 
   // B2 -= L21 * X1 via one 3D multiplication (paper line 14).
   const mm::MMGrid grid = mm::choose_mm_grid(n - h, h, k, comm.size());
@@ -174,7 +231,7 @@ DistMatrix rec_trsm_impl(const DistMatrix& l, DistMatrix b,
   b2.local().sub(upd.local());
   comm.ctx().charge_flops(static_cast<double>(b2.local().size()));
 
-  DistMatrix x2 = rec_trsm_impl(l22, std::move(b2), comm, n0);
+  DistMatrix x2 = rec_trsm_impl(l22, std::move(b2), comm, n0, pass);
 
   DistMatrix x(b.dist_ptr(), comm.ctx().id());
   dist::set_cyclic_subblock(x, 0, 0, x1);
@@ -205,7 +262,8 @@ index_t rec_trsm_auto_n0(index_t n, index_t k, int pr, int pc) {
 }
 
 DistMatrix rec_trsm(const DistMatrix& l, const DistMatrix& b,
-                    const sim::Comm& comm, RecTrsmOptions opts) {
+                    const sim::Comm& comm, RecTrsmOptions opts,
+                    RecReplica* replica) {
   const auto& ld = as_cyclic(l, "rec_trsm");
   const auto& bd = as_cyclic(b, "rec_trsm");
   CATRSM_CHECK(l.dist().rows() == l.dist().cols(),
@@ -223,7 +281,14 @@ DistMatrix rec_trsm(const DistMatrix& l, const DistMatrix& b,
     n0 = rec_trsm_auto_n0(l.dist().rows(), b.dist().cols(), ld.face().pr(),
                           ld.face().pc());
   DistMatrix bcopy = b;
-  return rec_trsm_impl(l, std::move(bcopy), comm, n0);
+  Pass pass{replica, replica != nullptr && replica->complete, 0};
+  DistMatrix x = rec_trsm_impl(l, std::move(bcopy), comm, n0, pass);
+  if (replica != nullptr) {
+    CATRSM_CHECK(pass.next == replica->blocks.size(),
+                 "rec_trsm: the replica was recorded from another L");
+    replica->complete = true;
+  }
+  return x;
 }
 
 }  // namespace catrsm::trsm

@@ -164,6 +164,93 @@ TEST(DiagReuse, BatchMatchesIndependentSolvesBitwise) {
 }
 
 // ---------------------------------------------------------------------------
+// Recursive TRSM: the replica of L's gathered blocks
+
+/// Forced-recursive shapes: a column split with recursion below n0 (a 2 x 4
+/// face, n0 = 51) and a single base case (a 2 x 2 face, n0 = n).
+struct RecShape {
+  int p;
+  index_t n, k;
+  const char* name;
+};
+const RecShape kRecShapes[] = {{8, 128, 128, "split"}, {4, 64, 16, "base"}};
+
+OpDesc recursive_op(const RecShape& s) {
+  TrsmSpec spec;
+  spec.force_algorithm = true;
+  spec.algorithm = model::Algorithm::kRecursive;
+  return trsm_op(s.n, s.k, spec);
+}
+
+TEST(Replication, ExecuteRecordsOnceThenReplaysAFixedOperand) {
+  // execute() keeps a fixed operand's handle, so its replica hits: the
+  // second call sends less, shows no "replication" phase, and returns the
+  // bits a fresh machine returns. A changed element runs cold again, at
+  // the first call's cost.
+  for (const RecShape& s : kRecShapes) {
+    const Matrix l = la::make_lower_triangular(361, s.n);
+    const Matrix b = la::make_rhs(362, s.n, s.k);
+    Context ctx(s.p);
+    auto plan = ctx.plan(recursive_op(s));
+    const ExecResult cold = plan->execute(l, b);
+    const ExecResult warm = plan->execute(l, b);
+    Context ref_ctx(s.p);
+    const ExecResult ref = ref_ctx.plan(recursive_op(s))->execute(l, b);
+
+    EXPECT_TRUE(cold.x.equals(ref.x)) << s.name;
+    EXPECT_TRUE(warm.x.equals(ref.x)) << s.name;
+    EXPECT_EQ(warm.residual, ref.residual) << s.name;
+    EXPECT_EQ(cold.algorithm_cost().words, ref.algorithm_cost().words)
+        << s.name;
+    EXPECT_LT(warm.algorithm_cost().msgs, cold.algorithm_cost().msgs)
+        << s.name;
+    EXPECT_LT(warm.algorithm_cost().words, cold.algorithm_cost().words)
+        << s.name;
+    EXPECT_EQ(cold.stats.phase_max.count("replication"), 1u) << s.name;
+    EXPECT_EQ(warm.stats.phase_max.count("replication"), 0u) << s.name;
+
+    Matrix changed = l;
+    changed(s.n - 1, 0) += 1.0;
+    const ExecResult again = plan->execute(changed, b);
+    EXPECT_EQ(again.algorithm_cost().msgs, cold.algorithm_cost().msgs)
+        << s.name;
+    EXPECT_EQ(again.algorithm_cost().words, cold.algorithm_cost().words)
+        << s.name;
+    EXPECT_EQ(again.stats.critical_time, cold.stats.critical_time) << s.name;
+    EXPECT_LT(again.residual, 1e-12) << s.name;
+  }
+}
+
+TEST(Replication, ThreePanelBatchReplicatesOnce) {
+  // The first panel records the replica and the later panels of the same
+  // run replay it: the batch charges one solve's replication, and the
+  // next batch against the same matrix charges none.
+  for (const RecShape& s : kRecShapes) {
+    const Matrix l = la::make_lower_triangular(363, s.n);
+    std::vector<Matrix> bs;
+    for (int i = 0; i < 3; ++i)
+      bs.push_back(la::make_rhs(364 + static_cast<std::uint64_t>(i), s.n,
+                                s.k));
+    Context ref_ctx(s.p);
+    const ExecResult one = ref_ctx.plan(recursive_op(s))->execute(l, bs[0]);
+
+    Context ctx(s.p);
+    auto plan = ctx.plan(recursive_op(s));
+    const BatchResult batch = plan->execute_batch(l, bs);
+    const sim::Cost replication = batch.stats.phase_cost("replication");
+    EXPECT_EQ(replication.msgs, one.stats.phase_cost("replication").msgs)
+        << s.name;
+    EXPECT_EQ(replication.words, one.stats.phase_cost("replication").words)
+        << s.name;
+    EXPECT_TRUE(batch.xs[0].equals(one.x)) << s.name;
+    const BatchResult next = plan->execute_batch(l, bs);
+    EXPECT_EQ(next.stats.phase_max.count("replication"), 0u) << s.name;
+    for (std::size_t i = 0; i < bs.size(); ++i)
+      EXPECT_TRUE(next.xs[i].equals(batch.xs[i])) << s.name << " " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // execute_batch: the whole panel stream in one Machine::run
 
 /// Plan `desc` on `ctx` and batch-execute `bs`: the batch must be exactly

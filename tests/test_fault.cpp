@@ -561,6 +561,75 @@ TEST(FaultApi, FaultedMatrixExecuteRetriesWithAFreshOperand) {
   EXPECT_EQ(again.residual, ref.residual);
 }
 
+api::TrsmSpec recursive_spec() {
+  api::TrsmSpec spec;
+  spec.force_algorithm = true;
+  spec.algorithm = catrsm::model::Algorithm::kRecursive;
+  return spec;
+}
+
+TEST(FaultApi, FaultedRecordingKeepsNoReplicaAndTheRetryRunsCold) {
+  // A recursive solve that faults while recording its replica keeps
+  // nothing; the retry after repair is the clean cold solve again.
+  const index_t n = 128, k = 128;
+  const Matrix l = catrsm::la::make_lower_triangular(661, n);
+  const Matrix b = catrsm::la::make_rhs(662, n, k);
+
+  api::Context ref_ctx(8);
+  auto ref_plan = ref_ctx.plan(api::trsm_op(n, k, recursive_spec()));
+  const api::DistExecResult ref = ref_plan->execute_dist(
+      ref_ctx.upload(l, ref_plan->input_layout(0)),
+      ref_ctx.upload(b, ref_plan->input_layout(1)));
+  const Matrix x_ref = ref_ctx.download(ref.x);
+
+  api::Context ctx(8);
+  auto plan = ctx.plan(api::trsm_op(n, k, recursive_spec()));
+  const api::DistHandle hl = ctx.upload(l, plan->input_layout(0));
+  const api::DistHandle hb = ctx.upload(b, plan->input_layout(1));
+  const std::size_t entries = ctx.machine().handle_store().count();
+  ctx.machine().arm_fault(FaultPlan{FaultClass::kKillRank, 49});
+  EXPECT_THROW((void)plan->execute_dist(hl, hb), check::RankKilledError);
+  ctx.machine().disarm_fault();
+  EXPECT_EQ(ctx.machine().handle_store().count(), entries);
+
+  ctx.repair(hl);
+  ctx.repair(hb);
+  const api::DistExecResult retry = plan->execute_dist(hl, hb);
+  EXPECT_TRUE(ctx.download(retry.x).equals(x_ref));
+  EXPECT_EQ(retry.algorithm_cost().msgs, ref.algorithm_cost().msgs);
+  EXPECT_EQ(retry.algorithm_cost().words, ref.algorithm_cost().words);
+  EXPECT_EQ(retry.stats.critical_time, ref.stats.critical_time);
+  EXPECT_EQ(retry.stats.phase_max.count("replication"), 1u);
+}
+
+TEST(FaultApi, FaultedReplayPoisonsTheOperandAndTheNextSolveRecords) {
+  const index_t n = 128, k = 128;
+  const Matrix l = catrsm::la::make_lower_triangular(671, n);
+  const Matrix b = catrsm::la::make_rhs(672, n, k);
+
+  api::Context ctx(8);
+  auto plan = ctx.plan(api::trsm_op(n, k, recursive_spec()));
+  const api::DistHandle hl = ctx.upload(l, plan->input_layout(0));
+  const api::DistHandle hb = ctx.upload(b, plan->input_layout(1));
+  const api::DistExecResult cold = plan->execute_dist(hl, hb);
+  const Matrix x = ctx.download(cold.x);
+
+  ctx.machine().arm_fault(FaultPlan{FaultClass::kKillRank, 51});
+  EXPECT_THROW((void)plan->execute_dist(hl, hb), check::RankKilledError);
+  ctx.machine().disarm_fault();
+  EXPECT_TRUE(hl.poisoned());
+
+  ctx.repair(hl);
+  ctx.repair(hb);
+  const api::DistExecResult again = plan->execute_dist(hl, hb);
+  EXPECT_TRUE(ctx.download(again.x).equals(x));
+  EXPECT_EQ(again.algorithm_cost().words, cold.algorithm_cost().words);
+  EXPECT_EQ(again.stats.phase_max.count("replication"), 1u);
+  const api::DistExecResult warm = plan->execute_dist(hl, hb);
+  EXPECT_EQ(warm.stats.phase_max.count("replication"), 0u);
+  EXPECT_TRUE(ctx.download(warm.x).equals(x));
+}
+
 TEST(FaultApi, RepairWithoutASourceThrowsTyped) {
   const index_t n = 32, k = 8;
   const Matrix l = catrsm::la::make_lower_triangular(621, n);

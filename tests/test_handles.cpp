@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "api/catrsm.hpp"
@@ -30,6 +31,40 @@ TrsmSpec iterative_spec() {
   spec.force_algorithm = true;
   spec.algorithm = model::Algorithm::kIterative;
   return spec;
+}
+
+TrsmSpec recursive_spec() {
+  TrsmSpec spec;
+  spec.force_algorithm = true;
+  spec.algorithm = model::Algorithm::kRecursive;
+  return spec;
+}
+
+/// The forced-recursive shapes of the replica tests, with the bytes of
+/// their replica. "split": a 2 x 4 face splits into two 2 x 2 subgrids
+/// (one copy of L each) and recurses to four 32 x 32 base cases, each
+/// gathered onto the 4 ranks of its subgrid. "base": a 2 x 2 face with
+/// n0 = n, one base case gathering all of L onto each of the 4 ranks.
+struct RecShape {
+  int p;
+  index_t n, k;
+  std::uint64_t replica_bytes;
+  const char* name;
+};
+const RecShape kRecShapes[] = {
+    {8, 128, 128, 8 * (2 * 128 * 128 + 8 * 4 * 32 * 32), "split"},
+    {4, 64, 16, 8 * 4 * 64 * 64, "base"},
+};
+
+/// Same modeled cost: algorithm-phase S/W/F and critical time.
+void expect_same_cost(const sim::RunStats& got, const sim::RunStats& want,
+                      const std::string& what) {
+  const sim::Cost g = got.phase_cost("algorithm");
+  const sim::Cost w = want.phase_cost("algorithm");
+  EXPECT_EQ(g.msgs, w.msgs) << what;
+  EXPECT_EQ(g.words, w.words) << what;
+  EXPECT_EQ(g.flops, w.flops) << what;
+  EXPECT_EQ(got.critical_time, want.critical_time) << what;
 }
 
 TEST(Handles, UploadExecuteDownloadMatchesLegacyBitwise) {
@@ -831,6 +866,140 @@ TEST(Eviction, RunOutputsAndPoisonedEntriesAreNeverEvicted) {
   // repair() is still the (only) way back.
   ctx.repair(hl);
   EXPECT_TRUE(ctx.download(hl).equals(la::make_lower_triangular(821, n)));
+}
+
+TEST(Replica, WarmSolveReplaysTheColdSolvesGathersBitwise) {
+  // The first solve against an operand runs the L-only collectives under
+  // "replication" and keeps what they gathered; every later one sends
+  // nothing for L and returns the same bits. The cold solve charges
+  // exactly what the recursion without a replica charges (a plain
+  // Program step).
+  for (const RecShape& s : kRecShapes) {
+    const Matrix l = la::make_lower_triangular(901, s.n);
+    const Matrix b = la::make_rhs(902, s.n, s.k);
+    Context ctx(s.p);
+    auto plan = ctx.plan(trsm_op(s.n, s.k, recursive_spec()));
+    const DistHandle hl = ctx.upload(l, plan->input_layout(0));
+    const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+    const DistExecResult cold = plan->execute_dist(hl, hb);
+    const DistExecResult warm = plan->execute_dist(hl, hb);
+    const DistExecResult again = plan->execute_dist(hl, hb);
+    const Matrix x = ctx.download(cold.x);
+    EXPECT_TRUE(ctx.download(warm.x).equals(x)) << s.name;
+    EXPECT_TRUE(ctx.download(again.x).equals(x)) << s.name;
+    expect_same_cost(again.stats, warm.stats, s.name);
+    EXPECT_LT(warm.algorithm_cost().msgs, cold.algorithm_cost().msgs)
+        << s.name;
+    EXPECT_LT(warm.algorithm_cost().words, cold.algorithm_cost().words)
+        << s.name;
+    EXPECT_EQ(warm.algorithm_cost().flops, cold.algorithm_cost().flops)
+        << s.name;
+    EXPECT_GT(cold.stats.phase_cost("replication").words, 0.0) << s.name;
+    EXPECT_EQ(warm.stats.phase_max.count("replication"), 0u) << s.name;
+
+    Program prog(ctx);
+    const auto nl = prog.input(s.n, s.n);
+    const auto nb = prog.input(s.n, s.k);
+    prog.mark_output(prog.add(plan, {nl, nb}));
+    const Program::Result plain = prog.run({hl, hb});
+    EXPECT_TRUE(ctx.download(plain.outputs[0]).equals(x)) << s.name;
+    expect_same_cost(plain.stats, cold.stats, s.name);
+    EXPECT_EQ(plain.stats.phase_cost("replication").words,
+              cold.stats.phase_cost("replication").words)
+        << s.name;
+  }
+}
+
+TEST(Replica, EveryNewOperandHandleRunsCold) {
+  // The replica keys on the operand handle's (id, epoch), never on its
+  // bytes: a changed element, a fresh upload of the same bytes and a
+  // repaired handle each run cold, at exactly the first solve's cost, and
+  // then replay their own replica.
+  for (const RecShape& s : kRecShapes) {
+    const Matrix l = la::make_lower_triangular(911, s.n);
+    const Matrix b = la::make_rhs(912, s.n, s.k);
+    Matrix changed = l;
+    changed(s.n - 1, 0) += 1.0;
+    Context ctx(s.p);
+    auto plan = ctx.plan(trsm_op(s.n, s.k, recursive_spec()));
+    const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+    const DistExecResult first =
+        plan->execute_dist(ctx.upload(l, plan->input_layout(0)), hb);
+    const Matrix x = ctx.download(first.x);
+
+    const DistHandle h_changed = ctx.upload(changed, plan->input_layout(0));
+    const DistHandle h_same = ctx.upload(l, plan->input_layout(0));
+    const DistHandle h_repaired = ctx.upload(l, plan->input_layout(0));
+    (void)plan->execute_dist(h_repaired, hb);  // record, then invalidate
+    ctx.machine().handle_store().poison(h_repaired.id());
+    ctx.repair(h_repaired);
+    for (const auto& [h, what] :
+         {std::pair{h_changed, "changed element"},
+          std::pair{h_same, "same bytes"},
+          std::pair{h_repaired, "repaired"}}) {
+      const std::string tag = std::string(s.name) + ", " + what;
+      const DistExecResult cold = plan->execute_dist(h, hb);
+      expect_same_cost(cold.stats, first.stats, tag);
+      EXPECT_EQ(cold.stats.phase_cost("replication").words,
+                first.stats.phase_cost("replication").words)
+          << tag;
+      EXPECT_EQ(ctx.download(cold.x).equals(x), h.id() != h_changed.id())
+          << tag;
+      const DistExecResult warm = plan->execute_dist(h, hb);
+      EXPECT_EQ(warm.stats.phase_max.count("replication"), 0u) << tag;
+      EXPECT_TRUE(ctx.download(warm.x).equals(ctx.download(cold.x))) << tag;
+    }
+  }
+}
+
+TEST(Replica, ResidentBytesAreTheOperandPlusTheReplica) {
+  for (const RecShape& s : kRecShapes) {
+    Context ctx(s.p);
+    const sim::HandleStore& store = ctx.machine().handle_store();
+    auto plan = ctx.plan(trsm_op(s.n, s.k, recursive_spec()));
+    const DistHandle hl = ctx.upload(la::make_lower_triangular(921, s.n),
+                                     plan->input_layout(0));
+    const std::uint64_t operand = 8 * static_cast<std::uint64_t>(s.n * s.n);
+    EXPECT_EQ(store.resident_bytes(), operand) << s.name;
+    for (int call = 0; call < 2; ++call) {
+      (void)plan->execute_dist(
+          hl, ctx.upload(la::make_rhs(922, s.n, s.k), plan->input_layout(1)));
+      EXPECT_EQ(store.resident_bytes(), operand + s.replica_bytes)
+          << s.name << ", call " << call;
+    }
+  }
+}
+
+TEST(Replica, LOnlyStateDiesWithItsOperandOrItsPlan) {
+  // Ltilde and the replica are attached to the operand's store entry: a
+  // plan never keeps them for an operand that is gone, and dropping the
+  // plan releases them while the operand lives on.
+  const RecShape& s = kRecShapes[0];
+  for (const TrsmSpec& spec : {iterative_spec(), recursive_spec()}) {
+    const char* name = model::algorithm_name(spec.algorithm);
+    sim::Machine machine(s.p);
+    const sim::HandleStore& store = machine.handle_store();
+    const std::size_t baseline = store.count();
+    Context ctx(machine, /*plan_cache_capacity=*/1);
+    const Matrix l = la::make_lower_triangular(931, s.n);
+    const Matrix b = la::make_rhs(932, s.n, s.k);
+    auto plan = ctx.plan(trsm_op(s.n, s.k, spec));
+    {
+      const DistHandle hl = ctx.upload(l, plan->input_layout(0));
+      const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+      (void)plan->execute_dist(hl, hb);
+      (void)plan->execute_dist(hl, hb);
+      EXPECT_GT(store.count(), baseline + 2) << name;
+    }
+    EXPECT_EQ(store.count(), baseline) << name;
+
+    const DistHandle hl = ctx.upload(l, plan->input_layout(0));
+    (void)plan->execute_dist(hl, ctx.upload(b, plan->input_layout(1)));
+    EXPECT_GT(store.count(), baseline + 1) << name;
+    plan.reset();
+    (void)ctx.plan(tri_inv_op(s.n));  // evicts the solve plan
+    EXPECT_EQ(store.count(), baseline + 1) << name;
+  }
 }
 
 }  // namespace

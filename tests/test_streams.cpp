@@ -328,6 +328,54 @@ TEST(Streams, CacheMissOverlappingAHitReplacesTheCachedInverse) {
   EXPECT_TRUE(ctx.download(again.x).equals(x2_ref));
 }
 
+TEST(Streams, ReplicaMissOverlappingAHitReplacesTheReplica) {
+  // The recursive TRSM's twin of the case above: a hit replaying L1's
+  // replica flies with a miss recording L2's. Both match a serial run bit
+  // for bit, and the next solve against L2 replays the miss's replica.
+  const index_t n = 128, k = 128;  // a column split, recursion below n0
+  const Matrix l1 = la::make_lower_triangular(985, n);
+  const Matrix l2 = la::make_lower_triangular(986, n);
+  const Matrix b1 = la::make_rhs(987, n, k);
+  const Matrix b2 = la::make_rhs(988, n, k);
+  TrsmSpec spec;
+  spec.force_algorithm = true;
+  spec.algorithm = model::Algorithm::kRecursive;
+
+  Context ref(8);
+  auto ref_plan = ref.plan(trsm_op(n, k, spec));
+  const auto serial = [&](const Matrix& l, const Matrix& b) {
+    return ref.download(
+        ref_plan
+            ->execute_dist(ref.upload(l, ref_plan->input_layout(0)),
+                           ref.upload(b, ref_plan->input_layout(1)))
+            .x);
+  };
+  const Matrix x1_ref = serial(l1, b1);
+  const Matrix x2_ref = serial(l2, b2);
+
+  sim::Machine machine(8);
+  Context ctx(machine);
+  auto plan = ctx.plan(trsm_op(n, k, spec));
+  const DistHandle hl1 = ctx.upload(l1, plan->input_layout(0));
+  const DistHandle hl2 = ctx.upload(l2, plan->input_layout(0));
+  const DistHandle hb1 = ctx.upload(b1, plan->input_layout(1));
+  const DistHandle hb2 = ctx.upload(b2, plan->input_layout(1));
+  (void)plan->execute_dist(hl1, hb1);  // record L1's replica
+
+  DistTicket hit = plan->execute_dist_async(hl1, hb1);
+  DistTicket miss = plan->execute_dist_async(hl2, hb2);
+  const DistExecResult rmiss = miss.wait();
+  const DistExecResult rhit = hit.wait();
+  EXPECT_EQ(rhit.stats.phase_max.count("replication"), 0u);
+  EXPECT_EQ(rmiss.stats.phase_max.count("replication"), 1u);
+  EXPECT_TRUE(ctx.download(rhit.x).equals(x1_ref));
+  EXPECT_TRUE(ctx.download(rmiss.x).equals(x2_ref));
+
+  const DistExecResult again = plan->execute_dist(hl2, hb2);
+  EXPECT_EQ(again.stats.phase_max.count("replication"), 0u);
+  EXPECT_TRUE(ctx.download(again.x).equals(x2_ref));
+}
+
 TEST(Streams, StreamsKnobGarbageWarnsAndFallsBack) {
   // CATRSM_SIM_STREAMS=banana must not crash, hang, or silently become
   // 0 streams: the pool falls back to its documented default width and
