@@ -317,38 +317,52 @@ void run_resident_batch_case(std::vector<Record>& records) {
             << " solves (" << wall / items << " ms/solve)\n";
 }
 
-/// The recursive TRSM against a resident L: the first execute_dist records
-/// the replica of L its base-case and column-split collectives gather,
-/// and the second replays it, sending nothing for L. The record is the
-/// second (warm) solve's modeled cost; wall_ms times that solve alone.
-/// Shapes: replication is almost all of W at (16, 256, 4) and all of it
-/// at (8, 16, 512), a column split over the 1 x 8 face; (8, 128, 128)
-/// splits a 2 x 4 face and recurses below n0, with mm3d updates between
-/// base cases.
-void run_rec_warm_cases(std::vector<Record>& records) {
-  struct Shape {
+/// A TRSM against a resident L: the first execute_dist records the plan's
+/// replica of its L-only state, and the second replays it. The record is
+/// the second (warm) solve's modeled cost; wall_ms times that solve alone.
+///  - resident/rec_trsm_warm: the recursive TRSM's replica of what its
+///    base-case and column-split collectives gather, so the warm solve
+///    sends nothing for L. Replication is almost all of W at (16, 256, 4)
+///    and all of it at (8, 16, 512), a column split over the 1 x 8 face;
+///    (8, 128, 128) splits a 2 x 4 face and recurses below n0, with mm3d
+///    updates between base cases.
+///  - resident/it_trsm_warm: the iterative TRSM's Ltilde, so the warm
+///    solve inverts nothing: at serve_small_p64's (64, 96, 48), and at
+///    (8, 40, 10) on a forced 2 x 2 x 1 grid, whose ranks 4-7 idle and
+///    record nothing.
+void run_warm_cases(std::vector<Record>& records) {
+  struct Case {
+    const char* name;
+    model::Algorithm algorithm;
     int p;
     index_t n, k;
+    int grid_p1;  // 0: the tuner's grid; else grid_p1^2 x 1
   };
-  for (const Shape s : {Shape{16, 256, 4}, Shape{8, 16, 512},
-                        Shape{8, 128, 128}}) {
-    api::Context ctx(s.p);
+  const model::Algorithm rec = model::Algorithm::kRecursive;
+  const model::Algorithm it = model::Algorithm::kIterative;
+  for (const Case& c : {Case{"resident/rec_trsm_warm", rec, 16, 256, 4, 0},
+                        Case{"resident/rec_trsm_warm", rec, 8, 16, 512, 0},
+                        Case{"resident/rec_trsm_warm", rec, 8, 128, 128, 0},
+                        Case{"resident/it_trsm_warm", it, 64, 96, 48, 0},
+                        Case{"resident/it_trsm_warm", it, 8, 40, 10, 2}}) {
+    api::Context ctx(c.p);
     api::TrsmSpec spec;
     spec.force_algorithm = true;
-    spec.algorithm = model::Algorithm::kRecursive;
-    auto plan = ctx.plan(api::trsm_op(s.n, s.k, spec));
-    const api::DistHandle hl = ctx.upload(la::make_lower_triangular(61, s.n),
+    spec.algorithm = c.algorithm;
+    spec.grid_p1 = c.grid_p1;
+    auto plan = ctx.plan(api::trsm_op(c.n, c.k, spec));
+    const api::DistHandle hl = ctx.upload(la::make_lower_triangular(61, c.n),
                                           plan->input_layout(0));
     const api::DistHandle hb =
-        ctx.upload(la::make_rhs(62, s.n, s.k), plan->input_layout(1));
+        ctx.upload(la::make_rhs(62, c.n, c.k), plan->input_layout(1));
     (void)plan->execute_dist(hl, hb);
     const auto t0 = Clock::now();
     const api::DistExecResult warm = plan->execute_dist(hl, hb);
-    records.push_back({"resident/rec_trsm_warm", s.p, s.n, s.k, ms_since(t0),
-                       1.0, warm.algorithm_cost(), warm.stats.critical_time});
-    std::cout << "resident/rec_trsm_warm p=" << s.p << " n=" << s.n
-              << " k=" << s.k << ": W " << warm.algorithm_cost().words
-              << ", critical " << warm.stats.critical_time * 1e6 << " us\n";
+    records.push_back({c.name, c.p, c.n, c.k, ms_since(t0), 1.0,
+                       warm.algorithm_cost(), warm.stats.critical_time});
+    std::cout << c.name << " p=" << c.p << " n=" << c.n << " k=" << c.k
+              << ": W " << warm.algorithm_cost().words << ", critical "
+              << warm.stats.critical_time * 1e6 << " us\n";
   }
 }
 
@@ -370,6 +384,31 @@ void run_program_case(std::vector<Record>& records) {
             << " ms (residual " << r.residual << "); plan-cache hits="
             << cs.hits << " misses=" << cs.misses << " entries="
             << cs.entries << "\n";
+}
+
+/// The Cholesky-solve that spd_pipeline_p16 serves one panel at a time,
+/// as one 8-panel execute_batch: the factor once, then per panel a
+/// forward solve (the first inverts the factor's diagonal blocks, the
+/// later ones replay them) and a reversed backward solve, in one run.
+void run_cholesky_batch_case(std::vector<Record>& records) {
+  const int p = 16;
+  const index_t n = 512, k = 64;
+  const int panels = 8;
+  api::Context ctx(p);
+  const la::Matrix a = la::make_spd(43, n);
+  std::vector<la::Matrix> bs;
+  for (int i = 0; i < panels; ++i)
+    bs.push_back(la::make_rhs(44 + static_cast<std::uint64_t>(i), n, k));
+  auto plan = ctx.plan(api::cholesky_solve_op(n, k));
+  const auto t0 = Clock::now();
+  const api::BatchResult r = plan->execute_batch(a, bs);
+  records.push_back({"batch/cholesky_solve_8x_p16", p, n, k, ms_since(t0),
+                     double(panels), r.algorithm_cost(),
+                     r.stats.critical_time});
+  std::cout << "batch/cholesky_solve_8x_p16: " << records.back().wall_ms
+            << " ms for " << panels << " panels; S "
+            << r.algorithm_cost().msgs << ", W " << r.algorithm_cost().words
+            << "\n";
 }
 
 /// The optimizer A/B on a redundantly-written SPD pipeline: three
@@ -699,12 +738,13 @@ int main(int argc, char** argv) {
   run_batch_case(records);
   run_resident_batch_case(records);
   run_program_case(records);
+  run_cholesky_batch_case(records);
   run_program_opt_cases(records);
   run_oracle_cases(records);
   // Appended LAST so every pre-existing record keeps its position (and
   // its modeled fields byte-identical) in the committed JSON.
   const auto [streams_serial, streams_conc] = run_stream_cases(records);
-  run_rec_warm_cases(records);
+  run_warm_cases(records);
 
   std::string out = "[\n";
   for (std::size_t i = 0; i < records.size(); ++i)

@@ -6,11 +6,11 @@
 // parameters). A Plan is a frozen configuration — the Section VIII regime
 // classification, algorithm choice, grid factorization and block counts
 // are decided exactly once, at plan time — plus reusable execution state:
-// grid membership and the output of the phases that read only L, kept
-// resident from the first execute against an operand and reused for
-// every further solve against the same matrix: Ltilde (the operand with
-// its diagonal blocks inverted) for the iterative TRSM, the replica of
-// L's gathered blocks for the recursive one (the FFTW / cuBLAS
+// grid membership and a replica of what the phases that read only L
+// produce, recorded by the first execute against an operand and replayed
+// by every further solve against the same matrix. The iterative TRSM
+// records Ltilde (the operand with its diagonal blocks inverted), the
+// recursive one the blocks of L it gathers (the FFTW / cuBLAS
 // plan-and-execute pattern the paper's a-priori cost analysis enables).
 //
 //   catrsm::api::Context ctx(/*p=*/64);
@@ -349,10 +349,12 @@ class Plan : public std::enable_shared_from_this<Plan> {
 
   /// Execute against RESIDENT operands: the one-panel stream_program on
   /// handles, with no scatter and no collect — the whole point for
-  /// repeated solves against a fixed factor, whose Ltilde or replica the
-  /// plan keeps from the first solve (keyed on the handle). A handle
-  /// whose layout differs from the required input_layout() is
-  /// redistributed automatically (charged to the "redistribute" phase).
+  /// repeated solves against a fixed factor, whose replica the plan keeps
+  /// from the first solve (keyed on the handle). A handle whose layout
+  /// differs from the required input_layout() is redistributed
+  /// automatically (charged to the "redistribute" phase), on a warm solve
+  /// too: the replica replaces the L-only phases, not the solve's read of
+  /// L.
   /// TRSM on this path supports the normalized kernel variants only
   /// (lower operand, left side; transpose requires the iterative
   /// algorithm, which reverses distributedly — the Cholesky backward
@@ -391,9 +393,9 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// and a byte-identical `a` on the next call reuses that handle, so the
   /// diagonal blocks of one matrix are inverted, or its blocks
   /// replicated, once across all batches and executes: the first panel
-  /// of a recursive batch records the replica and the later panels
-  /// replay it. Rejects tri-inv and Cholesky, which take no right-hand
-  /// side (use execute).
+  /// of a batch records the replica and the later panels replay it.
+  /// Rejects tri-inv and Cholesky, which take no right-hand side (use
+  /// execute).
   BatchResult execute_batch(const la::Matrix& a,
                             std::span<const la::Matrix> bs);
 
@@ -427,18 +429,17 @@ class Plan : public std::enable_shared_from_this<Plan> {
 
   /// The one Program behind every entry point: input A, then per
   /// right-hand-side panel one input, the op's steps and one marked
-  /// output. The iterative TRSM solves every panel against Ltilde: with
-  /// `ltilde_bound` the cached one is the input after the panels,
-  /// otherwise one inversion step computes it and is the last output.
-  /// The recursive TRSM's steps share the run's replica (launch).
-  /// kCholeskySolve factors A once, inverts the factor's diagonal blocks
-  /// once, and wires one forward and one backward solve per panel. A
-  /// unary op (tri-inv, Cholesky) takes no panels: its program is one
-  /// step on A.
-  Program stream_program(std::size_t panels, bool ltilde_bound);
+  /// output. A TRSM runs one whole-op step per panel. kCholeskySolve
+  /// factors A once and wires one forward and one backward solve per
+  /// panel. A unary op (tri-inv, Cholesky) takes no panels: its program
+  /// is one step on A.
+  Program stream_program(std::size_t panels);
   /// Launch stream_program over `inputs` (A, then one handle per panel)
-  /// as one execution stream, binding the cached Ltilde or replica when
-  /// it belongs to A, else building it for A.
+  /// as one execution stream. When the plan keeps L-only state, its steps
+  /// share one replica: the plan's when it belongs to A (every step
+  /// replays), else a new one for A (the first step records, the later
+  /// ones replay, and settle keeps it). kCholeskySolve's forward solves
+  /// share a replica of the run's own factor, for that run only.
   DistTicket launch(std::vector<DistHandle> inputs);
   /// Upload `a` (via operand_handle) and every panel, run the stream in
   /// one Machine::run, download every output. No residuals.
@@ -449,37 +450,31 @@ class Plan : public std::enable_shared_from_this<Plan> {
   BatchResult run_trsm(const la::Matrix& t, std::span<const la::Matrix> bs,
                        const TrsmSpec& spec);
   /// The handle of operand `a` for one call. When the plan keeps L-only
-  /// state (inverts_diag or replicates_l), it is the memoized handle if
-  /// `a`'s bytes equal the last call's (else a fresh memoized upload), so
-  /// a fixed matrix keeps one handle and that state keeps hitting.
-  /// Otherwise it is a transient upload: nothing keyed on the handle
-  /// outlives the call.
+  /// state, it is the memoized handle if `a`'s bytes equal the last
+  /// call's (else a fresh memoized upload), so a fixed matrix keeps one
+  /// handle and that state keeps hitting. Otherwise it is a transient
+  /// upload: nothing keyed on the handle outlives the call.
   DistHandle operand_handle(const la::Matrix& a);
-  /// Whether runs of this plan invert diagonal blocks (the iterative
-  /// non-transposed TRSM kernel), i.e. run as an inversion step and solve
-  /// steps and use the diagonal-inverse cache.
-  bool inverts_diag() const;
-  /// Whether runs of this plan replicate L (the recursive non-transposed
-  /// TRSM kernel) and keep the replica.
-  bool replicates_l() const;
+  /// Whether runs of this plan record and replay a replica of their
+  /// L-only state: the non-transposed TRSM kernel with the iterative
+  /// algorithm (Ltilde) or the recursive one (the gathered blocks of L).
+  bool keeps_l_state() const;
 
   Context* ctx_;
   OpDesc desc_;
   model::Config config_;
 
-  // L-only state, kept from the last run that built it and valid for the
-  // operand handle (l_id_, l_epoch_) — handles are never rewritten in
-  // place, so that pair pins the bytes: the iterative TRSM's Ltilde (the
-  // resident output of its inversion step) or the recursive TRSM's
-  // replica. Either is attached to the operand's store entry, so it is
-  // released when the operand is, as well as when it is replaced or the
-  // plan dies. l_mu_ guards these fields against the settles of
-  // concurrent streams. A run reading the state holds its own reference
-  // and run-use marks, so a miss may replace it while that run flies.
+  // L-only state: the replica recorded by the last run that missed, valid
+  // for the operand handle (l_id_, l_epoch_) — handles are never rewritten
+  // in place, so that pair pins the bytes. It is attached to the
+  // operand's store entry, so it is released when the operand is, as well
+  // as when it is replaced or the plan dies. l_mu_ guards these fields
+  // against the settles of concurrent streams. A run replaying the
+  // replica holds its own reference and run-use marks, so a miss may
+  // replace it while that run flies.
   mutable std::mutex l_mu_;
   std::uint64_t l_id_ = 0;
   std::uint64_t l_epoch_ = 0;
-  DistHandle ltilde_;
   std::shared_ptr<detail::Replica> replica_;
   std::uint64_t diag_inversions_ = 0;
 
@@ -598,13 +593,6 @@ class Context {
 
 class Program;
 
-namespace detail {
-/// What a Program step runs of its plan: the whole op, or one half of the
-/// iterative TRSM — the Diagonal-Inverter on L (its output is Ltilde, L
-/// with inverted diagonal blocks) or the solve loop against an Ltilde.
-enum class Stage { kOp, kInvert, kSolveInverted };
-}  // namespace detail
-
 namespace opt {
 struct Schedule;
 
@@ -622,8 +610,8 @@ Schedule compile(const Program& prog, bool enabled);
 /// as per-rank blocks, and a consumer whose required layout differs from
 /// its producer's gets a dist::redistribute inserted automatically.
 /// Op::kCholeskySolve is internally this: factor -> solve -> reversed
-/// solve, with the forward solve run as an inversion step and a solve
-/// step (Plan::stream_program).
+/// solve (Plan::stream_program), its forward solves sharing one
+/// inversion of the factor's diagonal blocks per run.
 ///
 ///   api::Program prog(ctx);
 ///   auto a = prog.input(n, n);
@@ -716,17 +704,13 @@ class Program {
   friend class Plan;  // execute_dist runs as a one-step program
   friend opt::Schedule opt::compile(const Program&, bool);
 
-  /// add() for one stage of the iterative TRSM (Plan::stream_program):
-  /// kInvert takes {L} and yields Ltilde, n x n in the plan's
-  /// input_layout(0); kSolveInverted takes {Ltilde, B}.
-  NodeId add_stage(std::shared_ptr<Plan> plan, std::vector<NodeId> args,
-                   std::string phase, detail::Stage stage);
-
-  /// run_async for a recursive plan's stream (Plan::launch): every step
-  /// solves against the same operand and shares `replica`. A resident
-  /// replica is run-use marked and replayed by every step; an empty one
-  /// is recorded by the first step, replayed by the later ones, and
-  /// staged for the host to make resident after the run succeeds.
+  /// run_async for a stream (Plan::launch) whose steps that keep L-only
+  /// state (Plan::keeps_l_state) are of one plan against one operand and
+  /// share `replica`; the other steps ignore it. A resident replica is
+  /// run-use marked and replayed by every such step; an empty one is
+  /// recorded by the first, replayed by the later ones, and, when it has
+  /// staging slots, staged for the host to make resident after the run
+  /// succeeds.
   AsyncResult run_async(const std::vector<DistHandle>& inputs,
                         std::shared_ptr<detail::Replica> replica);
 
@@ -741,7 +725,6 @@ class Program {
     std::vector<NodeId> args;
     std::string phase;
     NodeId out = -1;
-    detail::Stage stage = detail::Stage::kOp;
   };
 
   Context* ctx_;

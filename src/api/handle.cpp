@@ -178,7 +178,7 @@ bool Context::ensure_resident(const DistHandle& h) {
   fill_slots(store, h.id(), h.state_->matrix.get(), h.state_->gen, d,
              nprocs());
   // touch(), not a fresh epoch: the restored bytes are identical, so
-  // content-keyed caches (diag-inverse reuse) stay valid across the
+  // content-keyed state (a plan's replica) stays valid across the
   // evict/re-upload round trip. No budget pass here — the caller is
   // about to use the blocks (run paths hold run-use marks; download
   // evicts after assembling).

@@ -1,5 +1,6 @@
 #include "api/op_bodies.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -94,15 +95,19 @@ int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p) {
 }
 
 bool Replica::make_resident() {
-  const std::size_t blocks = staged.front().size();
+  std::size_t blocks = 0;
   for (const std::vector<la::Matrix>& mine : staged)
-    CATRSM_CHECK(mine.size() == blocks,
+    blocks = std::max(blocks, mine.size());
+  for (const std::vector<la::Matrix>& mine : staged)
+    CATRSM_CHECK(mine.empty() || mine.size() == blocks,
                  "replica: ranks recorded different block counts");
   for (std::size_t i = 0; i < blocks; ++i) {
     ids.push_back(store.create());
     if (!store.attach(ids.back(), operand)) return false;
     for (std::size_t r = 0; r < staged.size(); ++r)
-      store.local(ids.back(), static_cast<int>(r)) = std::move(staged[r][i]);
+      if (!staged[r].empty())
+        store.local(ids.back(), static_cast<int>(r)) =
+            std::move(staged[r][i]);
     store.touch(ids.back());
   }
   staged.clear();
@@ -111,12 +116,12 @@ bool Replica::make_resident() {
 
 DistMatrix trsm_solve(const model::Config& cfg, const sim::Comm& grid,
                       const DistMatrix& dl, const DistMatrix& db,
-                      trsm::RecReplica* replica) {
+                      trsm::Replica* replica) {
   switch (cfg.algorithm) {
     case model::Algorithm::kIterative: {
       trsm::ItInvOptions iio;
       iio.nblocks = cfg.nblocks;
-      return trsm::it_inv_trsm(dl, db, grid, cfg.p1, cfg.p2, iio);
+      return trsm::it_inv_trsm(dl, db, grid, cfg.p1, cfg.p2, iio, replica);
     }
     case model::Algorithm::kRecursive:
       return trsm::rec_trsm(dl, db, grid, {}, replica);
@@ -143,21 +148,9 @@ DistMatrix trsm_transposed_solve(const model::Config& cfg,
 }
 
 DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
-                   Stage stage, const sim::Comm& grid, const DistMatrix& a,
-                   const DistMatrix& b, trsm::RecReplica* replica) {
+                   const sim::Comm& grid, const DistMatrix& a,
+                   const DistMatrix& b, trsm::Replica* replica) {
   if (!grid.is_member()) return {};
-  switch (stage) {
-    case Stage::kInvert: {
-      sim::PhaseScope scope(grid.ctx(), "inversion");
-      return trsm::diag_inverter(
-          a, grid,
-          trsm::it_inv_block_count(desc.n, desc.k, grid.size(), cfg.nblocks));
-    }
-    case Stage::kSolveInverted:
-      return trsm::it_inv_solve(a, b, grid, cfg.p1, cfg.p2, cfg.nblocks);
-    case Stage::kOp:
-      break;
-  }
   switch (desc.op) {
     case Op::kTrsm:
       return desc.trsm.transpose ? trsm_transposed_solve(cfg, grid, a, b)

@@ -22,7 +22,7 @@
 #include "dist/dist_matrix.hpp"
 #include "dist/redistribute.hpp"
 #include "sim/handle_store.hpp"
-#include "trsm/rec_trsm.hpp"
+#include "trsm/replica.hpp"
 
 namespace catrsm::api {
 
@@ -52,32 +52,38 @@ struct DistHandle::State {
 
 namespace detail {
 
-/// A recursive-TRSM plan's replica of one operand: the blocks of L its
-/// L-only collectives gathered (trsm::RecReplica), one store entry per
-/// block in call order, each attached to the operand's entry so it is
-/// released with the operand. Run-output entries: counted in
+/// The L-only state of a plan that keeps it (Plan::keeps_l_state) for one
+/// operand: the blocks of every rank's trsm::Replica (the iterative
+/// TRSM's Ltilde, the recursive TRSM's gathered blocks of L), one store
+/// entry per block in call order, each attached to the operand's entry so
+/// it is released with the operand. Run-output entries: counted in
 /// resident_bytes() and never evicted. A recording run fills `staged`;
 /// settling it makes the blocks resident. The last reference releases
 /// the entries.
 struct Replica {
   Replica(sim::HandleStore& s, std::uint64_t operand_id, int p)
       : store(s), operand(operand_id), staged(static_cast<std::size_t>(p)) {}
+  /// A replica for one run only, of an operand the run computes itself
+  /// (the Cholesky-solve's factor): its steps record and replay, and
+  /// nothing is staged or made resident.
+  explicit Replica(sim::HandleStore& s) : store(s), operand(0) {}
   ~Replica() {
     for (const std::uint64_t id : ids) store.release(id);
   }
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
 
-  /// Move the staged blocks into entries attached to the operand. Returns
-  /// false, keeping nothing, when the operand is already released.
+  /// Move the staged blocks into entries attached to the operand. Ranks
+  /// outside the plan's grid recorded nothing and keep empty slots.
+  /// Returns false, keeping nothing, when the operand is already released.
   bool make_resident();
 
   sim::HandleStore& store;
   std::uint64_t operand;
   /// The resident blocks' entries; empty until make_resident().
   std::vector<std::uint64_t> ids;
-  /// Per rank, the blocks a recording run gathered (each rank writes only
-  /// its own).
+  /// Per rank, the blocks a recording run recorded (each rank writes only
+  /// its own). Empty once resident, and for a replica of one run.
   std::vector<std::vector<la::Matrix>> staged;
 };
 
@@ -109,11 +115,12 @@ int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p);
 
 /// Solve L X = B with the planned algorithm (the normalized lower-left
 /// non-transposed kernel; dl/db in the plan's input layouts). The
-/// recursive algorithm records into or replays `replica` when given one.
+/// iterative and recursive algorithms record into or replay `replica`
+/// when given one.
 dist::DistMatrix trsm_solve(const model::Config& cfg, const sim::Comm& grid,
                             const dist::DistMatrix& dl,
                             const dist::DistMatrix& db,
-                            trsm::RecReplica* replica = nullptr);
+                            trsm::Replica* replica = nullptr);
 
 /// L^T X = B entirely in the distributed domain: J L^T J is lower, so
 /// transpose + reverse, solve iteratively, reverse back — the Cholesky
@@ -123,16 +130,14 @@ dist::DistMatrix trsm_transposed_solve(const model::Config& cfg,
                                        const dist::DistMatrix& dl,
                                        const dist::DistMatrix& db);
 
-/// Dispatch `stage` of `desc.op` against already-distributed operands:
-/// the whole op, or the iterative TRSM's inversion of `a` (under the
-/// "inversion" phase) or solve of `b` against the Ltilde `a`. Ranks
-/// outside `grid` return an empty DistMatrix without communicating. `b`
-/// is ignored by the unary ops and the inversion. A non-transposed
-/// recursive TRSM records into or replays `replica` when given one.
+/// Dispatch `desc.op` against already-distributed operands. Ranks outside
+/// `grid` return an empty DistMatrix without communicating. `b` is
+/// ignored by the unary ops. A non-transposed TRSM passes `replica` to
+/// trsm_solve; every other op ignores it.
 dist::DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
-                         Stage stage, const sim::Comm& grid,
-                         const dist::DistMatrix& a, const dist::DistMatrix& b,
-                         trsm::RecReplica* replica = nullptr);
+                         const sim::Comm& grid, const dist::DistMatrix& a,
+                         const dist::DistMatrix& b,
+                         trsm::Replica* replica = nullptr);
 
 /// Move rank `me`'s resident block out of the store into a DistMatrix
 /// view under `d` (shape-checked); restore_slot moves it back. Never

@@ -57,11 +57,9 @@ Schedule compile(const Program& prog, bool enabled) {
   }
 
   // Pass 2, common-sub-DAG merging, runs inside the emit loop: identity
-  // = (plan object, resolved args, stage) — the plan cache makes the plan
-  // pointer a structural key; the stage keeps an inversion apart from a
-  // whole solve on the same L.
-  std::map<std::tuple<const Plan*, NodeId, NodeId, detail::Stage>, NodeId>
-      seen;
+  // = (plan object, resolved args) — the plan cache makes the plan pointer
+  // a structural key.
+  std::map<std::tuple<const Plan*, NodeId, NodeId>, NodeId> seen;
   // Optimizer on: the slot of each distinct (resolved node, layout).
   std::map<std::pair<NodeId, LayoutKey>, int> changed;
   // What the as-written DAG pays: one layout change per mismatched use.
@@ -82,8 +80,7 @@ Schedule compile(const Program& prog, bool enabled) {
     for (std::size_t slot = 0; slot < step.args.size(); ++slot)
       op.arg[slot] = s.resolve[static_cast<std::size_t>(step.args[slot])];
     if (enabled) {
-      const auto key =
-          std::make_tuple(step.plan.get(), op.arg[0], op.arg[1], step.stage);
+      const auto key = std::make_tuple(step.plan.get(), op.arg[0], op.arg[1]);
       const auto [it, fresh] = seen.emplace(key, step.out);
       if (!fresh) {
         s.resolve[static_cast<std::size_t>(step.out)] = it->second;

@@ -79,17 +79,16 @@ int square_side(int p) {
 }  // namespace
 
 // One launched stream program, settled once: the first settle() records
-// the outcome — a run that missed the plan's L-only state built it for
-// the operand (l_id, l_epoch): Ltilde, its last output, or the replica it
-// recorded. A successful run attaches that state to the operand's entry
-// and makes it the plan's; a run whose operand was released meanwhile
-// keeps nothing, since no later run can name that operand. Every later
-// settle() returns the same outcome.
+// the outcome — a run that missed the plan's L-only state recorded a
+// replica of it for the operand (l_id, l_epoch). A successful run
+// attaches that replica to the operand's entry and makes it the plan's; a
+// run whose operand was released meanwhile keeps nothing, since no later
+// run can name that operand. Every later settle() returns the same
+// outcome.
 struct DistTicket::Shared {
   std::shared_ptr<Plan> plan;
   Program::AsyncResult async;
   ProgramStats program_stats;
-  bool inverts = false;
   std::shared_ptr<detail::Replica> records;
   std::uint64_t l_id = 0;
   std::uint64_t l_epoch = 0;
@@ -105,21 +104,12 @@ struct DistTicket::Shared {
       settled = true;
       try {
         result = async.wait();
-        DistHandle ltilde;
-        bool kept = false;
-        if (inverts) {
-          ltilde = std::move(result.outputs.back());
-          result.outputs.pop_back();
-          kept = plan->ctx_->machine().handle_store().attach(ltilde.id(),
-                                                             l_id);
-        } else if (records != nullptr) {
-          kept = records->make_resident();
-        }
-        if (inverts || kept) {
+        if (records != nullptr) {
+          const bool kept = records->make_resident();
           std::lock_guard<std::mutex> cache_lock(plan->l_mu_);
-          if (inverts) ++plan->diag_inversions_;
+          if (plan->config_.algorithm == model::Algorithm::kIterative)
+            ++plan->diag_inversions_;
           if (kept) {
-            plan->ltilde_ = std::move(ltilde);
             plan->replica_ = std::move(records);
             plan->l_id_ = l_id;
             plan->l_epoch_ = l_epoch;
@@ -441,8 +431,7 @@ DistHandle Plan::operand_handle(const Matrix& a) {
   const auto d = [&] {
     return detail::realize_host(lay, a.rows(), a.cols(), ctx_->nprocs());
   };
-  if (!inverts_diag() && !replicates_l())
-    return ctx_->upload_on(borrowed(a), lay, d());
+  if (!keeps_l_state()) return ctx_->upload_on(borrowed(a), lay, d());
   // A faulted run may have poisoned the memoized blocks: never reuse them.
   if (!operand_.valid() || operand_.poisoned() ||
       !same_bytes(*operand_src_, a)) {
@@ -480,22 +469,15 @@ ExecResult Plan::execute_generated(const Gen& a_gen, const Gen& b_gen,
   return r;
 }
 
-bool Plan::inverts_diag() const {
-  return desc_.op == Op::kTrsm &&
-         config_.algorithm == model::Algorithm::kIterative &&
-         !desc_.trsm.transpose;
-}
-
-bool Plan::replicates_l() const {
-  return desc_.op == Op::kTrsm &&
-         config_.algorithm == model::Algorithm::kRecursive &&
-         !desc_.trsm.transpose;
+bool Plan::keeps_l_state() const {
+  return desc_.op == Op::kTrsm && !desc_.trsm.transpose &&
+         (config_.algorithm == model::Algorithm::kIterative ||
+          config_.algorithm == model::Algorithm::kRecursive);
 }
 
 // --- The stream program and its launch ------------------------------------
 
-Program Plan::stream_program(std::size_t panels, bool ltilde_bound) {
-  using detail::Stage;
+Program Plan::stream_program(std::size_t panels) {
   const index_t inner = inner_dim(desc_);
   const auto self = shared_from_this();
   Program prog(*ctx_);
@@ -505,29 +487,19 @@ Program Plan::stream_program(std::size_t panels, bool ltilde_bound) {
     return prog;
   }
   if (desc_.op != Op::kCholeskySolve) {
-    std::vector<Program::NodeId> nbs;
-    for (std::size_t i = 0; i < panels; ++i)
-      nbs.push_back(prog.input(inner, desc_.k));
-    if (!inverts_diag()) {
-      for (const Program::NodeId nb : nbs)
-        prog.mark_output(prog.add(self, {na, nb}));
-      return prog;
+    for (std::size_t i = 0; i < panels; ++i) {
+      const Program::NodeId nb = prog.input(inner, desc_.k);
+      prog.mark_output(prog.add(self, {na, nb}));
     }
-    const Program::NodeId nlt =
-        ltilde_bound ? prog.input(desc_.n, desc_.n)
-                     : prog.add_stage(self, {na}, {}, Stage::kInvert);
-    for (const Program::NodeId nb : nbs)
-      prog.mark_output(
-          prog.add_stage(self, {nlt, nb}, {}, Stage::kSolveInverted));
-    if (!ltilde_bound) prog.mark_output(nlt);
     return prog;
   }
 
   // The Cholesky pipeline: factor, forward solve, reversed backward solve
   // on the q x q subgrid, one Machine::run, no intermediate collects. The
-  // factor's diagonal blocks are inverted once for every forward solve;
-  // the backward solve inverts its own (reversed, transposed) operand.
-  // The building-block plans are cache hits after the first call.
+  // forward solves share the run's replica, so the factor's diagonal
+  // blocks are inverted once for all of them; the backward solve inverts
+  // its own (reversed, transposed) operand. The building-block plans are
+  // cache hits after the first call.
   const int q = config_.p1;
   auto factor_plan = ctx_->plan(cholesky_op(desc_.n, q));
   TrsmSpec fwd_spec;
@@ -542,12 +514,9 @@ Program Plan::stream_program(std::size_t panels, bool ltilde_bound) {
   auto bwd_plan = ctx_->plan(trsm_op(desc_.n, desc_.k, bwd_spec));
 
   const Program::NodeId nl = prog.add(factor_plan, {na}, "cholesky");
-  const Program::NodeId nlt =
-      prog.add_stage(fwd_plan, {nl}, "forward-trsm", Stage::kInvert);
   for (std::size_t i = 0; i < panels; ++i) {
     const Program::NodeId nb = prog.input(desc_.n, desc_.k);
-    const Program::NodeId ny = prog.add_stage(
-        fwd_plan, {nlt, nb}, "forward-trsm", Stage::kSolveInverted);
+    const Program::NodeId ny = prog.add(fwd_plan, {nl, nb}, "forward-trsm");
     prog.mark_output(prog.add(bwd_plan, {nl, ny}, "backward-trsm"));
   }
   return prog;
@@ -563,29 +532,22 @@ DistTicket Plan::launch(std::vector<DistHandle> inputs) {
   sh->plan = shared_from_this();
   sh->l_id = inputs[0].id();
   sh->l_epoch = inputs[0].epoch();
-  const std::size_t panels = inputs.size() - 1;
-  bool hit = false;
+  sim::HandleStore& store = ctx_->machine().handle_store();
   std::shared_ptr<detail::Replica> replica;
-  if (inverts_diag() || replicates_l()) {
+  if (keeps_l_state()) {
     std::lock_guard<std::mutex> lock(l_mu_);
-    const bool same = l_id_ == sh->l_id && l_epoch_ == sh->l_epoch;
-    if (inverts_diag()) {
-      hit = same && ltilde_.valid();
-      if (hit)
-        inputs.push_back(ltilde_);
-      else
-        sh->inverts = true;
-    } else if (same && replica_ != nullptr) {
+    if (replica_ != nullptr && l_id_ == sh->l_id && l_epoch_ == sh->l_epoch) {
       replica = replica_;
     } else {
-      replica = std::make_shared<detail::Replica>(
-          ctx_->machine().handle_store(), sh->l_id, ctx_->nprocs());
+      replica = std::make_shared<detail::Replica>(store, sh->l_id,
+                                                  ctx_->nprocs());
       sh->records = replica;
     }
+  } else if (desc_.op == Op::kCholeskySolve) {
+    replica = std::make_shared<detail::Replica>(store);
   }
-  Program prog = stream_program(panels, hit);
-  sh->async = replica != nullptr ? prog.run_async(inputs, std::move(replica))
-                                 : prog.run_async(inputs);
+  Program prog = stream_program(inputs.size() - 1);
+  sh->async = prog.run_async(inputs, std::move(replica));
   sh->program_stats = prog.stats();
   return DistTicket(std::move(sh));
 }

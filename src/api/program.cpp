@@ -49,13 +49,6 @@ Program::NodeId Program::input(index_t rows, index_t cols) {
 
 Program::NodeId Program::add(std::shared_ptr<Plan> plan,
                              std::vector<NodeId> args, std::string phase) {
-  return add_stage(std::move(plan), std::move(args), std::move(phase),
-                   detail::Stage::kOp);
-}
-
-Program::NodeId Program::add_stage(std::shared_ptr<Plan> plan,
-                                   std::vector<NodeId> args,
-                                   std::string phase, detail::Stage stage) {
   CATRSM_CHECK(plan != nullptr, "program: null plan");
   CATRSM_CHECK(plan->ctx_ == ctx_,
                "program: plan belongs to a different Context");
@@ -72,13 +65,7 @@ Program::NodeId Program::add_stage(std::shared_ptr<Plan> plan,
                    "program: transposed trsm steps require the iterative "
                    "algorithm");
   }
-  const bool invert = stage == detail::Stage::kInvert;
-  if (stage != detail::Stage::kOp)
-    CATRSM_CHECK(plan->inverts_diag(),
-                 "program: only the iterative non-transposed trsm runs as "
-                 "an inversion and a solve");
-  const int arity = invert ? 1 : detail::op_arity(d.op);
-  CATRSM_CHECK(static_cast<int>(args.size()) == arity,
+  CATRSM_CHECK(static_cast<int>(args.size()) == detail::op_arity(d.op),
                "program: wrong operand count for op");
   for (const NodeId a : args)
     CATRSM_CHECK(a >= 0 && a < static_cast<NodeId>(nodes_.size()),
@@ -91,11 +78,6 @@ Program::NodeId Program::add_stage(std::shared_ptr<Plan> plan,
     case Op::kTrsm:
       CATRSM_CHECK(a0.rows == d.n && a0.cols == d.n,
                    "program: trsm operand must be the planned n x n");
-      if (invert) {
-        out.rows = d.n;
-        out.cols = d.n;
-        break;
-      }
       CATRSM_CHECK(nodes_[static_cast<std::size_t>(args[1])].rows == d.n &&
                        nodes_[static_cast<std::size_t>(args[1])].cols == d.k,
                    "program: trsm rhs must be the planned n x k");
@@ -123,7 +105,7 @@ Program::NodeId Program::add_stage(std::shared_ptr<Plan> plan,
     case Op::kCholeskySolve:
       throw Error("program: unreachable");
   }
-  out.layout = invert ? plan->input_layout(0) : plan->output_layout();
+  out.layout = plan->output_layout();
 
   nodes_.push_back(out);
   const NodeId out_id = static_cast<NodeId>(nodes_.size()) - 1;
@@ -132,7 +114,6 @@ Program::NodeId Program::add_stage(std::shared_ptr<Plan> plan,
   step.args = std::move(args);
   step.phase = std::move(phase);
   step.out = out_id;
-  step.stage = stage;
   steps_.push_back(std::move(step));
   compiled_.reset();
   return out_id;
@@ -169,8 +150,8 @@ struct Program::AsyncResult::Shared {
   std::vector<DistHandle> inputs;
   std::vector<std::uint64_t> in_ids;  // distinct, run-use marked in flight
   std::vector<std::uint64_t> out_ids;
-  // The replica every op step shares (Plan::launch); its resident entries
-  // are run-use marked with the inputs.
+  // The replica the steps that keep L-only state share (Plan::launch); its
+  // resident entries are run-use marked with the inputs.
   std::shared_ptr<detail::Replica> replica;
 
   sim::RunTicket ticket;
@@ -195,10 +176,16 @@ Program::AsyncResult Program::run_async(
     std::shared_ptr<detail::Replica> replica) {
   CATRSM_CHECK(static_cast<int>(inputs.size()) == n_inputs_,
                "program: wrong number of input handles");
-  if (replica != nullptr)
-    for (const Step& step : steps_)
-      CATRSM_CHECK(step.args[0] == steps_.front().args[0],
-                   "program: a replica serves steps against one operand");
+  if (replica != nullptr) {
+    const Step* first = nullptr;
+    for (const Step& step : steps_) {
+      if (!step.plan->keeps_l_state()) continue;
+      if (first == nullptr) first = &step;
+      CATRSM_CHECK(step.plan == first->plan &&
+                       step.args[0] == first->args[0],
+                   "program: a replica serves one plan against one operand");
+    }
+  }
   sim::Machine& machine = ctx_->machine();
   sim::HandleStore& store = machine.handle_store();
   const int p = machine.nprocs();
@@ -304,7 +291,7 @@ Program::AsyncResult Program::run_async(
     // for the rest. Inputs feeding only elided steps are never touched.
     // A resident replica's blocks are moved out and back the same way.
     std::unordered_map<std::uint64_t, std::size_t> first_node_of;
-    trsm::RecReplica local_replica;
+    trsm::Replica local_replica;
     const std::vector<std::uint64_t> no_ids;
     const std::vector<std::uint64_t>& replica_ids =
         sh->replica != nullptr ? sh->replica->ids : no_ids;
@@ -322,7 +309,7 @@ Program::AsyncResult Program::run_async(
     for (const std::uint64_t id : replica_ids)
       local_replica.blocks.push_back(std::move(store.local(id, me)));
     local_replica.complete = !replica_ids.empty();
-    trsm::RecReplica* const step_replica =
+    trsm::Replica* const step_replica =
         sh->replica != nullptr ? &local_replica : nullptr;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const Node& node = nodes_[i];
@@ -369,7 +356,7 @@ Program::AsyncResult Program::run_async(
         std::optional<sim::PhaseScope> label;
         if (!step.phase.empty()) label.emplace(r, step.phase);
         out = detail::op_body(
-            plan.desc(), plan.config(), step.stage, grid, a0,
+            plan.desc(), plan.config(), grid, a0,
             st.arg[1] >= 0 ? vals[static_cast<std::size_t>(st.arg[1])]
                            : empty,
             step_replica);
@@ -402,7 +389,7 @@ Program::AsyncResult Program::run_async(
     }
     // A recording run hands its blocks to the host, which makes them
     // resident once the whole run has succeeded (Plan settles it).
-    if (step_replica != nullptr && replica_ids.empty())
+    if (sh->replica != nullptr && !sh->replica->staged.empty())
       sh->replica->staged[static_cast<std::size_t>(me)] =
           std::move(local_replica.blocks);
 

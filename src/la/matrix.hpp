@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -56,6 +57,21 @@ class Matrix {
   /// rows x cols matrix from existing row-major data (size must match),
   /// copied into the matrix's aligned storage.
   Matrix(index_t rows, index_t cols, std::span<const double> data);
+
+  Matrix(const Matrix&) = default;
+  Matrix& operator=(const Matrix&) = default;
+  /// Moves leave the source 0 x 0, so a shape check on a moved-from matrix
+  /// fails instead of passing over storage it no longer has.
+  Matrix(Matrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        data_(std::move(other.data_)) {}
+  Matrix& operator=(Matrix&& other) noexcept {
+    rows_ = std::exchange(other.rows_, 0);
+    cols_ = std::exchange(other.cols_, 0);
+    data_ = std::move(other.data_);
+    return *this;
+  }
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }

@@ -78,13 +78,13 @@ class HandleStore {
 
   /// Monotonic write stamp of the entry (assigned at creation; entries
   /// are never rewritten in place): together with the id this identifies
-  /// the CONTENT of a handle (the diagonal-inverse cache keys on it
+  /// the CONTENT of a handle (a plan's replica of L-only state keys on it
   /// instead of hashing operand bytes).
   std::uint64_t epoch(std::uint64_t id) const;
 
   /// Mark an entry's contents untrustworthy — a faulted run may have left
   /// its slots partially rewritten. Bumps the epoch so every content-keyed
-  /// cache (diag-inverse reuse) invalidates, and makes api-level reads
+  /// state (a plan's replica) invalidates, and makes api-level reads
   /// fail fast until unpoison(). Poisoned entries are never evicted (and
   /// so never silently laundered by a clean re-upload). No-op for unknown
   /// ids.

@@ -81,26 +81,20 @@ std::shared_ptr<BlockCyclicDist> it_inv_b_dist(const sim::Comm& comm, int p1,
   return dist::row_cyclic_col_blocked(it_inv_b_face(comm, p1, p2), n, k);
 }
 
+namespace {
+
+/// The block count the inversion and the solve run with: `nblocks`
+/// (0 = automatic, model::it_inv_nblocks) as the ragged blocks of
+/// ceil(n / nblocks) rows actually tile n.
 int it_inv_block_count(index_t n, index_t k, int p, int nblocks) {
   if (nblocks <= 0) nblocks = model::it_inv_nblocks(n, k, p);
   // Recompute the real block count for ragged sizes.
   return static_cast<int>(ceil_div(n, ceil_div(n, nblocks)));
 }
 
-DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
-                       const sim::Comm& comm, int p1, int p2,
-                       ItInvOptions opts) {
-  const int nblocks = it_inv_block_count(l.dist().rows(), b.dist().cols(),
-                                         comm.size(), opts.nblocks);
-  // Phase labels reproduce the paper's Section VII cost decomposition
-  // (T = T_Inv + T_Solve + T_Upd) in RunStats::phase_max.
-  const DistMatrix ltilde = [&] {
-    sim::PhaseScope scope(comm.ctx(), "inversion");
-    return diag_inverter(l, comm, nblocks);
-  }();
-  return it_inv_solve(ltilde, b, comm, p1, p2, nblocks);
-}
-
+/// The Section VI-B solve loop: X = L^-1 B from Ltilde, the
+/// Diagonal-Inverter's output for `nblocks` blocks (a count
+/// it_inv_block_count returned). Reads nothing of L itself.
 DistMatrix it_inv_solve(const DistMatrix& ltilde, const DistMatrix& b,
                         const sim::Comm& comm, int p1, int p2, int nblocks) {
   const index_t n = ltilde.dist().rows();
@@ -116,7 +110,6 @@ DistMatrix it_inv_solve(const DistMatrix& ltilde, const DistMatrix& b,
   const int z = grid.my_z();
   auto& ctx = comm.ctx();
 
-  nblocks = it_inv_block_count(n, k, comm.size(), nblocks);
   const index_t nb = ceil_div(n, nblocks);
 
   // --- Panel geometry.
@@ -284,6 +277,33 @@ DistMatrix it_inv_solve(const DistMatrix& ltilde, const DistMatrix& b,
     xout.local() = std::move(x_panel);
   }
   return xout;
+}
+
+}  // namespace
+
+DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
+                       const sim::Comm& comm, int p1, int p2,
+                       ItInvOptions opts, Replica* replica) {
+  const int nblocks = it_inv_block_count(l.dist().rows(), b.dist().cols(),
+                                         comm.size(), opts.nblocks);
+  // Phase labels reproduce the paper's Section VII cost decomposition
+  // (T = T_Inv + T_Solve + T_Upd) in RunStats::phase_max; a replay has no
+  // T_Inv.
+  ReplicaPass pass(replica);
+  DistMatrix ltilde;
+  if (pass.replay) {
+    ltilde = DistMatrix(l.dist_ptr(), comm.ctx().id());
+  } else {
+    sim::PhaseScope scope(comm.ctx(), "inversion");
+    ltilde = diag_inverter(l, comm, nblocks);
+  }
+  // The solve runs inside the site's scope: the block returns to the
+  // replica when the scope ends.
+  const SiteBlock site(pass, ltilde.local(), ltilde.local().rows(),
+                       ltilde.local().cols());
+  DistMatrix x = it_inv_solve(ltilde, b, comm, p1, p2, nblocks);
+  pass.finish();
+  return x;
 }
 
 }  // namespace catrsm::trsm

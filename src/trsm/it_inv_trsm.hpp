@@ -20,6 +20,12 @@
 // algorithm's latency by Theta((n/k)^{1/6} p^{2/3}) in the 3D regime while
 // keeping W and F asymptotically equal — the paper's headline result.
 //
+// The Diagonal-Inverter reads only L, so its output Ltilde is the one site
+// of a trsm::Replica (replica.hpp): a call against an empty replica
+// inverts under the "inversion" phase and records this rank's Ltilde
+// block, and a later call against the same L replays it and pays only
+// T_Solve + T_Upd, with no "inversion" phase.
+//
 // Distribution contract (use the helpers below to build it):
 //   L: cyclic on the front face of the p1 x p1 x p2 grid — rank (x, y, 0)
 //      owns rows ≡ x, cols ≡ y (mod p1).
@@ -33,6 +39,7 @@
 #include "dist/dist_matrix.hpp"
 #include "sim/comm.hpp"
 #include "trsm/diag_inverter.hpp"
+#include "trsm/replica.hpp"
 
 namespace catrsm::trsm {
 
@@ -59,21 +66,15 @@ std::shared_ptr<dist::BlockCyclicDist> it_inv_b_dist(const sim::Comm& comm,
                                                      int p1, int p2,
                                                      index_t n, index_t k);
 
-/// The block count both halves run with: `nblocks` (0 = automatic,
-/// model::it_inv_nblocks) as the ragged blocks of ceil(n / nblocks) rows
-/// actually tile n.
-int it_inv_block_count(index_t n, index_t k, int p, int nblocks);
-
-/// The Section VI-B solve loop: X = L^-1 B from Ltilde, the
-/// Diagonal-Inverter's output for the same `nblocks` (L with its
-/// diagonal blocks inverted, in L's distribution). Reads nothing else.
-DistMatrix it_inv_solve(const DistMatrix& ltilde, const DistMatrix& b,
-                        const sim::Comm& comm, int p1, int p2, int nblocks);
-
 /// Solve L X = B on a p1 x p1 x p2 grid over `comm`: diag_inverter under
-/// the "inversion" phase, then it_inv_solve.
+/// the "inversion" phase, then the Section VI-B solve loop against its
+/// output Ltilde (L with inverted diagonal blocks, in L's distribution).
+/// With a `replica`, an incomplete one records this rank's Ltilde block
+/// and a complete one replays it in place of the inversion; the caller
+/// guarantees it was recorded from this L. X is bitwise the same either
+/// way.
 DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
                        const sim::Comm& comm, int p1, int p2,
-                       ItInvOptions opts = {});
+                       ItInvOptions opts = {}, Replica* replica = nullptr);
 
 }  // namespace catrsm::trsm

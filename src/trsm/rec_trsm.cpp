@@ -23,56 +23,10 @@ const BlockCyclicDist& as_cyclic(const DistMatrix& m, const char* who) {
   return *d;
 }
 
-/// One rec_trsm call's pass over its replica (none: `replica` is null).
-/// The L-only sites claim blocks in call order.
-struct Pass {
-  RecReplica* replica = nullptr;
-  bool replay = false;
-  std::size_t next = 0;
-};
-
-/// The block of one L-only site, held in `home` for the site's scope. On a
-/// replay the next replica block (shape-checked against rows x cols) is
-/// moved in and the site gathers nothing; otherwise the site gathers into
-/// `home`. When the scope ends, unwinding included, the block moves back
-/// to its slot: a recording keeps what the site gathered, and a replay
-/// leaves the replica whole for the next call.
-class SiteBlock {
- public:
-  SiteBlock(Pass& pass, la::Matrix& home, index_t rows, index_t cols)
-      : pass_(pass), home_(home), slot_(pass.next++) {
-    if (pass_.replica == nullptr) return;
-    std::vector<la::Matrix>& blocks = pass_.replica->blocks;
-    if (!pass_.replay) {
-      blocks.emplace_back();
-      return;
-    }
-    // data().size(), not only rows x cols: a moved-from la::Matrix keeps
-    // its dimensions but not its storage.
-    CATRSM_CHECK(slot_ < blocks.size() && blocks[slot_].rows() == rows &&
-                     blocks[slot_].cols() == cols &&
-                     blocks[slot_].data().size() ==
-                         static_cast<std::size_t>(rows * cols),
-                 "rec_trsm: the replica was recorded from another L");
-    home_ = std::move(blocks[slot_]);
-  }
-  ~SiteBlock() {
-    if (pass_.replica != nullptr)
-      pass_.replica->blocks[slot_] = std::move(home_);
-  }
-  SiteBlock(const SiteBlock&) = delete;
-  SiteBlock& operator=(const SiteBlock&) = delete;
-
- private:
-  Pass& pass_;
-  la::Matrix& home_;
-  std::size_t slot_;
-};
-
 /// Base case: gather L onto every rank, split B's columns over all p ranks
 /// (paper lines 6-9), solve locally, and return to B's layout.
 DistMatrix rec_base(const DistMatrix& l, const DistMatrix& b,
-                    const sim::Comm& comm, Pass& pass) {
+                    const sim::Comm& comm, ReplicaPass& pass) {
   const index_t n = l.dist().rows();
   const index_t k = b.dist().cols();
   auto& ctx = comm.ctx();
@@ -102,12 +56,14 @@ DistMatrix rec_base(const DistMatrix& l, const DistMatrix& b,
 }
 
 DistMatrix rec_trsm_impl(const DistMatrix& l, DistMatrix b,
-                         const sim::Comm& comm, index_t n0, Pass& pass);
+                         const sim::Comm& comm, index_t n0,
+                         ReplicaPass& pass);
 
 /// pc = q * pr with q > 1: replicate L into q square subgrids and solve an
 /// independent column subset of B on each (paper lines 1-4).
 DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
-                             const sim::Comm& comm, index_t n0, Pass& pass) {
+                             const sim::Comm& comm, index_t n0,
+                             ReplicaPass& pass) {
   const auto& ld = as_cyclic(l, "rec_trsm");
   const Face2D& face = ld.face();
   const int pr = face.pr();
@@ -199,7 +155,8 @@ DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
 }
 
 DistMatrix rec_trsm_impl(const DistMatrix& l, DistMatrix b,
-                         const sim::Comm& comm, index_t n0, Pass& pass) {
+                         const sim::Comm& comm, index_t n0,
+                         ReplicaPass& pass) {
   const auto& ld = as_cyclic(l, "rec_trsm");
   const Face2D& face = ld.face();
   const int pr = face.pr();
@@ -263,7 +220,7 @@ index_t rec_trsm_auto_n0(index_t n, index_t k, int pr, int pc) {
 
 DistMatrix rec_trsm(const DistMatrix& l, const DistMatrix& b,
                     const sim::Comm& comm, RecTrsmOptions opts,
-                    RecReplica* replica) {
+                    Replica* replica) {
   const auto& ld = as_cyclic(l, "rec_trsm");
   const auto& bd = as_cyclic(b, "rec_trsm");
   CATRSM_CHECK(l.dist().rows() == l.dist().cols(),
@@ -281,13 +238,9 @@ DistMatrix rec_trsm(const DistMatrix& l, const DistMatrix& b,
     n0 = rec_trsm_auto_n0(l.dist().rows(), b.dist().cols(), ld.face().pr(),
                           ld.face().pc());
   DistMatrix bcopy = b;
-  Pass pass{replica, replica != nullptr && replica->complete, 0};
+  ReplicaPass pass(replica);
   DistMatrix x = rec_trsm_impl(l, std::move(bcopy), comm, n0, pass);
-  if (replica != nullptr) {
-    CATRSM_CHECK(pass.next == replica->blocks.size(),
-                 "rec_trsm: the replica was recorded from another L");
-    replica->complete = true;
-  }
+  pass.finish();
   return x;
 }
 

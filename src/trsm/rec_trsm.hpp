@@ -19,11 +19,11 @@
 // (with the assembly of each subgrid's block) and each base case's gather
 // of its diagonal block. They are often most of the algorithm's words
 // (86% at p = 4, n = 1024, k = 256; all of them at p = 8, n = 16,
-// k = 512). A RecReplica keeps what they gathered: a
-// call against an empty replica runs them exactly as a call without one
-// does and records the blocks, and a later call against the same L
-// replays them and sends nothing for L. Their charges carry the
-// "replication" phase, so a replaying call shows none.
+// k = 512). Each is a site of a trsm::Replica (replica.hpp): a call
+// against an empty replica runs them exactly as a call without one does
+// and records the blocks, and a later call against the same L replays
+// them and sends nothing for L. Their charges carry the "replication"
+// phase, so a replaying call shows none.
 //
 // Costs by regime (paper Section IV-A):
 //   1D (n <  k/p):      O(alpha log p + beta n^2 + gamma n^2 k / p)
@@ -31,10 +31,9 @@
 //   3D (in between):    O(alpha (np/k)^{2/3} log p + beta (n^2 k/p)^{2/3}
 //                         + gamma n^2 k / p)
 
-#include <vector>
-
 #include "dist/dist_matrix.hpp"
 #include "sim/comm.hpp"
+#include "trsm/replica.hpp"
 
 namespace catrsm::trsm {
 
@@ -50,24 +49,16 @@ struct RecTrsmOptions {
 /// arranged pr x pc.
 index_t rec_trsm_auto_n0(index_t n, index_t k, int pr, int pc);
 
-/// This rank's blocks of L as rec_trsm's L-only collectives gather them,
-/// in call order: the assembled subgrid block of each column split and
-/// the full copy of each base case's diagonal block. The order is the
-/// same on every call with the same shape, grid and n0.
-struct RecReplica {
-  std::vector<la::Matrix> blocks;
-  /// Set once a call has recorded every block; later calls replay.
-  bool complete = false;
-};
-
 /// Solve L X = B. `l` is n x n lower-triangular, cyclic (unit blocks) on a
 /// pr x pc face; `b` is n x k cyclic on the same face; pr must divide pc.
 /// Returns X cyclic on the same face. With a `replica`, an incomplete one
-/// records the blocks the L-only collectives gather and a complete one
-/// replays them in place of those collectives; the caller guarantees it
-/// was recorded from this L. X is bitwise the same either way.
+/// records, in call order, the assembled subgrid block of each column
+/// split and the full copy of each base case's diagonal block, and a
+/// complete one replays them in place of those collectives; the caller
+/// guarantees it was recorded from this L. X is bitwise the same either
+/// way.
 DistMatrix rec_trsm(const DistMatrix& l, const DistMatrix& b,
                     const sim::Comm& comm, RecTrsmOptions opts = {},
-                    RecReplica* replica = nullptr);
+                    Replica* replica = nullptr);
 
 }  // namespace catrsm::trsm

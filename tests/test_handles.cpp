@@ -40,11 +40,12 @@ TrsmSpec recursive_spec() {
   return spec;
 }
 
-/// The forced-recursive shapes of the replica tests, with the bytes of
-/// their replica. "split": a 2 x 4 face splits into two 2 x 2 subgrids
-/// (one copy of L each) and recurses to four 32 x 32 base cases, each
-/// gathered onto the 4 ranks of its subgrid. "base": a 2 x 2 face with
-/// n0 = n, one base case gathering all of L onto each of the 4 ranks.
+/// The shapes of the replica tests, named for what the recursive algorithm
+/// does there, with the bytes of its replica. "split": a 2 x 4 face splits
+/// into two 2 x 2 subgrids (one copy of L each) and recurses to four
+/// 32 x 32 base cases, each gathered onto the 4 ranks of its subgrid.
+/// "base": a 2 x 2 face with n0 = n, one base case gathering all of L onto
+/// each of the 4 ranks.
 struct RecShape {
   int p;
   index_t n, k;
@@ -54,6 +55,29 @@ struct RecShape {
 const RecShape kRecShapes[] = {
     {8, 128, 128, 8 * (2 * 128 * 128 + 8 * 4 * 32 * 32), "split"},
     {4, 64, 16, 8 * 4 * 64 * 64, "base"},
+};
+
+/// The L-only state a plan of each algorithm records and replays: the
+/// phase its recording runs under, and whether a replay also saves flops
+/// (the inversion computes; the replication only moves blocks of L).
+struct KeptState {
+  TrsmSpec spec;
+  const char* phase;
+  bool replay_saves_flops;
+
+  /// The state's bytes: Ltilde is n x n; the replica's depend on the shape.
+  std::uint64_t bytes(const RecShape& s) const {
+    return spec.algorithm == model::Algorithm::kIterative
+               ? 8 * static_cast<std::uint64_t>(s.n * s.n)
+               : s.replica_bytes;
+  }
+  std::string name(const RecShape& s) const {
+    return std::string(model::algorithm_name(spec.algorithm)) + " " + s.name;
+  }
+};
+const KeptState kKeptStates[] = {
+    {iterative_spec(), "inversion", true},
+    {recursive_spec(), "replication", false},
 };
 
 /// Same modeled cost: algorithm-phase S/W/F and critical time.
@@ -725,13 +749,14 @@ TEST(Programs, BatchIsOneProgramRunMatchingPerPanelSolvesBitwise) {
   auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
   const std::uint64_t runs_before = ctx.scheduler().runs();
   const BatchResult br = plan->execute_batch(l, bs);
-  // The whole batch — including the shared diagonal inversion, one step
-  // of its own — was ONE simulated run.
+  // The whole batch — including the shared diagonal inversion, which the
+  // first panel's step records and the later ones replay — was ONE
+  // simulated run of one step per panel.
   EXPECT_EQ(ctx.scheduler().runs(), runs_before + 1);
   EXPECT_EQ(br.stats.phase_max.count("inversion"), 1u);
   EXPECT_EQ(br.stats.phase_max.count("redistribute"), 0u);
   EXPECT_EQ(br.program_stats.steps_executed,
-            static_cast<std::uint64_t>(items + 1));
+            static_cast<std::uint64_t>(items));
   EXPECT_EQ(plan->diag_inversions(), 1u);
 
   ASSERT_EQ(br.xs.size(), static_cast<std::size_t>(items));
@@ -869,45 +894,51 @@ TEST(Eviction, RunOutputsAndPoisonedEntriesAreNeverEvicted) {
 }
 
 TEST(Replica, WarmSolveReplaysTheColdSolvesGathersBitwise) {
-  // The first solve against an operand runs the L-only collectives under
-  // "replication" and keeps what they gathered; every later one sends
-  // nothing for L and returns the same bits. The cold solve charges
-  // exactly what the recursion without a replica charges (a plain
-  // Program step).
-  for (const RecShape& s : kRecShapes) {
-    const Matrix l = la::make_lower_triangular(901, s.n);
-    const Matrix b = la::make_rhs(902, s.n, s.k);
-    Context ctx(s.p);
-    auto plan = ctx.plan(trsm_op(s.n, s.k, recursive_spec()));
-    const DistHandle hl = ctx.upload(l, plan->input_layout(0));
-    const DistHandle hb = ctx.upload(b, plan->input_layout(1));
-    const DistExecResult cold = plan->execute_dist(hl, hb);
-    const DistExecResult warm = plan->execute_dist(hl, hb);
-    const DistExecResult again = plan->execute_dist(hl, hb);
-    const Matrix x = ctx.download(cold.x);
-    EXPECT_TRUE(ctx.download(warm.x).equals(x)) << s.name;
-    EXPECT_TRUE(ctx.download(again.x).equals(x)) << s.name;
-    expect_same_cost(again.stats, warm.stats, s.name);
-    EXPECT_LT(warm.algorithm_cost().msgs, cold.algorithm_cost().msgs)
-        << s.name;
-    EXPECT_LT(warm.algorithm_cost().words, cold.algorithm_cost().words)
-        << s.name;
-    EXPECT_EQ(warm.algorithm_cost().flops, cold.algorithm_cost().flops)
-        << s.name;
-    EXPECT_GT(cold.stats.phase_cost("replication").words, 0.0) << s.name;
-    EXPECT_EQ(warm.stats.phase_max.count("replication"), 0u) << s.name;
+  // The first solve against an operand runs the L-only phase (the
+  // iterative TRSM's inversion, the recursive TRSM's replication) and
+  // keeps what it produced; every later one runs none of it and returns
+  // the same bits. The cold solve charges exactly what the algorithm
+  // without a replica charges (a plain Program step).
+  for (const KeptState& st : kKeptStates)
+    for (const RecShape& s : kRecShapes) {
+      const std::string name = st.name(s);
+      const Matrix l = la::make_lower_triangular(901, s.n);
+      const Matrix b = la::make_rhs(902, s.n, s.k);
+      Context ctx(s.p);
+      auto plan = ctx.plan(trsm_op(s.n, s.k, st.spec));
+      const DistHandle hl = ctx.upload(l, plan->input_layout(0));
+      const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+      const DistExecResult cold = plan->execute_dist(hl, hb);
+      const DistExecResult warm = plan->execute_dist(hl, hb);
+      const DistExecResult again = plan->execute_dist(hl, hb);
+      const Matrix x = ctx.download(cold.x);
+      EXPECT_TRUE(ctx.download(warm.x).equals(x)) << name;
+      EXPECT_TRUE(ctx.download(again.x).equals(x)) << name;
+      expect_same_cost(again.stats, warm.stats, name);
+      EXPECT_LT(warm.algorithm_cost().msgs, cold.algorithm_cost().msgs)
+          << name;
+      EXPECT_LT(warm.algorithm_cost().words, cold.algorithm_cost().words)
+          << name;
+      if (st.replay_saves_flops)
+        EXPECT_LT(warm.algorithm_cost().flops, cold.algorithm_cost().flops)
+            << name;
+      else
+        EXPECT_EQ(warm.algorithm_cost().flops, cold.algorithm_cost().flops)
+            << name;
+      EXPECT_GT(cold.stats.phase_cost(st.phase).words, 0.0) << name;
+      EXPECT_EQ(warm.stats.phase_max.count(st.phase), 0u) << name;
 
-    Program prog(ctx);
-    const auto nl = prog.input(s.n, s.n);
-    const auto nb = prog.input(s.n, s.k);
-    prog.mark_output(prog.add(plan, {nl, nb}));
-    const Program::Result plain = prog.run({hl, hb});
-    EXPECT_TRUE(ctx.download(plain.outputs[0]).equals(x)) << s.name;
-    expect_same_cost(plain.stats, cold.stats, s.name);
-    EXPECT_EQ(plain.stats.phase_cost("replication").words,
-              cold.stats.phase_cost("replication").words)
-        << s.name;
-  }
+      Program prog(ctx);
+      const auto nl = prog.input(s.n, s.n);
+      const auto nb = prog.input(s.n, s.k);
+      prog.mark_output(prog.add(plan, {nl, nb}));
+      const Program::Result plain = prog.run({hl, hb});
+      EXPECT_TRUE(ctx.download(plain.outputs[0]).equals(x)) << name;
+      expect_same_cost(plain.stats, cold.stats, name);
+      EXPECT_EQ(plain.stats.phase_cost(st.phase).words,
+                cold.stats.phase_cost(st.phase).words)
+          << name;
+    }
 }
 
 TEST(Replica, EveryNewOperandHandleRunsCold) {
@@ -915,65 +946,70 @@ TEST(Replica, EveryNewOperandHandleRunsCold) {
   // bytes: a changed element, a fresh upload of the same bytes and a
   // repaired handle each run cold, at exactly the first solve's cost, and
   // then replay their own replica.
-  for (const RecShape& s : kRecShapes) {
-    const Matrix l = la::make_lower_triangular(911, s.n);
-    const Matrix b = la::make_rhs(912, s.n, s.k);
-    Matrix changed = l;
-    changed(s.n - 1, 0) += 1.0;
-    Context ctx(s.p);
-    auto plan = ctx.plan(trsm_op(s.n, s.k, recursive_spec()));
-    const DistHandle hb = ctx.upload(b, plan->input_layout(1));
-    const DistExecResult first =
-        plan->execute_dist(ctx.upload(l, plan->input_layout(0)), hb);
-    const Matrix x = ctx.download(first.x);
+  for (const KeptState& st : kKeptStates)
+    for (const RecShape& s : kRecShapes) {
+      const Matrix l = la::make_lower_triangular(911, s.n);
+      const Matrix b = la::make_rhs(912, s.n, s.k);
+      Matrix changed = l;
+      changed(s.n - 1, 0) += 1.0;
+      Context ctx(s.p);
+      auto plan = ctx.plan(trsm_op(s.n, s.k, st.spec));
+      const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+      const DistExecResult first =
+          plan->execute_dist(ctx.upload(l, plan->input_layout(0)), hb);
+      const Matrix x = ctx.download(first.x);
 
-    const DistHandle h_changed = ctx.upload(changed, plan->input_layout(0));
-    const DistHandle h_same = ctx.upload(l, plan->input_layout(0));
-    const DistHandle h_repaired = ctx.upload(l, plan->input_layout(0));
-    (void)plan->execute_dist(h_repaired, hb);  // record, then invalidate
-    ctx.machine().handle_store().poison(h_repaired.id());
-    ctx.repair(h_repaired);
-    for (const auto& [h, what] :
-         {std::pair{h_changed, "changed element"},
-          std::pair{h_same, "same bytes"},
-          std::pair{h_repaired, "repaired"}}) {
-      const std::string tag = std::string(s.name) + ", " + what;
-      const DistExecResult cold = plan->execute_dist(h, hb);
-      expect_same_cost(cold.stats, first.stats, tag);
-      EXPECT_EQ(cold.stats.phase_cost("replication").words,
-                first.stats.phase_cost("replication").words)
-          << tag;
-      EXPECT_EQ(ctx.download(cold.x).equals(x), h.id() != h_changed.id())
-          << tag;
-      const DistExecResult warm = plan->execute_dist(h, hb);
-      EXPECT_EQ(warm.stats.phase_max.count("replication"), 0u) << tag;
-      EXPECT_TRUE(ctx.download(warm.x).equals(ctx.download(cold.x))) << tag;
+      const DistHandle h_changed =
+          ctx.upload(changed, plan->input_layout(0));
+      const DistHandle h_same = ctx.upload(l, plan->input_layout(0));
+      const DistHandle h_repaired = ctx.upload(l, plan->input_layout(0));
+      (void)plan->execute_dist(h_repaired, hb);  // record, then invalidate
+      ctx.machine().handle_store().poison(h_repaired.id());
+      ctx.repair(h_repaired);
+      for (const auto& [h, what] :
+           {std::pair{h_changed, "changed element"},
+            std::pair{h_same, "same bytes"},
+            std::pair{h_repaired, "repaired"}}) {
+        const std::string tag = st.name(s) + ", " + what;
+        const DistExecResult cold = plan->execute_dist(h, hb);
+        expect_same_cost(cold.stats, first.stats, tag);
+        EXPECT_EQ(cold.stats.phase_cost(st.phase).words,
+                  first.stats.phase_cost(st.phase).words)
+            << tag;
+        EXPECT_EQ(ctx.download(cold.x).equals(x), h.id() != h_changed.id())
+            << tag;
+        const DistExecResult warm = plan->execute_dist(h, hb);
+        EXPECT_EQ(warm.stats.phase_max.count(st.phase), 0u) << tag;
+        EXPECT_TRUE(ctx.download(warm.x).equals(ctx.download(cold.x)))
+            << tag;
+      }
     }
-  }
 }
 
 TEST(Replica, ResidentBytesAreTheOperandPlusTheReplica) {
-  for (const RecShape& s : kRecShapes) {
-    Context ctx(s.p);
-    const sim::HandleStore& store = ctx.machine().handle_store();
-    auto plan = ctx.plan(trsm_op(s.n, s.k, recursive_spec()));
-    const DistHandle hl = ctx.upload(la::make_lower_triangular(921, s.n),
-                                     plan->input_layout(0));
-    const std::uint64_t operand = 8 * static_cast<std::uint64_t>(s.n * s.n);
-    EXPECT_EQ(store.resident_bytes(), operand) << s.name;
-    for (int call = 0; call < 2; ++call) {
-      (void)plan->execute_dist(
-          hl, ctx.upload(la::make_rhs(922, s.n, s.k), plan->input_layout(1)));
-      EXPECT_EQ(store.resident_bytes(), operand + s.replica_bytes)
-          << s.name << ", call " << call;
+  for (const KeptState& st : kKeptStates)
+    for (const RecShape& s : kRecShapes) {
+      Context ctx(s.p);
+      const sim::HandleStore& store = ctx.machine().handle_store();
+      auto plan = ctx.plan(trsm_op(s.n, s.k, st.spec));
+      const DistHandle hl = ctx.upload(la::make_lower_triangular(921, s.n),
+                                       plan->input_layout(0));
+      const std::uint64_t operand =
+          8 * static_cast<std::uint64_t>(s.n * s.n);
+      EXPECT_EQ(store.resident_bytes(), operand) << st.name(s);
+      for (int call = 0; call < 2; ++call) {
+        (void)plan->execute_dist(hl, ctx.upload(la::make_rhs(922, s.n, s.k),
+                                                plan->input_layout(1)));
+        EXPECT_EQ(store.resident_bytes(), operand + st.bytes(s))
+            << st.name(s) << ", call " << call;
+      }
     }
-  }
 }
 
 TEST(Replica, LOnlyStateDiesWithItsOperandOrItsPlan) {
-  // Ltilde and the replica are attached to the operand's store entry: a
-  // plan never keeps them for an operand that is gone, and dropping the
-  // plan releases them while the operand lives on.
+  // The replica (Ltilde, or the gathered blocks of L) is attached to the
+  // operand's store entry: a plan never keeps it for an operand that is
+  // gone, and dropping the plan releases it while the operand lives on.
   const RecShape& s = kRecShapes[0];
   for (const TrsmSpec& spec : {iterative_spec(), recursive_spec()}) {
     const char* name = model::algorithm_name(spec.algorithm);
@@ -999,6 +1035,100 @@ TEST(Replica, LOnlyStateDiesWithItsOperandOrItsPlan) {
     plan.reset();
     (void)ctx.plan(tri_inv_op(s.n));  // evicts the solve plan
     EXPECT_EQ(store.count(), baseline + 1) << name;
+  }
+}
+
+TEST(Replica, RanksOutsideTheGridRecordNothing) {
+  // An iterative plan on a forced 2 x 2 x 1 grid of 8 ranks: ranks 4-7
+  // idle through every step, so only ranks 0-3 record a block of Ltilde.
+  // The plan keeps and replays that replica like any other, on the
+  // resident path and through a batch.
+  const int p = 8;
+  const index_t n = 40, k = 10;
+  TrsmSpec spec = iterative_spec();
+  spec.grid_p1 = 2;
+  spec.grid_p2 = 1;
+  const Matrix l = la::make_lower_triangular(941, n);
+  std::vector<Matrix> bs;
+  for (int i = 0; i < 3; ++i)
+    bs.push_back(la::make_rhs(942 + static_cast<std::uint64_t>(i), n, k));
+  const std::uint64_t operand = 8 * static_cast<std::uint64_t>(n * n);
+  sim::Machine machine(p);
+  const sim::HandleStore& store = machine.handle_store();
+  const std::size_t baseline = store.count();
+  {
+    Context ctx(machine);
+    auto plan = ctx.plan(trsm_op(n, k, spec));
+    const auto solve = [&](const DistHandle& hl) {
+      const DistExecResult r = plan->execute_dist(
+          hl, ctx.upload(bs[0], plan->input_layout(1)));
+      return std::pair{ctx.download(r.x), r.stats};
+    };
+    {
+      const DistHandle hl = ctx.upload(l, plan->input_layout(0));
+      const auto [x_cold, cold] = solve(hl);
+      const auto [x_warm, warm] = solve(hl);
+      EXPECT_TRUE(x_warm.equals(x_cold));
+      EXPECT_EQ(cold.phase_max.count("inversion"), 1u);
+      EXPECT_EQ(warm.phase_max.count("inversion"), 0u);
+      EXPECT_LT(warm.phase_cost("algorithm").msgs,
+                cold.phase_cost("algorithm").msgs);
+      EXPECT_EQ(plan->diag_inversions(), 1u);
+      EXPECT_EQ(store.resident_bytes(), 2 * operand);  // L and Ltilde
+    }
+    EXPECT_EQ(store.count(), baseline);
+  }
+  {
+    Context ctx(machine, /*plan_cache_capacity=*/1);
+    auto plan = ctx.plan(trsm_op(n, k, spec));
+    const BatchResult cold = plan->execute_batch(l, bs);
+    const BatchResult warm = plan->execute_batch(l, bs);
+    for (std::size_t i = 0; i < bs.size(); ++i)
+      EXPECT_TRUE(warm.xs[i].equals(cold.xs[i])) << "panel " << i;
+    EXPECT_EQ(cold.stats.phase_max.count("inversion"), 1u);
+    EXPECT_EQ(warm.stats.phase_max.count("inversion"), 0u);
+    EXPECT_LT(warm.algorithm_cost().msgs, cold.algorithm_cost().msgs);
+    EXPECT_EQ(plan->diag_inversions(), 1u);
+    // The plan's memoized operand and its Ltilde.
+    EXPECT_EQ(store.resident_bytes(), 2 * operand);
+    plan.reset();
+    (void)ctx.plan(tri_inv_op(n));  // evicts the solve plan and its memo
+    EXPECT_EQ(store.count(), baseline);
+  }
+}
+
+TEST(Replica, AMismatchedOperandIsRedistributedOnEverySolve) {
+  // A replay replaces the L-only phase, not the solve's read of L: a warm
+  // solve against an operand handle in another layout than
+  // input_layout(0) pays a "redistribute" of L, and its X and algorithm
+  // cost are those of the warm solve against the required layout.
+  const RecShape& s = kRecShapes[0];
+  for (const KeptState& st : kKeptStates) {
+    const std::string name = st.name(s);
+    const Matrix l = la::make_lower_triangular(951, s.n);
+    const Matrix b = la::make_rhs(952, s.n, s.k);
+    Context ctx(s.p);
+    auto plan = ctx.plan(trsm_op(s.n, s.k, st.spec));
+    const Layout required = plan->input_layout(0);
+    const Layout other = required == cyclic_layout(s.p, 1)
+                             ? cyclic_layout(1, s.p)
+                             : cyclic_layout(s.p, 1);
+    const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+    const DistHandle matched = ctx.upload(l, required);
+    (void)plan->execute_dist(matched, hb);
+    const DistExecResult want = plan->execute_dist(matched, hb);
+    const DistHandle mismatched = ctx.upload(l, other);
+    (void)plan->execute_dist(mismatched, hb);
+    const DistExecResult got = plan->execute_dist(mismatched, hb);
+    EXPECT_EQ(got.stats.phase_max.count(st.phase), 0u) << name;
+    EXPECT_EQ(got.stats.phase_max.count("redistribute"), 1u) << name;
+    EXPECT_GT(got.redistribute_cost().words, 0.0) << name;
+    EXPECT_TRUE(ctx.download(got.x).equals(ctx.download(want.x))) << name;
+    const sim::Cost g = got.algorithm_cost();
+    const sim::Cost w = want.algorithm_cost();
+    EXPECT_EQ(g.msgs, w.msgs) << name;
+    EXPECT_EQ(g.words, w.words) << name;
+    EXPECT_EQ(g.flops, w.flops) << name;
   }
 }
 

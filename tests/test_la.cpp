@@ -39,6 +39,23 @@ TEST(Matrix, TransposeInvolution) {
   EXPECT_TRUE(m.transposed().transposed().equals(m));
 }
 
+TEST(Matrix, MovedFromMatrixIsEmpty) {
+  // A moved-from matrix must not keep a shape its storage no longer backs.
+  Matrix a = make_dense(3, 4, 5);
+  Matrix b(std::move(a));
+  EXPECT_EQ(a.rows(), 0);
+  EXPECT_EQ(a.cols(), 0);
+  EXPECT_TRUE(a.data().empty());
+  Matrix c(2, 2);
+  c = std::move(b);
+  EXPECT_EQ(b.rows(), 0);
+  EXPECT_EQ(b.cols(), 0);
+  EXPECT_TRUE(b.data().empty());
+  EXPECT_EQ(c.rows(), 4);
+  EXPECT_EQ(c.cols(), 5);
+  EXPECT_TRUE(c.equals(make_dense(3, 4, 5)));
+}
+
 TEST(Matrix, IdentityTimesAnything) {
   Matrix a = make_dense(3, 5, 6);
   Matrix c = matmul(Matrix::identity(5), a);
