@@ -49,6 +49,7 @@
 #include "la/kernel/pool.hpp"
 #include "la/norms.hpp"
 #include "la/tri_inv.hpp"
+#include "la/trmm.hpp"
 #include "la/trsm.hpp"
 #include "model/tuning.hpp"
 
@@ -155,6 +156,17 @@ void run_kernel_cases(std::vector<Record>& records) {
           [&] { (void)la::tri_inv(la::Uplo::kLower, l); });
       push("kernel/tri_inv", n, 0, wall, la::tri_inv_flops(n));
     }
+  }
+  // The out-of-place triangular product at the (n, k) of solve_large_p4's
+  // residual and at a smaller one, rated at its n^2 k flops.
+  for (const auto& [n, k] : {std::pair<index_t, index_t>{1024, 256},
+                             std::pair<index_t, index_t>{512, 64}}) {
+    const la::Matrix l = la::make_lower_triangular(6, n);
+    const la::Matrix b = la::make_rhs(7, n, k);
+    const double wall = bench::median_wall_ms(
+        kKernelWarmups, kKernelReps,
+        [&] { (void)la::trmm(la::Uplo::kLower, l, b); });
+    push("kernel/trmm", n, k, wall, la::trmm_flops(n, k));
   }
   la::kernel::ThreadPool::set_threads_for_testing(0);
 }

@@ -278,7 +278,10 @@ struct ExecResult {
   sim::RunStats stats;
   model::Config config;
   /// Relative residual of the solve (0 for the matmul ops, whose result
-  /// the caller can check directly against a reference product).
+  /// the caller can check directly against a reference product). For a
+  /// TRSM it is ||op(T) X - B||_F / (||T||_F ||X||_F + ||B||_F), or the
+  /// same of X op(T) - B for a right-side solve, and it reads only the
+  /// triangle of T the spec names, as the solve does.
   double residual = 0.0;
 
   /// Max-over-ranks cost of the distributed computation.
@@ -450,10 +453,12 @@ class Plan : public std::enable_shared_from_this<Plan> {
   BatchResult run_trsm(const la::Matrix& t, std::span<const la::Matrix> bs,
                        const TrsmSpec& spec);
   /// The handle of operand `a` for one call. When the plan keeps L-only
-  /// state, it is the memoized handle if `a`'s bytes equal the last
-  /// call's (else a fresh memoized upload), so a fixed matrix keeps one
-  /// handle and that state keeps hitting. Otherwise it is a transient
-  /// upload: nothing keyed on the handle outlives the call.
+  /// state, it is the memoized handle if the bytes of `a`'s lower
+  /// triangle, diagonal included, equal the last call's — the only ones
+  /// the lower-left solve reads — else a fresh memoized upload, whose
+  /// ||tril(a)||_F the memo keeps for the residual. So a fixed matrix
+  /// keeps one handle and that state keeps hitting. Otherwise it is a
+  /// transient upload: nothing keyed on the handle outlives the call.
   DistHandle operand_handle(const la::Matrix& a);
   /// Whether runs of this plan record and replay a replica of their
   /// L-only state: the non-transposed TRSM kernel with the iterative
@@ -479,10 +484,13 @@ class Plan : public std::enable_shared_from_this<Plan> {
   std::uint64_t diag_inversions_ = 0;
 
   // The operand memo of execute() and execute_batch() when the plan keeps
-  // L-only state: the last uploaded `a` and its handle. The byte
-  // comparison against operand_src_ is the only content check on any
-  // path; the L-only state keys on the handle.
+  // L-only state: the last uploaded `a`, its handle, and the Frobenius
+  // norm of its lower triangle, which every panel's residual divides by.
+  // The comparison of the lower triangle's bytes against operand_src_ is
+  // the only content check on any path; the L-only state keys on the
+  // handle.
   std::shared_ptr<const la::Matrix> operand_src_;
+  double operand_norm_ = 0.0;
   DistHandle operand_;
 };
 

@@ -67,13 +67,15 @@ namespace {
 void fill_slots(sim::HandleStore& store, std::uint64_t id,
                 const la::Matrix* matrix, const Gen& gen,
                 const std::shared_ptr<const dist::Distribution>& d, int p) {
+  const auto rows_of = d->rows_by_part(0, d->rows());
+  const auto cols_of = d->cols_by_part(0, d->cols());
   for (int w = 0; w < p; ++w) {
     const auto parts = d->parts_of_world(w);
     if (!parts.has_value()) continue;
-    const auto rows = d->rows_of_part(parts->first);
-    const auto cols = d->cols_of_part(parts->second);
-    la::Matrix loc(static_cast<index_t>(rows.size()),
-                   static_cast<index_t>(cols.size()));
+    const auto& rows = rows_of[static_cast<std::size_t>(parts->first)];
+    const auto& cols = cols_of[static_cast<std::size_t>(parts->second)];
+    auto loc = la::Matrix::uninit(static_cast<index_t>(rows.size()),
+                                  static_cast<index_t>(cols.size()));
     for (std::size_t r = 0; r < rows.size(); ++r) {
       double* out = loc.ptr() + static_cast<index_t>(r) * loc.cols();
       if (matrix != nullptr) {
@@ -224,12 +226,15 @@ la::Matrix Context::download_on(
         "download: operand was touched by a faulted run and may be "
         "partially rewritten — Context::repair it (or re-upload) first");
   ensure_resident(h);  // transparent re-upload after a budget eviction
-  la::Matrix out(h.rows(), h.cols());
+  // The parts tile the matrix, so every element of `out` is written.
+  auto out = la::Matrix::uninit(h.rows(), h.cols());
+  const auto rows_of = d->rows_by_part(0, d->rows());
+  const auto cols_of = d->cols_by_part(0, d->cols());
   for (int w = 0; w < nprocs(); ++w) {
     const auto parts = d->parts_of_world(w);
     if (!parts.has_value()) continue;
-    const auto rows = d->rows_of_part(parts->first);
-    const auto cols = d->cols_of_part(parts->second);
+    const auto& rows = rows_of[static_cast<std::size_t>(parts->first)];
+    const auto& cols = cols_of[static_cast<std::size_t>(parts->second)];
     const la::Matrix& loc = store.local(h.id(), w);
     CATRSM_CHECK(loc.rows() == static_cast<index_t>(rows.size()) &&
                      loc.cols() == static_cast<index_t>(cols.size()),

@@ -173,14 +173,8 @@ DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
 
 DistMatrix load_slot(sim::HandleStore& store, std::uint64_t id,
                      std::shared_ptr<const dist::Distribution> d, int me) {
-  DistMatrix dm(std::move(d), me);
-  la::Matrix& slot = store.local(id, me);
-  CATRSM_CHECK(slot.rows() == dm.local().rows() &&
-                   slot.cols() == dm.local().cols(),
-               "resident operand: stored block does not match the handle "
-               "layout (was the handle ever written?)");
-  dm.local() = std::move(slot);
-  return dm;
+  // The adopting constructor checks the stored block's shape.
+  return DistMatrix(std::move(d), me, std::move(store.local(id, me)));
 }
 
 void restore_slot(sim::HandleStore& store, std::uint64_t id, DistMatrix& dm) {

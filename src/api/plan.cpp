@@ -11,6 +11,7 @@
 #include "api/op_bodies.hpp"
 #include "la/gemm.hpp"
 #include "la/norms.hpp"
+#include "la/trmm.hpp"
 #include "mm/mm3d.hpp"
 #include "support/check.hpp"
 #include "trsm/it_inv_trsm.hpp"
@@ -50,12 +51,35 @@ double spd_residual(const Matrix& a, const Matrix& b, const Matrix& x) {
           la::frobenius_norm(b) + 1e-300);
 }
 
-/// Same shape and the same element bytes.
-bool same_bytes(const Matrix& x, const Matrix& y) {
-  return x.rows() == y.rows() && x.cols() == y.cols() &&
-         std::memcmp(x.ptr(), y.ptr(),
-                     sizeof(double) * static_cast<std::size_t>(x.size())) ==
-             0;
+/// Same square shape and the same bytes in the lower triangle, diagonal
+/// included: all a lower-left TRSM plan reads of its operand.
+bool same_lower(const Matrix& x, const Matrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (index_t i = 0; i < x.rows(); ++i) {
+    const index_t row = i * x.cols();
+    if (std::memcmp(x.ptr() + row, y.ptr() + row,
+                    sizeof(double) * static_cast<std::size_t>(i + 1)) != 0)
+      return false;
+  }
+  return true;
+}
+
+/// Relative residual of a right-side solve, ||X op(T) - B||_F /
+/// (t_norm ||X||_F + ||B||_F): the product is taken transposed,
+/// (X op(T))^T = op(T)^T X^T, a left product of the `opt_uplo` triangle of
+/// `opt` = op(T)^T, so only that triangle is read. Its elements are the
+/// dense X * op(T)'s, and R = X op(T) - B is summed in R's row order.
+double right_residual(la::Uplo opt_uplo, const Matrix& opt, double t_norm,
+                      const Matrix& x, const Matrix& b) {
+  const Matrix pt = la::trmm(opt_uplo, opt, x.transposed());
+  double s = 0.0;
+  for (index_t i = 0; i < b.rows(); ++i)
+    for (index_t j = 0; j < b.cols(); ++j) {
+      const double d = pt(j, i) - b(i, j);
+      s += d * d;
+    }
+  return std::sqrt(s) / (t_norm * la::frobenius_norm(x) +
+                         la::frobenius_norm(b) + 1e-300);
 }
 
 /// A non-owning pointer to `m`: the recovery source of a handle that dies
@@ -318,22 +342,32 @@ BatchResult Plan::execute_batch(const Matrix& a, std::span<const Matrix> bs) {
                                         : run_stream(a, bs);
   r.residuals.reserve(bs.size());
   if (desc_.op == Op::kTrsm) {
-    // op(T), the operand applied to X; no copy of T when it is T itself.
-    Matrix at;
-    if (desc_.trsm.transpose) at = a.transposed();
-    const Matrix& op = desc_.trsm.transpose ? at : a;
-    for (std::size_t i = 0; i < bs.size(); ++i) {
-      if (!right) {
-        r.residuals.push_back(la::trsm_residual(op, r.xs[i], bs[i]));
-        continue;
-      }
-      Matrix prod = la::matmul(r.xs[i], op);
-      prod.sub(bs[i]);
-      r.residuals.push_back(la::frobenius_norm(prod) /
-                            (la::frobenius_norm(a) *
-                                 la::frobenius_norm(r.xs[i]) +
-                             la::frobenius_norm(bs[i]) + 1e-300));
-    }
+    // Every residual reads only the triangle solved, so data kept in the
+    // other one (say U beside L in one array) does not enter it.
+    const TrsmSpec& spec = desc_.trsm;
+    const la::Uplo flipped = spec.uplo == la::Uplo::kLower
+                                 ? la::Uplo::kUpper
+                                 : la::Uplo::kLower;
+    // X op(T) = B is checked through op(T)^T, which is T^T, or T itself
+    // when transposed; op(T) X = B through op(T). Either is T or T^T: no
+    // copy of T when it is T itself.
+    const bool use_t = right == spec.transpose;
+    Matrix tt;
+    if (!use_t) tt = a.transposed();
+    const Matrix& op = use_t ? a : tt;
+    const la::Uplo op_uplo = use_t ? spec.uplo : flipped;
+    // ||tri(T)||_F: kept beside the operand memo when this plan solved `a`
+    // itself (the memo's lower triangle is byte-identical to a's), else
+    // summed over the triangle of the matrix the dense check read.
+    const bool memoized = !right && !spec.transpose &&
+                          spec.uplo == la::Uplo::kLower && keeps_l_state();
+    const double t_norm = memoized ? operand_norm_
+                          : right  ? la::frobenius_norm(spec.uplo, a)
+                                   : la::frobenius_norm(op_uplo, op);
+    for (std::size_t i = 0; i < bs.size(); ++i)
+      r.residuals.push_back(
+          right ? right_residual(op_uplo, op, t_norm, r.xs[i], bs[i])
+                : la::trsm_residual(op_uplo, op, t_norm, r.xs[i], bs[i]));
   } else {
     for (std::size_t i = 0; i < bs.size(); ++i)
       r.residuals.push_back(desc_.op == Op::kCholeskySolve
@@ -434,9 +468,10 @@ DistHandle Plan::operand_handle(const Matrix& a) {
   if (!keeps_l_state()) return ctx_->upload_on(borrowed(a), lay, d());
   // A faulted run may have poisoned the memoized blocks: never reuse them.
   if (!operand_.valid() || operand_.poisoned() ||
-      !same_bytes(*operand_src_, a)) {
+      !same_lower(*operand_src_, a)) {
     operand_ = DistHandle();  // release the old blocks before the upload
     operand_src_ = std::make_shared<const Matrix>(a);
+    operand_norm_ = la::frobenius_norm(la::Uplo::kLower, a);
     operand_ = ctx_->upload_on(operand_src_, lay, d());
   }
   return operand_;

@@ -322,9 +322,7 @@ Program::AsyncResult Program::run_async(
         vals[i] = detail::load_slot(store, h.id(), std::move(d), me);
         first_node_of.emplace(h.id(), i);
       } else {
-        DistMatrix dm(std::move(d), me);
-        dm.local() = vals[seen->second].local();
-        vals[i] = std::move(dm);
+        vals[i] = DistMatrix(std::move(d), me, vals[seen->second].local());
       }
     }
 

@@ -4,7 +4,8 @@
 
 namespace catrsm::dist {
 
-DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me)
+DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me,
+                       std::nullptr_t)
     : dist_(std::move(d)), me_(me) {
   CATRSM_CHECK(dist_ != nullptr, "DistMatrix: null distribution");
   const auto parts = dist_->parts_of_world(me_);
@@ -13,8 +14,30 @@ DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me)
     my_rows_ = dist_->rows_of_part(parts->first);
     my_cols_ = dist_->cols_of_part(parts->second);
   }
+}
+
+DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me)
+    : DistMatrix(std::move(d), me, nullptr) {
   local_ = la::Matrix(static_cast<index_t>(my_rows_.size()),
                       static_cast<index_t>(my_cols_.size()));
+}
+
+DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me,
+                       la::Matrix local)
+    : DistMatrix(std::move(d), me, nullptr) {
+  CATRSM_CHECK(local.rows() == static_cast<index_t>(my_rows_.size()) &&
+                   local.cols() == static_cast<index_t>(my_cols_.size()),
+               "DistMatrix: local block does not match my part's shape (a "
+               "resident operand's stored block that was never written?)");
+  local_ = std::move(local);
+}
+
+DistMatrix DistMatrix::uninit(std::shared_ptr<const Distribution> d,
+                              int me) {
+  DistMatrix out(std::move(d), me, nullptr);
+  out.local_ = la::Matrix::uninit(static_cast<index_t>(out.my_rows_.size()),
+                                  static_cast<index_t>(out.my_cols_.size()));
+  return out;
 }
 
 void DistMatrix::fill(const std::function<double(index_t, index_t)>& f) {

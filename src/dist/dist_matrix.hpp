@@ -4,8 +4,11 @@
 // row-major over the sorted global indices the rank owns. Ranks outside the
 // distribution's face hold an empty 0 x 0 local block and report
 // participates() == false — they can still describe, redistribute, and
-// collect the matrix.
+// collect the matrix. A view can adopt an existing local block (say a
+// resident operand's stored block) or start from an uninitialized one that
+// its maker writes in full, instead of zero-filling a block first.
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -22,6 +25,14 @@ class DistMatrix {
   /// My view of a matrix distributed by `d`; `me` is my world rank. The
   /// local block is allocated (zero-filled) immediately.
   DistMatrix(std::shared_ptr<const Distribution> d, int me);
+
+  /// Same, adopting `local` as my block with no fill or copy. Its shape
+  /// must be my part's (0 x 0 when I hold none).
+  DistMatrix(std::shared_ptr<const Distribution> d, int me, la::Matrix local);
+
+  /// Same, with a block of unspecified contents (la::Matrix::uninit), for
+  /// a result whose every local element is written before it is read.
+  static DistMatrix uninit(std::shared_ptr<const Distribution> d, int me);
 
   const Distribution& dist() const { return *dist_; }
   std::shared_ptr<const Distribution> dist_ptr() const { return dist_; }
@@ -43,6 +54,9 @@ class DistMatrix {
   void fill_from_global(const la::Matrix& global);
 
  private:
+  /// Binds the distribution and my index lists; the block is left 0 x 0.
+  DistMatrix(std::shared_ptr<const Distribution> d, int me, std::nullptr_t);
+
   std::shared_ptr<const Distribution> dist_;
   int me_ = -1;
   bool participates_ = false;

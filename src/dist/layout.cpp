@@ -24,6 +24,22 @@ std::vector<index_t> Distribution::cols_of_part(int cpart) const {
   return out;
 }
 
+std::vector<std::vector<index_t>> Distribution::rows_by_part(
+    index_t lo, index_t hi) const {
+  std::vector<std::vector<index_t>> out(static_cast<std::size_t>(row_parts()));
+  for (index_t i = lo; i < hi; ++i)
+    out[static_cast<std::size_t>(part_of_row(i))].push_back(i);
+  return out;
+}
+
+std::vector<std::vector<index_t>> Distribution::cols_by_part(
+    index_t lo, index_t hi) const {
+  std::vector<std::vector<index_t>> out(static_cast<std::size_t>(col_parts()));
+  for (index_t j = lo; j < hi; ++j)
+    out[static_cast<std::size_t>(part_of_col(j))].push_back(j);
+  return out;
+}
+
 std::pair<index_t, index_t> Distribution::local_shape(int w) const {
   const auto parts = parts_of_world(w);
   if (!parts.has_value()) return {0, 0};

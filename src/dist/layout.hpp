@@ -47,6 +47,14 @@ class Distribution {
   std::vector<index_t> rows_of_part(int rpart) const;
   std::vector<index_t> cols_of_part(int cpart) const;
 
+  /// The rows in [lo, hi) (resp. columns) of every part at once, indexed
+  /// by part and sorted, in one pass: rows_by_part(0, rows())[r] ==
+  /// rows_of_part(r).
+  std::vector<std::vector<index_t>> rows_by_part(index_t lo,
+                                                 index_t hi) const;
+  std::vector<std::vector<index_t>> cols_by_part(index_t lo,
+                                                 index_t hi) const;
+
   /// (local rows, local cols) held by world rank `w`; {0, 0} when `w`
   /// holds no part.
   std::pair<index_t, index_t> local_shape(int w) const;

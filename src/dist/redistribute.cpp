@@ -114,7 +114,8 @@ DistMatrix remap(const DistMatrix& src,
   std::vector<coll::Buffer> incoming =
       coll::alltoallv(comm, std::move(outgoing));
 
-  DistMatrix out(std::move(dst), me);
+  // take() below writes every local element once.
+  DistMatrix out = DistMatrix::uninit(std::move(dst), me);
   if (out.participates()) {
     const auto& rows = out.my_rows();
     const auto& cols = out.my_cols();
@@ -241,14 +242,8 @@ la::Matrix gather_region(const Distribution& d, const la::Matrix& local,
 
   // In-region rows (resp. columns) of every part, ascending, derived
   // identically on every rank with one ownership call per index.
-  std::vector<std::vector<index_t>> rows_in(
-      static_cast<std::size_t>(d.row_parts()));
-  std::vector<std::vector<index_t>> cols_in(
-      static_cast<std::size_t>(d.col_parts()));
-  for (index_t i = rlo; i < rhi; ++i)
-    rows_in[static_cast<std::size_t>(d.part_of_row(i))].push_back(i);
-  for (index_t j = clo; j < chi; ++j)
-    cols_in[static_cast<std::size_t>(d.part_of_col(j))].push_back(j);
+  const auto rows_in = d.rows_by_part(rlo, rhi);
+  const auto cols_in = d.cols_by_part(clo, chi);
   std::vector<std::optional<std::pair<int, int>>> parts(
       static_cast<std::size_t>(g));
   coll::Counts counts(static_cast<std::size_t>(g), 0);
@@ -290,7 +285,8 @@ la::Matrix gather_region(const Distribution& d, const la::Matrix& local,
 
   const coll::Buffer all = coll::allgather(comm, std::move(mine), counts);
 
-  la::Matrix out(rhi - rlo, chi - clo);
+  // The parts tile the region, so every element of `out` is written.
+  auto out = la::Matrix::uninit(rhi - rlo, chi - clo);
   std::size_t pos = 0;
   for (const auto& ps : parts) {
     if (!ps.has_value()) continue;

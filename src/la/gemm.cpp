@@ -14,7 +14,8 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
+  // beta == 0: gemm writes every element of C without reading it.
+  Matrix c = Matrix::uninit(a.rows(), b.cols());
   gemm(1.0, a, b, 0.0, c);
   return c;
 }

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <utility>
 
 #include "la/kernel/kernel.hpp"
 #include "la/kernel/pool.hpp"
@@ -44,21 +45,37 @@ index_t round_up(index_t x, index_t to) { return ((x + to - 1) / to) * to; }
 /// zero-fill pass because the first K pass overwrites C outright.
 enum class Store { kAccum, kAssign };
 
+/// Which elements of A a pack reads: all of them (gemm), or one triangle
+/// of a square matrix (trmm), whose other triangle packs as zero.
+enum class Tri { kDense, kLower, kUpper };
+
 /// Pack mr-row strips [s0, s1) of A(m x k, stride lda), column-major
 /// within each strip, alpha folded in; rows past m are zero so the inner
 /// kernel never needs an m-edge branch. Each strip writes a disjoint
-/// k * mr_full range of ap, so strips parallelize freely.
-template <class T>
+/// k * mr_full range of ap, so strips parallelize freely. Under kLower
+/// (kUpper) element (i, l) is read only when l <= i + off (l >= i + off),
+/// `off` being the panel's first row minus its first column in the whole
+/// matrix, and packs as zero otherwise.
+template <class T, Tri kTri = Tri::kDense>
 void pack_a_strips(const T* a, index_t lda, index_t m, index_t k, T alpha,
-                   index_t mr_full, T* ap, index_t s0, index_t s1) {
+                   index_t mr_full, T* ap, index_t s0, index_t s1,
+                   index_t off = 0) {
   for (index_t s = s0; s < s1; ++s) {
     const index_t i0 = s * mr_full;
     const index_t mr = std::min(mr_full, m - i0);
     T* dst = ap + s * k * mr_full;
     for (index_t l = 0; l < k; ++l) {
-      for (index_t i = 0; i < mr; ++i)
+      // The strip's rows [lo, hi) hold column l's elements of the triangle.
+      index_t lo = 0;
+      index_t hi = mr;
+      if constexpr (kTri == Tri::kLower)
+        lo = std::clamp<index_t>(l - off - i0, 0, mr);
+      if constexpr (kTri == Tri::kUpper)
+        hi = std::clamp<index_t>(l - off - i0 + 1, 0, mr);
+      for (index_t i = 0; i < lo; ++i) dst[l * mr_full + i] = T(0);
+      for (index_t i = lo; i < hi; ++i)
         dst[l * mr_full + i] = alpha * a[(i0 + i) * lda + l];
-      for (index_t i = mr; i < mr_full; ++i) dst[l * mr_full + i] = T(0);
+      for (index_t i = hi; i < mr_full; ++i) dst[l * mr_full + i] = T(0);
     }
   }
 }
@@ -111,14 +128,53 @@ void gemm_naive(index_t m, index_t n, index_t k, T alpha, const T* a,
   }
 }
 
-/// One jr strip of the macro-kernel: every ir strip of the mc x nc block
-/// against packed panels. The store mode never changes the computed tile
+/// One mr x nr tile of C (mr, nr at most the kernel's) from packed
+/// panels of depth kc. The store mode never changes the computed tile
 /// values — accumulate adds them to C, assign overwrites C (legal only on
 /// the first K pass of a beta == 0 product, where the old C is dead).
 template <class T>
+void macro_tile(const MicroKernelT<T>& uk, index_t kc, const T* ap,
+                const T* bp, T* ct, index_t ldc, index_t mr, index_t nr,
+                Store mode) {
+  const index_t nr_full = uk.nr;
+  if (mr == uk.mr && nr == nr_full) {
+    if (mode == Store::kAccum) {
+      uk.run(kc, ap, bp, ct, ldc);
+    } else {
+      uk.run_store(kc, ap, bp, ct, ldc);
+    }
+    return;
+  }
+  // Partial tile: compute a full-size local tile (the packed panels are
+  // zero-padded) and write back only the live part.
+  alignas(64) T tile[kMaxMr * kMaxNr] = {};
+  uk.run(kc, ap, bp, tile, nr_full);
+  for (index_t i = 0; i < mr; ++i) {
+    T* crow = ct + i * ldc;
+    const T* trow = tile + i * nr_full;
+    if (mode == Store::kAccum) {
+      for (index_t j = 0; j < nr; ++j) crow[j] += trow[j];
+    } else {
+      for (index_t j = 0; j < nr; ++j) crow[j] = trow[j];
+    }
+  }
+}
+
+/// The part [lo, hi) of a packed K block one mr-row strip multiplies, and
+/// how it writes its tiles.
+struct StripCut {
+  index_t lo;
+  index_t hi;
+  Store mode;
+};
+
+/// One jr strip of the macro-kernel: every ir strip of the mc x nc block
+/// against packed panels of depth kc, each over the K range cut(ir, mr)
+/// gives it (an empty range skips the strip).
+template <class T, class Cut>
 void macro_strip(const MicroKernelT<T>& uk, index_t kc, index_t mc,
                  index_t nc, const T* apack, const T* bpack, T* c,
-                 index_t ldc, index_t jr_strip, Store mode) {
+                 index_t ldc, index_t jr_strip, const Cut& cut) {
   const index_t mr_full = uk.mr;
   const index_t nr_full = uk.nr;
   const index_t jr = jr_strip * nr_full;
@@ -126,29 +182,31 @@ void macro_strip(const MicroKernelT<T>& uk, index_t kc, index_t mc,
   const T* bp = bpack + jr * kc;
   for (index_t ir = 0; ir < mc; ir += mr_full) {
     const index_t mr = std::min(mr_full, mc - ir);
-    const T* ap = apack + ir * kc;
-    T* ct = c + ir * ldc + jr;
-    if (mr == mr_full && nr == nr_full) {
-      if (mode == Store::kAccum) {
-        uk.run(kc, ap, bp, ct, ldc);
-      } else {
-        uk.run_store(kc, ap, bp, ct, ldc);
-      }
-    } else {
-      // Partial tile: compute a full-size local tile (the packed panels
-      // are zero-padded) and write back only the live part.
-      alignas(64) T tile[kMaxMr * kMaxNr] = {};
-      uk.run(kc, ap, bp, tile, nr_full);
-      for (index_t i = 0; i < mr; ++i) {
-        T* crow = ct + i * ldc;
-        const T* trow = tile + i * nr_full;
-        if (mode == Store::kAccum) {
-          for (index_t j = 0; j < nr; ++j) crow[j] += trow[j];
-        } else {
-          for (index_t j = 0; j < nr; ++j) crow[j] = trow[j];
-        }
-      }
-    }
+    const StripCut sc = cut(ir, mr);
+    if (sc.lo >= sc.hi) continue;
+    macro_tile(uk, sc.hi - sc.lo, apack + ir * kc + sc.lo * mr_full,
+               bp + sc.lo * nr_full, c + ir * ldc + jr, ldc, mr, nr,
+               sc.mode);
+  }
+}
+
+/// Run a team body over the m rows of an m x n x k product: as one pool
+/// dispatch when the dense 2mnk flops reach kMtFlopThreshold (at most
+/// one participant per mr-row strip), else inline as (0, 1).
+void run_product(index_t m, index_t n, index_t k, index_t mr,
+                 void (*body)(int, int, void*), void* ctx) {
+  ThreadPool& pool = ThreadPool::instance();
+  const index_t mstrips = (m + mr - 1) / mr;
+  int nt = pool.active_threads();
+  if (nt > mstrips) nt = static_cast<int>(mstrips);
+  const bool fan_out = nt > 1 && 2.0 * static_cast<double>(m) *
+                                         static_cast<double>(n) *
+                                         static_cast<double>(k) >=
+                                     kMtFlopThreshold;
+  if (fan_out) {
+    pool.run_team(nt, body, ctx);
+  } else {
+    body(0, 1, ctx);
   }
 }
 
@@ -210,13 +268,16 @@ void gemm_team_body(int tid, int nt, void* p) {
 
       const Store mode =
           tc.beta_zero && pc == 0 ? Store::kAssign : Store::kAccum;
+      const auto whole = [&](index_t, index_t) {
+        return StripCut{0, kc, mode};
+      };
       for (index_t ic = band0; ic < band1; ic += kMc) {
         const index_t mc = std::min(kMc, band1 - ic);
         pack_a_strips(tc.a + ic * tc.lda + pc, tc.lda, mc, kc, tc.alpha,
                       mr_full, apack, 0, (mc + mr_full - 1) / mr_full);
         for (index_t s = 0; s < bstrips; ++s)
           macro_strip(uk, kc, mc, nc, apack, tc.bpack,
-                      tc.c + ic * tc.ldc + jc, tc.ldc, s, mode);
+                      tc.c + ic * tc.ldc + jc, tc.ldc, s, whole);
       }
       // B fully consumed; the next (pc/jc) iteration repacks it.
       tc.barrier->wait(nt);
@@ -251,20 +312,7 @@ void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
   TeamBarrier barrier;
   TeamCtx<T> ctx{&uk, m, n, k, lda, ldb, ldc, alpha,
                  a,   b, c, bpack, beta_zero, &barrier};
-
-  ThreadPool& pool = ThreadPool::instance();
-  const index_t mstrips = (m + uk.mr - 1) / uk.mr;
-  int nt = pool.active_threads();
-  if (nt > mstrips) nt = static_cast<int>(mstrips);
-  const bool fan_out = nt > 1 && 2.0 * static_cast<double>(m) *
-                                         static_cast<double>(n) *
-                                         static_cast<double>(k) >=
-                                     kMtFlopThreshold;
-  if (fan_out) {
-    pool.run_team(nt, gemm_team_body<T>, &ctx);
-  } else {
-    gemm_team_body<T>(0, 1, &ctx);
-  }
+  run_product(m, n, k, uk.mr, gemm_team_body<T>, &ctx);
 }
 
 template <class T>
@@ -284,6 +332,110 @@ void gemm_entry(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
   gemm_packed(uk, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
+/// What a trmm participant needs; unlike gemm's, nothing is shared but
+/// the read-only operands.
+template <class T>
+struct TrmmCtx {
+  const MicroKernelT<T>* uk;
+  bool lower;
+  index_t n, k, ldt, ldb, ldc;
+  T alpha, beta;
+  const T* t;
+  const T* b;
+  T* c;
+};
+
+/// Rows [r0, r1) of participant tid of nt: whole mr-row strips, cut where
+/// the triangle's area above them (row i holds i + 1 elements of a lower
+/// triangle, n - i of an upper one) first reaches tid / nt of the whole.
+std::pair<index_t, index_t> triangle_band(bool lower, index_t n, index_t mr,
+                                          int tid, int nt) {
+  const auto area = [&](index_t r) {  // elements in rows [0, r)
+    return lower ? r * (r + 1) / 2 : r * n - r * (r - 1) / 2;
+  };
+  const auto cut = [&](int t) {
+    index_t r = 0;
+    while (r < n && area(r) * nt < area(n) * t) r = std::min(n, r + mr);
+    return r;
+  };
+  return {cut(tid), cut(tid + 1)};
+}
+
+/// C = alpha * tri(T) * B + beta * C as a TEAM BODY with no barrier: the
+/// participant owns its band of C rows, applies beta to it, packs the B
+/// rows its band reads into its own arena and runs gemm's loops over
+/// them. It takes gemm's K blocks in gemm's order, skips those outside
+/// the triangle and cuts each strip's part of a straddling one at the
+/// diagonal; the other triangle packs as zero and is never read. So every
+/// element sums the same nonzero terms in the same order as the dense
+/// product with that triangle zero, at any team size.
+template <class T>
+void trmm_team_body(int tid, int nt, void* p) {
+  const auto& tc = *static_cast<const TrmmCtx<T>*>(p);
+  const MicroKernelT<T>& uk = *tc.uk;
+  const index_t mr_full = uk.mr;
+  const index_t nr_full = uk.nr;
+  constexpr index_t kMc = Blocking<T>::kMc;
+  constexpr index_t kKc = Blocking<T>::kKc;
+  constexpr index_t kNc = Blocking<T>::kNc;
+
+  const auto [r0, r1] = triangle_band(tc.lower, tc.n, mr_full, tid, nt);
+  if (r0 == r1) return;
+  const bool beta_zero = tc.beta == T(0);
+  if (!beta_zero) apply_beta(tc.beta, r1 - r0, tc.k, tc.c + r0 * tc.ldc,
+                             tc.ldc);
+  // The columns of T, rows of B, that the band reads.
+  const index_t need_lo = tc.lower ? 0 : r0;
+  const index_t need_hi = tc.lower ? r1 : tc.n;
+
+  T* apack = pack_arena_a().ensure<T>(static_cast<std::size_t>(
+      round_up(std::min(kMc, r1 - r0), mr_full) * std::min(kKc, tc.n)));
+  T* bpack = pack_arena_b().ensure<T>(static_cast<std::size_t>(
+      std::min(kKc, tc.n) * round_up(std::min(kNc, tc.k), nr_full)));
+
+  for (index_t jc = 0; jc < tc.k; jc += kNc) {
+    const index_t nc = std::min(kNc, tc.k - jc);
+    const index_t bstrips = (nc + nr_full - 1) / nr_full;
+    for (index_t pc = 0; pc < tc.n; pc += kKc) {
+      const index_t klo = std::max(pc, need_lo);
+      const index_t khi = std::min(pc + kKc, need_hi);
+      if (klo >= khi) continue;
+      const index_t kc = khi - klo;
+      pack_b_strips(tc.b + klo * tc.ldb + jc, tc.ldb, kc, nc, nr_full, bpack,
+                    0, bstrips);
+      for (index_t ic = r0; ic < r1; ic += kMc) {
+        const index_t mc = std::min(kMc, r1 - ic);
+        if (tc.lower ? klo >= ic + mc : khi <= ic) continue;
+        const index_t astrips = (mc + mr_full - 1) / mr_full;
+        if (tc.lower) {
+          pack_a_strips<T, Tri::kLower>(tc.t + ic * tc.ldt + klo, tc.ldt, mc,
+                                        kc, tc.alpha, mr_full, apack, 0,
+                                        astrips, ic - klo);
+        } else {
+          pack_a_strips<T, Tri::kUpper>(tc.t + ic * tc.ldt + klo, tc.ldt, mc,
+                                        kc, tc.alpha, mr_full, apack, 0,
+                                        astrips, ic - klo);
+        }
+        // A strip reads this block up to its last row (lower) or from its
+        // first (upper). Its first block of the triangle assigns when
+        // beta == 0: pc == 0 for a lower T, the block holding row g0 for
+        // an upper one.
+        const auto cut = [&](index_t ir, index_t mr) {
+          const index_t g0 = ic + ir;
+          const bool first = tc.lower ? pc == 0 : pc <= g0;
+          return StripCut{
+              tc.lower ? 0 : std::max(klo, g0) - klo,
+              tc.lower ? std::min(khi, g0 + mr) - klo : kc,
+              beta_zero && first ? Store::kAssign : Store::kAccum};
+        };
+        for (index_t s = 0; s < bstrips; ++s)
+          macro_strip(uk, kc, mc, nc, apack, bpack, tc.c + ic * tc.ldc + jc,
+                      tc.ldc, s, cut);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void gemm(index_t m, index_t n, index_t k, double alpha, const double* a,
@@ -298,6 +450,30 @@ void gemm_with(const MicroKernel& uk, index_t m, index_t n, index_t k,
                index_t ldb, double beta, double* c, index_t ldc) {
   gemm_entry(uk, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
              /*allow_naive=*/false);
+}
+
+void trmm(bool lower, index_t n, index_t k, double alpha, const double* t,
+          index_t ldt, const double* b, index_t ldb, double beta, double* c,
+          index_t ldc) {
+  if (n == 0 || k == 0) return;
+  if (alpha == 0.0) {
+    apply_beta(beta, n, k, c, ldc);
+    return;
+  }
+  // gemm's small-product and fan-out rules, on the dense n x k x n count.
+  if (n * k * n <= kSmallProduct) {
+    apply_beta(beta, n, k, c, ldc);
+    for (index_t i = 0; i < n; ++i) {
+      const index_t l0 = lower ? 0 : i;
+      const index_t l1 = lower ? i + 1 : n;
+      gemm_naive(index_t{1}, k, l1 - l0, alpha, t + i * ldt + l0, ldt,
+                 b + l0 * ldb, ldb, c + i * ldc, ldc);
+    }
+    return;
+  }
+  const MicroKernel& uk = active_microkernel();
+  TrmmCtx<double> ctx{&uk, lower, n, k, ldt, ldb, ldc, alpha, beta, t, b, c};
+  run_product(n, k, n, uk.mr, trmm_team_body<double>, &ctx);
 }
 
 }  // namespace catrsm::la::kernel

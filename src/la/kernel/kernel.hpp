@@ -21,6 +21,16 @@
 // multiplexes the p ranks over the physical cores — only direct/library
 // callers fan out.
 //
+// The out-of-place triangular product (trmm) rides on the same packing,
+// blocking and micro-kernels, as ONE barrier-free team dispatch: each
+// participant owns MR-aligned rows holding 1/nt of the triangle's area
+// and packs the B rows they read into its own arena. It takes gemm's K
+// blocks in gemm's order, skips those outside the triangle and cuts a
+// straddling one at the diagonal, under gemm's small-product and fan-out
+// rules applied to the dense count; so for a T whose other triangle is
+// zero it equals the dense gemm bit for bit, at any pool size, at half
+// the flops.
+//
 // Single-core micro-wins: the inner kernels software-prefetch the packed
 // panels a few iterations ahead, and on the first K-blocking pass of a
 // beta == 0 product the C tile is written with plain stores instead of
@@ -89,5 +99,15 @@ void gemm(index_t m, index_t n, index_t k, double alpha, const double* a,
 void gemm_with(const MicroKernel& uk, index_t m, index_t n, index_t k,
                double alpha, const double* a, index_t lda, const double* b,
                index_t ldb, double beta, double* c, index_t ldc);
+
+/// Strided row-major triangular product C = alpha * tri(T) * B + beta * C.
+/// T: n x n (ldt), of which only the lower (`lower`) or upper triangle,
+/// diagonal included, is ever read; B: n x k (ldb); C: n x k (ldc), which
+/// must not alias T or B. Bitwise equal to gemm(n, k, n, alpha, T, ...)
+/// when T's other triangle is zero and B is finite, up to the sign of a
+/// zero element of C.
+void trmm(bool lower, index_t n, index_t k, double alpha, const double* t,
+          index_t ldt, const double* b, index_t ldb, double beta, double* c,
+          index_t ldc);
 
 }  // namespace catrsm::la::kernel

@@ -1,14 +1,40 @@
 #include "la/matrix.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
+
+#include "support/env.hpp"
 
 namespace catrsm::la {
+
+namespace {
+std::atomic<bool> g_poison{env::flag_or("CATRSM_SLAB_POISON", false)};
+}  // namespace
+
+bool uninit_poison() { return g_poison.load(std::memory_order_relaxed); }
+
+void set_uninit_poison(bool enabled) {
+  g_poison.store(enabled, std::memory_order_relaxed);
+}
 
 Matrix::Matrix(index_t rows, index_t cols)
     : rows_(rows),
       cols_(cols),
       data_(static_cast<std::size_t>(rows * cols), 0.0) {
   CATRSM_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
+}
+
+Matrix Matrix::uninit(index_t rows, index_t cols) {
+  CATRSM_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
+  Matrix out;
+  out.rows_ = rows;
+  out.cols_ = cols;
+  out.data_ = aligned_vector(static_cast<std::size_t>(rows * cols));
+  if (uninit_poison())
+    std::fill(out.data_.begin(), out.data_.end(),
+              std::numeric_limits<double>::quiet_NaN());
+  return out;
 }
 
 Matrix::Matrix(index_t rows, index_t cols, std::span<const double> data)

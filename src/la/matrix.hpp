@@ -5,6 +5,8 @@
 // storage, cheap moves, no implicit expensive copies hidden behind
 // operators; element access is bounds-checked through CATRSM_ASSERT only in
 // the (i, j) accessor used outside of kernels — kernels index the raw span.
+// Construction zero-fills unless the caller asks for Matrix::uninit, for a
+// result it writes in full before reading it.
 
 #include <cstddef>
 #include <new>
@@ -34,6 +36,18 @@ struct CacheAlignedAlloc {
   }
   void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
 
+  /// Construction without a value default-initializes, which leaves a
+  /// double unset: a vector sized by count alone is not filled (see
+  /// Matrix::uninit). Construction with a value is the usual one.
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
   template <class U>
   bool operator==(const CacheAlignedAlloc<U>&) const {
     return true;
@@ -53,6 +67,12 @@ class Matrix {
 
   /// rows x cols matrix, zero-initialized.
   Matrix(index_t rows, index_t cols);
+
+  /// rows x cols matrix with unspecified contents, for an output whose
+  /// every element is written before it is read: no fill pass. Under
+  /// uninit_poison() it is NaN-filled, so a read of an unwritten element
+  /// shows.
+  static Matrix uninit(index_t rows, index_t cols);
 
   /// rows x cols matrix from existing row-major data (size must match),
   /// copied into the matrix's aligned storage.
@@ -119,5 +139,11 @@ class Matrix {
   index_t cols_ = 0;
   aligned_vector data_;
 };
+
+/// NaN-fill mode for uninitialized storage: Matrix::uninit and the
+/// simulator's pooled message slabs (sim/slab.hpp). On when
+/// CATRSM_SLAB_POISON=1 at startup; set_uninit_poison switches it.
+bool uninit_poison();
+void set_uninit_poison(bool enabled);
 
 }  // namespace catrsm::la

@@ -51,8 +51,11 @@ void trmm_left(Uplo uplo, Diag diag, const Matrix& t, Matrix& b) {
 }
 
 Matrix trmm(Uplo uplo, const Matrix& t, const Matrix& b) {
-  Matrix out = b;
-  trmm_left(uplo, Diag::kNonUnit, t, out);
+  CATRSM_CHECK(t.rows() == t.cols(), "trmm: T must be square");
+  CATRSM_CHECK(t.rows() == b.rows(), "trmm: dimension mismatch");
+  Matrix out = Matrix::uninit(b.rows(), b.cols());
+  kernel::trmm(uplo == Uplo::kLower, t.rows(), b.cols(), 1.0, t.ptr(),
+               t.cols(), b.ptr(), b.cols(), 0.0, out.ptr(), out.cols());
   return out;
 }
 

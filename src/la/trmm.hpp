@@ -1,7 +1,9 @@
 #pragma once
 // Triangular matrix-matrix multiply: exploits the triangle to halve flops
-// relative to a dense gemm. Used by the distributed solve phase where the
-// diagonal blocks are triangular inverses.
+// relative to a dense gemm. The in-place forms serve la::tri_inv, which
+// multiplies by triangular sub-blocks of a partly built inverse; the
+// out-of-place form is the pooled team product of kernel::trmm and serves
+// the residual checks (la::trsm_residual).
 
 #include "la/matrix.hpp"
 #include "la/trsm.hpp"
@@ -19,7 +21,9 @@ void trmm_left(Uplo uplo, Diag diag, const Matrix& t, Matrix& b);
 void trmm_left_strided(Uplo uplo, Diag diag, index_t n, index_t k,
                        const double* t, index_t ldt, double* b, index_t ldb);
 
-/// Returns T * B without overwriting B.
+/// Returns tri(T) * B, reading only T's `uplo` triangle (diagonal
+/// included): one kernel::trmm team dispatch. For a T whose other triangle
+/// is zero it equals matmul(T, B) bit for bit at any pool size.
 Matrix trmm(Uplo uplo, const Matrix& t, const Matrix& b);
 
 /// Flops for a triangular multiply (half of square gemm).

@@ -1,12 +1,11 @@
 #include "sim/slab.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <new>
 
-#include "support/env.hpp"
+#include "la/matrix.hpp"
 
 namespace catrsm::sim {
 
@@ -46,8 +45,6 @@ Pool& pool() {
   static Pool* p = new Pool;
   return *p;
 }
-
-std::atomic<bool> g_poison{env::flag_or("CATRSM_SLAB_POISON", false)};
 
 double* allocate_aligned(std::size_t cap) {
   return static_cast<double*>(
@@ -98,7 +95,7 @@ std::shared_ptr<Slab> Slab::uninit(std::size_t n) {
   slab->data_ = acquire(cap);
   slab->size_ = n;
   slab->capacity_ = cap;
-  if (g_poison.load(std::memory_order_relaxed)) {
+  if (la::uninit_poison()) {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     for (std::size_t i = 0; i < cap; ++i) slab->data_[i] = nan;
   }
@@ -115,10 +112,6 @@ std::shared_ptr<Slab> Slab::adopt(std::vector<double> v) {
 
 Slab::~Slab() {
   if (capacity_ != 0) release(data_, capacity_);
-}
-
-void set_slab_poison(bool enabled) {
-  g_poison.store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace catrsm::sim

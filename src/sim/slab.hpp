@@ -13,10 +13,10 @@
 //     adoption path of Buffer(std::vector&&)); adopted storage never
 //     touches the pool.
 //
-// Debug aid: with CATRSM_SLAB_POISON=1 (or set_slab_poison(true)), every
-// pooled acquisition is filled with a NaN pattern, so a consumer that
-// reads a word it never wrote propagates NaN instead of silently reusing
-// stale message bytes.
+// Debug aid: with CATRSM_SLAB_POISON=1 (or la::set_uninit_poison(true),
+// the flag la::Matrix::uninit also follows), every pooled acquisition is
+// filled with a NaN pattern, so a consumer that reads a word it never
+// wrote propagates NaN instead of silently reusing stale message bytes.
 
 #include <cstddef>
 #include <memory>
@@ -49,9 +49,5 @@ class Slab {
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;      // pooled bucket capacity; 0 when adopted
 };
-
-/// Poison-fill mode (see header comment). Also enabled by the
-/// CATRSM_SLAB_POISON=1 environment variable, read once at startup.
-void set_slab_poison(bool enabled);
 
 }  // namespace catrsm::sim

@@ -292,7 +292,8 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
   ReplicaPass pass(replica);
   DistMatrix ltilde;
   if (pass.replay) {
-    ltilde = DistMatrix(l.dist_ptr(), comm.ctx().id());
+    // The site below moves the replayed block over this one.
+    ltilde = DistMatrix::uninit(l.dist_ptr(), comm.ctx().id());
   } else {
     sim::PhaseScope scope(comm.ctx(), "inversion");
     ltilde = diag_inverter(l, comm, nblocks);

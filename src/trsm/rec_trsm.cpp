@@ -105,8 +105,9 @@ DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
     for (int xx = 0; xx < pr; ++xx) sub_idx.push_back(face.at(xx, yy + pr * z));
   Face2D subface(face.comm().subset(sub_idx), pr, pr);
 
-  auto lsub_dist = dist::cyclic_on(subface, n, n);
-  DistMatrix lsub(lsub_dist, comm.ctx().id());
+  // Every element is assembled below, or the replayed block moves over.
+  DistMatrix lsub =
+      DistMatrix::uninit(dist::cyclic_on(subface, n, n), comm.ctx().id());
   const SiteBlock site(pass, lsub.local(), lsub.local().rows(),
                        lsub.local().cols());
   if (!pass.replay) {
@@ -138,20 +139,14 @@ DistMatrix rec_split_columns(const DistMatrix& l, const DistMatrix& b,
   index_t kz = 0;
   for (index_t j = 0; j < k; ++j)
     if ((j % pc) / pr == z) ++kz;
-  auto bsub_dist = dist::cyclic_on(subface, n, kz);
-  DistMatrix bsub(bsub_dist, comm.ctx().id());
-  CATRSM_ASSERT(bsub.local().rows() == b.local().rows() &&
-                    bsub.local().cols() == b.local().cols(),
-                "rec_trsm: column-group relabeling shape mismatch");
-  bsub.local() = b.local();
+  DistMatrix bsub(dist::cyclic_on(subface, n, kz), comm.ctx().id(),
+                  b.local());
 
   sim::Comm subcomm = subface.comm();
   DistMatrix xsub = rec_trsm_impl(lsub, std::move(bsub), subcomm, n0, pass);
 
   // --- Relabel the solution back onto the original face.
-  DistMatrix x(b.dist_ptr(), comm.ctx().id());
-  x.local() = xsub.local();
-  return x;
+  return DistMatrix(b.dist_ptr(), comm.ctx().id(), std::move(xsub.local()));
 }
 
 DistMatrix rec_trsm_impl(const DistMatrix& l, DistMatrix b,

@@ -447,17 +447,89 @@ TEST(ExecutePath, OperandStaysResidentWhileItsBytesAreUnchanged) {
   // are released).
   const std::uint64_t resident = store.resident_bytes();
   EXPECT_EQ(resident, 2 * sizeof(double) * static_cast<std::uint64_t>(n * n));
-  (void)plan->execute(l, b);
+  // Store ids taken by one call of `a`: B and X, plus the operand's when
+  // the call uploads it (probe handles bracket the call).
+  const auto ids_taken = [&](const Matrix& a, ExecResult& out) {
+    const std::uint64_t before = ctx.upload(b, plan->input_layout(1)).id();
+    out = plan->execute(a, b);
+    return ctx.upload(b, plan->input_layout(1)).id() - before;
+  };
+  ExecResult r2;
+  const std::uint64_t warm_ids = ids_taken(l, r2);
   EXPECT_EQ(store.resident_bytes(), resident);
   EXPECT_EQ(plan->diag_inversions(), 1u);
+  // The warm residual divides by the kept norm of the lower triangle: the
+  // same bits as the host check.
+  EXPECT_EQ(r2.residual, la::trsm_residual(l, r2.x, b));
 
-  // One changed element is a different operand: re-upload, re-invert.
+  // Bytes above the diagonal are never read, so changing one keeps the
+  // operand: no upload, no inversion, and the X and residual of a fresh
+  // plan for the changed matrix.
+  Matrix above = l;
+  above(0, n - 1) = 1e3;
+  ExecResult ra;
+  EXPECT_EQ(ids_taken(above, ra), warm_ids);
+  EXPECT_EQ(plan->diag_inversions(), 1u);
+  EXPECT_EQ(ra.stats.phase_max.count("inversion"), 0u);
+  EXPECT_EQ(store.resident_bytes(), resident);
+  Context fresh(8);
+  const ExecResult ref = fresh.plan(trsm_op(n, k, spec))->execute(above, b);
+  EXPECT_TRUE(ra.x.equals(ref.x));
+  EXPECT_EQ(ra.residual, ref.residual);
+
+  // One changed element of the lower triangle is a different operand:
+  // re-upload, re-invert.
   l(n - 1, 0) += 1.0;
   const ExecResult r3 = plan->execute(l, b);
   EXPECT_EQ(plan->diag_inversions(), 2u);
   EXPECT_EQ(store.resident_bytes(), resident);  // the old copy was released
   EXPECT_FALSE(r3.x.equals(r1.x));
   EXPECT_LT(r3.residual, 1e-12);
+}
+
+TEST(ExecutePath, ResidualReadsOnlyTheSolvedTriangle) {
+  // An operand may keep other data in its opposite triangle (say L and U
+  // of an LU factorization in one array). Every variant solves and checks
+  // only the triangle it names, so X and the residual are those of the
+  // operand with that triangle zero, bit for bit.
+  const index_t n = 32, k = 8;
+  for (const model::Algorithm alg :
+       {model::Algorithm::kIterative, model::Algorithm::kRecursive,
+        model::Algorithm::kTrsm2D, model::Algorithm::kTrsv1D})
+    for (const la::Uplo uplo : {la::Uplo::kLower, la::Uplo::kUpper})
+      for (const bool trans : {false, true})
+        for (const Side side : {Side::kLeft, Side::kRight}) {
+          const Matrix t = uplo == la::Uplo::kLower
+                               ? la::make_lower_triangular(331, n)
+                               : la::make_upper_triangular(331, n);
+          Matrix other = t;
+          for (index_t i = 0; i < n; ++i)
+            for (index_t j = 0; j < n; ++j)
+              if (uplo == la::Uplo::kLower ? j > i : j < i)
+                other(i, j) = 1e3 * la::element_hash(332, i, j);
+          const Matrix b = side == Side::kLeft ? la::make_rhs(333, n, k)
+                                               : la::make_rhs(334, k, n);
+          TrsmSpec spec;
+          spec.uplo = uplo;
+          spec.transpose = trans;
+          spec.side = side;
+          spec.force_algorithm = true;
+          spec.algorithm = alg;
+          Context zero_ctx(4);
+          Context other_ctx(4);
+          const ExecResult zero =
+              zero_ctx.plan(trsm_op(n, k, spec))->execute(t, b);
+          const ExecResult r =
+              other_ctx.plan(trsm_op(n, k, spec))->execute(other, b);
+          const std::string what =
+              std::string(model::algorithm_name(alg)) +
+              (uplo == la::Uplo::kLower ? " lower" : " upper") +
+              (trans ? " transposed" : "") +
+              (side == Side::kLeft ? " left" : " right");
+          EXPECT_TRUE(r.x.equals(zero.x)) << what;
+          EXPECT_EQ(r.residual, zero.residual) << what;
+          EXPECT_LT(r.residual, 1e-12) << what;
+        }
 }
 
 struct VariantCase {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "la/matrix.hpp"
 #include "sim/buffer.hpp"
 #include "sim/slab.hpp"
 
@@ -122,7 +123,8 @@ TEST(Buffer, PoisonFillExposesUnwrittenWords) {
     for (std::size_t i = 0; i < dirty.size(); ++i) w[i] = 1.0;
     recycled = dirty.data();
   }  // recycled: stale 1.0s now sit on top of the LIFO freelist
-  set_slab_poison(true);
+  const bool was_poisoned = la::uninit_poison();
+  la::set_uninit_poison(true);
   Buffer a = Buffer::uninit(256);
   ASSERT_EQ(a.data(), recycled);    // the same slab came back...
   EXPECT_TRUE(std::isnan(a[0]));    // ...with the stale bytes overwritten
@@ -137,7 +139,7 @@ TEST(Buffer, PoisonFillExposesUnwrittenWords) {
   Buffer joined = concat(parts);
   for (std::size_t i = 0; i < joined.size(); ++i)
     ASSERT_FALSE(std::isnan(joined[i]));
-  set_slab_poison(false);
+  la::set_uninit_poison(was_poisoned);
 }
 
 TEST(Buffer, SpanAndVectorInterop) {

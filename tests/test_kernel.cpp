@@ -193,14 +193,45 @@ TEST(Kernel, BlockedTrsmAllVariantsAtOddSizes) {
 }
 
 TEST(Kernel, BlockedTrmmMatchesGemmAcrossBlockBoundary) {
-  for (const index_t n : {63, 64, 65, 130}) {
+  // trmm takes gemm's K blocks in gemm's order and drops only products
+  // with the other triangle's zeros, so it equals the dense product bit
+  // for bit. The sizes cross the MR, MC = 144 and KC = 256 edges, and
+  // n = 1024 with k = 256 fans out over the pool.
+  for (const index_t n : {1, 7, 63, 64, 65, 143, 145, 257, 543, 1024}) {
     const Matrix lo = make_lower_triangular(701, n);
     const Matrix up = make_upper_triangular(702, n);
-    const Matrix b = make_rhs(703, n, 17);
-    EXPECT_LT(max_abs_diff(trmm(Uplo::kLower, lo, b), matmul(lo, b)), 1e-11)
-        << "n=" << n;
-    EXPECT_LT(max_abs_diff(trmm(Uplo::kUpper, up, b), matmul(up, b)), 1e-11)
-        << "n=" << n;
+    for (const index_t k : {1, 17, 256}) {
+      const Matrix b = make_rhs(703, n, k);
+      EXPECT_TRUE(trmm(Uplo::kLower, lo, b).equals(matmul(lo, b)))
+          << "lower n=" << n << " k=" << k;
+      EXPECT_TRUE(trmm(Uplo::kUpper, up, b).equals(matmul(up, b)))
+          << "upper n=" << n << " k=" << k;
+    }
+  }
+}
+
+TEST(Kernel, TrmmNeverReadsTheOtherTriangle) {
+  // NaN anywhere a product read would poison the result; the same bits
+  // as with zeros there show that no element of the other triangle is
+  // read, on the small-product loop and on the packed path alike.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const index_t n : {9, 145, 543}) {
+    const Matrix b = make_rhs(705, n, 17);
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      const Matrix t = uplo == Uplo::kLower ? make_lower_triangular(704, n)
+                                            : make_upper_triangular(704, n);
+      Matrix junk = t;
+      for (index_t i = 0; i < n; ++i)
+        for (index_t j = 0; j < n; ++j)
+          if (uplo == Uplo::kLower ? j > i : j < i) junk(i, j) = nan;
+      const Matrix want = trmm(uplo, t, b);
+      EXPECT_TRUE(trmm(uplo, junk, b).equals(want)) << "n=" << n;
+      // The residual's product accumulates into C (beta = -1).
+      EXPECT_EQ(trsm_residual(uplo, junk, b, want),
+                trsm_residual(uplo, t, b, want))
+          << "n=" << n;
+      EXPECT_EQ(frobenius_norm(uplo, junk), frobenius_norm(t)) << "n=" << n;
+    }
   }
 }
 
@@ -290,6 +321,40 @@ TEST(KernelPool, TrsmAndTriInvBitIdenticalAcrossPoolSizes) {
     EXPECT_EQ(frobenius_distance(x1, x4), 0.0) << "trsm n=" << n;
     EXPECT_TRUE(t1.equals(t4)) << "tri_inv n=" << n;
     EXPECT_EQ(frobenius_distance(t1, t4), 0.0) << "tri_inv n=" << n;
+  }
+  // Out-of-place trmm: a band of rows per participant, cut by the
+  // triangle's area. It fans out at (1024, 256), whose dense 2n^2k passes
+  // the MT flop threshold, and stays inline at (129, 17).
+  struct Shape {
+    index_t n, k;
+    bool fans_out;
+  };
+  for (const Shape sh : {Shape{1024, 256, true}, Shape{129, 17, false}}) {
+    const Matrix b = make_rhs(914, sh.n, sh.k);
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      const Matrix t = uplo == Uplo::kLower
+                           ? make_lower_triangular(913, sh.n)
+                           : make_upper_triangular(913, sh.n);
+      Matrix p1;
+      {
+        PoolThreads single(1);
+        p1 = trmm(uplo, t, b);
+      }
+      for (const int threads : {2, 3, 4}) {
+        PoolThreads multi(threads);
+        const auto before = kernel::ThreadPool::dispatches();
+        const Matrix pn = trmm(uplo, t, b);
+        if (sh.fans_out) {
+          EXPECT_GT(kernel::ThreadPool::dispatches(), before)
+              << "trmm n=" << sh.n << " threads=" << threads;
+        } else {
+          EXPECT_EQ(kernel::ThreadPool::dispatches(), before)
+              << "trmm n=" << sh.n << " threads=" << threads;
+        }
+        EXPECT_TRUE(p1.equals(pn))
+            << "trmm n=" << sh.n << " threads=" << threads;
+      }
+    }
   }
 }
 
