@@ -37,8 +37,39 @@ void trsm_lu_block(const double* t, index_t ldt, double* b, index_t ldb,
 void trsm_ru_block(const double* t, index_t ldt, double* b, index_t ldb,
                    index_t m, index_t nb, bool unit) {
   // Row i of X solves independently against T; walking rows outer keeps
-  // every inner access on b's contiguous row.
-  for (index_t i = 0; i < m; ++i) {
+  // every inner access on b's contiguous row. Four rows at a time give the
+  // core four independent chains instead of one, and each row keeps the
+  // one-row loop's operation order, so every result is bitwise the same.
+  index_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    double* b0 = b + i * ldb;
+    double* b1 = b0 + ldb;
+    double* b2 = b1 + ldb;
+    double* b3 = b2 + ldb;
+    for (index_t j = 0; j < nb; ++j) {
+      double s0 = b0[j], s1 = b1[j], s2 = b2[j], s3 = b3[j];
+      for (index_t l = 0; l < j; ++l) {
+        const double tlj = t[l * ldt + j];
+        s0 -= b0[l] * tlj;
+        s1 -= b1[l] * tlj;
+        s2 -= b2[l] * tlj;
+        s3 -= b3[l] * tlj;
+      }
+      if (unit) {
+        b0[j] = s0;
+        b1[j] = s1;
+        b2[j] = s2;
+        b3[j] = s3;
+      } else {
+        const double d = t[j * ldt + j];
+        b0[j] = s0 / d;
+        b1[j] = s1 / d;
+        b2[j] = s2 / d;
+        b3[j] = s3 / d;
+      }
+    }
+  }
+  for (; i < m; ++i) {
     double* bi = b + i * ldb;
     for (index_t j = 0; j < nb; ++j) {
       double s = bi[j];

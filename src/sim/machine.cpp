@@ -4,6 +4,7 @@
 #include <exception>
 #include <limits>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include <sstream>
@@ -239,12 +240,49 @@ check::TraceRecorder* Rank::tracer() const { return run_->tracer.get(); }
 
 FaultInjector* Rank::fault_injector() const { return run_->injector.get(); }
 
+namespace {
+
+// Serials start at 1, so a thread's empty epoch cache (machine 0) matches
+// no machine.
+std::atomic<std::uint64_t> g_machine_serials{0};
+
+struct MembersHash {
+  std::size_t operator()(const std::vector<int>& members) const noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the ids
+    for (const int m : members) {
+      h ^= static_cast<std::uint32_t>(m);
+      h *= 0x100000001b3ull;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// The epochs this thread has looked up, for one machine at a time.
+struct EpochCache {
+  std::uint64_t machine = 0;  // Machine::serial_ the ids belong to
+  std::unordered_map<std::vector<int>, std::uint64_t, MembersHash> ids;
+};
+thread_local EpochCache tls_epochs;
+
+}  // namespace
+
 std::uint64_t Rank::comm_epoch(const std::vector<int>& members) {
   Machine* m = run_->machine;
-  std::lock_guard<std::mutex> lock(m->epoch_mu_);
-  auto [it, inserted] =
-      m->epoch_ids_.try_emplace(members, m->epoch_ids_.size());
-  return it->second;
+  EpochCache& cache = tls_epochs;
+  if (cache.machine != m->serial_) {
+    cache.ids.clear();
+    cache.machine = m->serial_;
+  } else if (const auto it = cache.ids.find(members); it != cache.ids.end()) {
+    return it->second;
+  }
+  std::uint64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(m->epoch_mu_);
+    id = m->epoch_ids_.try_emplace(members, m->epoch_ids_.size())
+             .first->second;
+  }
+  cache.ids.emplace(members, id);
+  return id;
 }
 
 // ---------------------------------------------------------------------------
@@ -517,7 +555,8 @@ int RunTicket::injections() const {
 // ---------------------------------------------------------------------------
 // Machine
 
-Machine::Machine(int p, MachineParams params) : p_(p), params_(params) {
+Machine::Machine(int p, MachineParams params)
+    : serial_(++g_machine_serials), p_(p), params_(params) {
   CATRSM_CHECK(p >= 1, "machine needs at least one rank");
   // Strict parsing with warn-and-fallback, like every CATRSM_* knob: a
   // garbage stream cap runs with the default instead of silently

@@ -98,7 +98,8 @@ class Rank {
   /// distinct groups can never share an id (unlike a hash). Every member
   /// asking for the same list gets the same id — including members in
   /// different concurrent runs, which is safe because tags only ever
-  /// match within a run's own mailboxes.
+  /// match within a run's own mailboxes. A repeat lookup is answered from
+  /// the calling thread's copy of the registry, without its lock.
   std::uint64_t comm_epoch(const std::vector<int>& members);
 
   /// Accumulated cost counters for this rank.
@@ -320,7 +321,11 @@ class Machine {
   /// Called exactly once per run, from RunTicket::wait.
   void retire_run(RunContext* rc);
 
-  /// Sequential communicator-epoch registry (see Rank::comm_epoch).
+  /// Sequential communicator-epoch registry (see Rank::comm_epoch). It is
+  /// append-only, so each thread keeps a copy of the ids it has looked up
+  /// and locks only on a miss; the copy is keyed on serial_, which no
+  /// other machine of the process shares, even one at the same address.
+  const std::uint64_t serial_;
   std::mutex epoch_mu_;
   std::map<std::vector<int>, std::uint64_t> epoch_ids_;
 

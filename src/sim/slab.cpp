@@ -16,6 +16,14 @@ constexpr std::size_t kMaxPooledBytes = std::size_t{128} << 20;  // 128 MiB
 constexpr std::size_t kMinBucket = 64;                           // doubles
 constexpr int kBuckets = 26;  // kMinBucket << 25 = 2^31 doubles = 16 GiB
 
+// Per-thread front cache (see sim/slab.hpp): the classes up to
+// kMinBucket << 7 = 8,192 doubles, at most 16 slabs per class and 1 MiB
+// per thread. Caching larger classes too stranded solve_large_p4's
+// 512 KiB blocks on threads that free them but never acquire them.
+constexpr int kThreadBuckets = 8;
+constexpr int kThreadSlabsPerBucket = 16;
+constexpr std::size_t kMaxThreadBytes = std::size_t{1} << 20;  // 1 MiB
+
 std::size_t bucket_capacity(std::size_t n) {
   std::size_t cap = kMinBucket;
   while (cap < n) cap <<= 1;
@@ -55,10 +63,70 @@ void free_aligned(double* p) {
   ::operator delete[](p, std::align_val_t{64});
 }
 
+/// Return a slab to the shared pool (or free it past the pool's bound);
+/// po.mu held.
+void release_shared_locked(Pool& po, double* p, std::size_t cap, int bucket) {
+  const std::size_t bytes = cap * sizeof(double);
+  if (po.retained_bytes + bytes <= kMaxPooledBytes) {
+    po.free_lists[bucket].push_back(p);
+    po.retained_bytes += bytes;
+    return;
+  }
+  free_aligned(p);
+}
+
+/// One thread's LIFO freelists for the small classes. Its destructor runs
+/// at thread exit and hands every cached slab to the shared pool.
+struct ThreadCache {
+  double* slabs[kThreadBuckets][kThreadSlabsPerBucket] = {};
+  int count[kThreadBuckets] = {};
+  std::size_t bytes = 0;
+
+  ThreadCache() = default;
+  ThreadCache(const ThreadCache&) = delete;
+  ThreadCache& operator=(const ThreadCache&) = delete;
+  ~ThreadCache();
+};
+
+// The calling thread's cache, null until its first small release and
+// again once the cache is destroyed. Both are trivially destructible, so
+// they stay readable during thread exit: a Buffer that a later
+// thread-exit or static destructor releases finds tls_cache_gone set and
+// goes to the shared pool, never into destroyed storage. Only
+// non-blocking calls touch the cache, so a rank's fiber never holds it
+// across a park.
+thread_local ThreadCache* tls_cache = nullptr;
+thread_local bool tls_cache_gone = false;
+
+ThreadCache::~ThreadCache() {
+  tls_cache = nullptr;
+  tls_cache_gone = true;
+  Pool& po = pool();
+  std::lock_guard<std::mutex> lock(po.mu);
+  for (int b = 0; b < kThreadBuckets; ++b)
+    for (int i = 0; i < count[b]; ++i)
+      release_shared_locked(po, slabs[b][i], kMinBucket << b, b);
+}
+
+/// The calling thread's cache, created on first use; null once destroyed.
+ThreadCache* thread_cache() {
+  if (tls_cache == nullptr && !tls_cache_gone) {
+    thread_local ThreadCache cache;
+    tls_cache = &cache;
+  }
+  return tls_cache;
+}
+
 double* acquire(std::size_t cap) {
   const int bucket = bucket_index(cap);
-  if (bucket >= 0) {
-    Pool& po = pool();
+  if (bucket < 0) return allocate_aligned(cap);
+  if (ThreadCache* tc = tls_cache;
+      tc != nullptr && bucket < kThreadBuckets && tc->count[bucket] > 0) {
+    tc->bytes -= cap * sizeof(double);
+    return tc->slabs[bucket][--tc->count[bucket]];
+  }
+  Pool& po = pool();
+  {
     std::lock_guard<std::mutex> lock(po.mu);
     auto& list = po.free_lists[bucket];
     if (!list.empty()) {
@@ -73,17 +141,23 @@ double* acquire(std::size_t cap) {
 
 void release(double* p, std::size_t cap) {
   const int bucket = bucket_index(cap);
-  if (bucket >= 0) {
-    Pool& po = pool();
-    std::lock_guard<std::mutex> lock(po.mu);
-    const std::size_t bytes = cap * sizeof(double);
-    if (po.retained_bytes + bytes <= kMaxPooledBytes) {
-      po.free_lists[bucket].push_back(p);
-      po.retained_bytes += bytes;
+  if (bucket < 0) {
+    free_aligned(p);
+    return;
+  }
+  const std::size_t bytes = cap * sizeof(double);
+  if (bucket < kThreadBuckets) {
+    ThreadCache* tc = thread_cache();
+    if (tc != nullptr && tc->count[bucket] < kThreadSlabsPerBucket &&
+        tc->bytes + bytes <= kMaxThreadBytes) {
+      tc->slabs[bucket][tc->count[bucket]++] = p;
+      tc->bytes += bytes;
       return;
     }
   }
-  free_aligned(p);
+  Pool& po = pool();
+  std::lock_guard<std::mutex> lock(po.mu);
+  release_shared_locked(po, p, cap, bucket);
 }
 
 }  // namespace

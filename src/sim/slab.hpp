@@ -13,10 +13,21 @@
 //     adoption path of Buffer(std::vector&&)); adopted storage never
 //     touches the pool.
 //
+// Classes up to 8,192 doubles (64 KiB) first go through a per-thread LIFO
+// cache (at most 16 slabs per class, 1 MiB per thread) that takes no
+// lock: a release lands in the releasing thread's cache, and that
+// thread's next acquisition of the class takes it back. A full cache
+// releases to the shared pool under its mutex, and a thread's exit hands
+// its cache to the shared pool; a slab released after that (by a later
+// thread-exit or static destructor) goes to the shared pool directly.
+// Larger classes always use the shared pool, so a thread that only frees
+// them cannot strand them away from the thread that acquires them.
+//
 // Debug aid: with CATRSM_SLAB_POISON=1 (or la::set_uninit_poison(true),
-// the flag la::Matrix::uninit also follows), every pooled acquisition is
-// filled with a NaN pattern, so a consumer that reads a word it never
-// wrote propagates NaN instead of silently reusing stale message bytes.
+// the flag la::Matrix::uninit also follows), every pooled acquisition,
+// per-thread cache hits included, is filled with a NaN pattern, so a
+// consumer that reads a word it never wrote propagates NaN instead of
+// silently reusing stale message bytes.
 
 #include <cstddef>
 #include <memory>

@@ -1,10 +1,13 @@
 // Tests for sim::Buffer: view aliasing, refcount release, copy-on-write,
-// slab recycling, and the concat adjacency fast path — the semantics the
-// zero-copy transport stack depends on.
+// slab recycling (per thread and across threads), and the concat adjacency
+// fast path — the semantics the zero-copy transport stack depends on.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -140,6 +143,81 @@ TEST(Buffer, PoisonFillExposesUnwrittenWords) {
   for (std::size_t i = 0; i < joined.size(); ++i)
     ASSERT_FALSE(std::isnan(joined[i]));
   la::set_uninit_poison(was_poisoned);
+}
+
+TEST(Buffer, SmallSlabComesBackOnTheThreadThatReleasedIt) {
+  // Classes up to 64 KiB land in the releasing thread's own cache: an
+  // acquisition of the class on another thread in between does not take
+  // the slab, and the releasing thread's next acquisition does.
+  Buffer a = Buffer::uninit(3000);  // 4,096-double class, 32 KiB
+  const double* storage = a.data();
+  const double* again = nullptr;
+  std::promise<void> released;
+  std::promise<void> acquired;
+  std::thread releaser([&] {
+    { Buffer mine = std::move(a); }
+    released.set_value();
+    acquired.get_future().wait();
+    const Buffer b = Buffer::uninit(2500);
+    again = b.data();
+  });
+  released.get_future().wait();
+  const Buffer other = Buffer::uninit(3500);
+  acquired.set_value();
+  releaser.join();
+  EXPECT_NE(other.data(), storage);
+  EXPECT_EQ(again, storage);
+}
+
+TEST(Buffer, LargeSlabReleasedOnAnotherThreadReachesTheAcquirer) {
+  // Classes above 64 KiB skip the per-thread cache: a slab freed by a
+  // thread that is still alive reaches the next thread that acquires the
+  // class, instead of staying stranded with the thread that freed it.
+  Buffer a = Buffer::uninit(10000);  // 16,384-double class, 128 KiB
+  const double* storage = a.data();
+  std::promise<void> released;
+  std::promise<void> acquired;
+  std::thread releaser([&] {
+    { Buffer mine = std::move(a); }
+    released.set_value();
+    acquired.get_future().wait();
+  });
+  released.get_future().wait();
+  const Buffer b = Buffer::uninit(9000);
+  acquired.set_value();
+  releaser.join();
+  EXPECT_EQ(b.data(), storage);
+}
+
+TEST(Buffer, ExitingThreadHandsItsCachedSlabsToTheSharedPool) {
+  // A thread's exit returns the slabs its cache holds to the shared pool.
+  // A Buffer that a thread_local built before the cache still holds is
+  // released after the cache is destroyed; it must go to the shared pool
+  // too, not into the destroyed cache, where it would be lost.
+  struct LateRelease {
+    LateRelease() {}  // not constexpr: constructed on first use
+    Buffer held;
+  };
+  constexpr std::size_t kN = 700;  // 1,024-double class, 8 KiB
+  std::set<const double*> handed_back;
+  std::thread([&] {
+    thread_local LateRelease late;  // constructed before the slab cache
+    std::vector<Buffer> bufs;
+    for (int i = 0; i < 3; ++i) bufs.push_back(Buffer::uninit(kN));
+    for (const Buffer& b : bufs) handed_back.insert(b.data());
+    late.held = std::move(bufs[0]);
+    bufs.clear();  // the first release creates the cache, which keeps both
+  }).join();
+  ASSERT_EQ(handed_back.size(), 3u);
+  // A fresh thread has an empty cache, so its acquisitions come from the
+  // top of the shared pool.
+  std::set<const double*> received;
+  std::thread([&] {
+    std::vector<Buffer> bufs;
+    for (int i = 0; i < 3; ++i) bufs.push_back(Buffer::uninit(kN));
+    for (const Buffer& b : bufs) received.insert(b.data());
+  }).join();
+  EXPECT_EQ(received, handed_back);
 }
 
 TEST(Buffer, SpanAndVectorInterop) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "la/gemm.hpp"
 #include "la/kernel/kernel.hpp"
 #include "la/kernel/pool.hpp"
+#include "la/kernel/small_tri.hpp"
 #include "la/matrix.hpp"
 #include "la/norms.hpp"
 #include "la/tri_inv.hpp"
@@ -190,6 +192,43 @@ TEST(Kernel, BlockedTrsmAllVariantsAtOddSizes) {
   Matrix rr2 = bw;
   gemm(1.0, yr, lo, -1.0, rr2);
   EXPECT_LT(frobenius_norm(rr2) / frobenius_norm(bw), 1e-12);
+}
+
+TEST(Kernel, PanelSolveMatchesTheRowAtATimeLoopBitForBit) {
+  // trsm_ru_block solves four rows of X at a time, and each row must keep
+  // the one-row substitution's operation order. T and B are blocks inside
+  // wider matrices, as la::trsm_right hands them over.
+  const auto row_at_a_time = [](const double* t, index_t ldt, double* b,
+                                index_t ldb, index_t m, index_t nb,
+                                bool unit) {
+    for (index_t i = 0; i < m; ++i) {
+      double* bi = b + i * ldb;
+      for (index_t j = 0; j < nb; ++j) {
+        double s = bi[j];
+        for (index_t l = 0; l < j; ++l) s -= bi[l] * t[l * ldt + j];
+        bi[j] = unit ? s : s / t[j * ldt + j];
+      }
+    }
+  };
+  for (const index_t nb : {1, 32, 64}) {
+    const index_t ld = nb + 5;
+    const Matrix up = make_upper_triangular(611, ld);
+    const double* t = up.ptr() + 2 * ld + 2;
+    for (const index_t m : {1, 3, 4, 5, 129}) {
+      const Matrix b = make_rhs(612, m, ld);
+      for (const bool unit : {false, true}) {
+        Matrix want = b;
+        Matrix got = b;
+        row_at_a_time(t, ld, want.ptr() + 3, ld, m, nb, unit);
+        kernel::trsm_ru_block(t, ld, got.ptr() + 3, ld, m, nb, unit);
+        EXPECT_EQ(std::memcmp(got.ptr(), want.ptr(),
+                              static_cast<std::size_t>(m * ld) *
+                                  sizeof(double)),
+                  0)
+            << "m=" << m << " nb=" << nb << " unit=" << unit;
+      }
+    }
+  }
 }
 
 TEST(Kernel, BlockedTrmmMatchesGemmAcrossBlockBoundary) {

@@ -7,7 +7,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,6 +24,23 @@
 
 namespace catrsm::sim {
 namespace {
+
+/// A machine whose scheduler runs `workers` threads. CATRSM_SIM_WORKERS is
+/// read when the machine creates its scheduler and is restored right
+/// after, so a failing check cannot leak it into later tests.
+std::unique_ptr<Machine> machine_with_workers(int p, int workers) {
+  const char* old = std::getenv("CATRSM_SIM_WORKERS");
+  const std::string saved = old != nullptr ? old : "";
+  setenv("CATRSM_SIM_WORKERS", std::to_string(workers).c_str(), 1);
+  auto m = std::make_unique<Machine>(p);
+  m->scheduler();
+  if (old != nullptr) {
+    setenv("CATRSM_SIM_WORKERS", saved.c_str(), 1);
+  } else {
+    unsetenv("CATRSM_SIM_WORKERS");
+  }
+  return m;
+}
 
 TEST(Machine, PingPongDeliversDataAndCharges) {
   Machine m(2);
@@ -204,6 +224,67 @@ TEST(Comm, SubsetTranslationAndFibers) {
   });
 }
 
+TEST(Comm, OneMemberListGetsOneEpochAcrossWorkers) {
+  // Every rank runs on its own worker thread and answers repeat lookups
+  // from that thread's cache of the registry. Each rank registers the
+  // lists in its own order, so first lookups race; every rank must still
+  // see one sequential id per list, and the next run (all cache hits) the
+  // same ids.
+  const int p = 4;
+  auto m = machine_with_workers(p, p);
+  ASSERT_EQ(m->scheduler().workers(), p);
+  const std::vector<std::vector<int>> lists{
+      {0, 1, 2, 3}, {0, 1}, {2, 3}, {0, 2}, {1, 3}, {3, 2, 1, 0}};
+  std::vector<std::thread::id> threads(p);
+  auto epochs_of_run = [&] {
+    std::vector<std::vector<std::uint64_t>> epochs(p);
+    m->run([&](Rank& r) {
+      const auto me = static_cast<std::size_t>(r.id());
+      threads[me] = std::this_thread::get_id();
+      epochs[me].resize(lists.size());
+      for (std::size_t s = 0; s < lists.size(); ++s) {
+        const std::size_t i = (s + me) % lists.size();
+        epochs[me][i] = Comm(r, lists[i]).epoch();
+      }
+    });
+    return epochs;
+  };
+  const auto first = epochs_of_run();
+  const auto second = epochs_of_run();
+  EXPECT_EQ(std::set<std::thread::id>(threads.begin(), threads.end()).size(),
+            static_cast<std::size_t>(p));
+  const std::set<std::uint64_t> ids(first[0].begin(), first[0].end());
+  EXPECT_EQ(ids.size(), lists.size());
+  EXPECT_EQ(*ids.rbegin(), lists.size() - 1);
+  for (int r = 0; r < p; ++r) {
+    EXPECT_EQ(first[static_cast<std::size_t>(r)], first[0]) << "rank " << r;
+    EXPECT_EQ(second[static_cast<std::size_t>(r)], first[0]) << "rank " << r;
+  }
+}
+
+TEST(Comm, NewMachineStartsFromAFreshEpochRegistry) {
+  // Threads cache the registry's ids keyed on the machine, never on its
+  // address: a machine built by the same thread in the storage of a
+  // destroyed one numbers its groups from 0, in its own order.
+  const std::vector<std::vector<int>> lists{{0}, {1}, {0, 1}};
+  std::optional<Machine> m;
+  auto register_in = [&](const std::vector<std::size_t>& order) {
+    std::vector<std::uint64_t> ids(lists.size());
+    m->run([&](Rank& r) {
+      if (r.id() != 0) return;
+      for (const std::size_t i : order) ids[i] = Comm(r, lists[i]).epoch();
+    });
+    return ids;
+  };
+  m.emplace(2);
+  const Machine* first = &*m;
+  EXPECT_EQ(register_in({0, 1, 2}), (std::vector<std::uint64_t>{0, 1, 2}));
+  m.reset();
+  m.emplace(2);
+  ASSERT_EQ(&*m, first);
+  EXPECT_EQ(register_in({2, 1, 0}), (std::vector<std::uint64_t>{2, 1, 0}));
+}
+
 TEST(Comm, NonMembersMayDescribeButNotCommunicate) {
   Machine m(4);
   m.run([](Rank& r) {
@@ -237,20 +318,10 @@ TEST(Scheduler, WorkersPersistAcrossRuns) {
 }
 
 TEST(Scheduler, RanksShareWorkersModuloTheWorkerCount) {
-  // CATRSM_SIM_WORKERS is read when the machine creates its scheduler;
-  // restore it right after, so a failing check cannot leak it into later
-  // tests. With W = 2 < p = 4, rank i runs on worker i % 2.
-  const char* old = std::getenv("CATRSM_SIM_WORKERS");
-  const std::string saved = old != nullptr ? old : "";
-  setenv("CATRSM_SIM_WORKERS", "2", 1);
-  Machine m(4);
-  const int workers = m.scheduler().workers();
-  if (old != nullptr) {
-    setenv("CATRSM_SIM_WORKERS", saved.c_str(), 1);
-  } else {
-    unsetenv("CATRSM_SIM_WORKERS");
-  }
-  EXPECT_EQ(workers, 2);
+  // With W = 2 < p = 4, rank i runs on worker i % 2.
+  auto machine = machine_with_workers(4, 2);
+  Machine& m = *machine;
+  EXPECT_EQ(m.scheduler().workers(), 2);
   std::vector<std::thread::id> ids(4);
   m.run([&](Rank& r) {
     ids[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
