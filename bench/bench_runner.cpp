@@ -423,13 +423,11 @@ void run_cholesky_batch_case(std::vector<Record>& records) {
             << "\n";
 }
 
-/// The optimizer A/B on a redundantly-written SPD pipeline: three
-/// right-hand sides, each wiring its OWN factor step against the same
-/// operand — the shape a naive program author produces. With the
-/// optimizer on, the duplicate factors merge and kCholesky runs once;
-/// off, the DAG runs as written. Both records carry the whole run's
-/// modeled algorithm cost, so the committed pair shows the merge win in
-/// S/W/F, not just wall clock.
+/// The optimizer on a redundantly-written SPD pipeline: three right-hand
+/// sides, each wiring its OWN factor step against the same operand — the
+/// shape a naive program author produces. The duplicate factors merge and
+/// kCholesky runs once; the record carries the whole run's modeled
+/// algorithm cost.
 void run_program_opt_cases(std::vector<Record>& records) {
   const int p = 16;
   const index_t n = 128, k = 32;
@@ -465,22 +463,18 @@ void run_program_opt_cases(std::vector<Record>& records) {
     prog.mark_output(prog.add(bwd_plan, {nl, ny}));
   }
 
-  for (const bool optimized : {true, false}) {
-    prog.set_optimize(optimized);
-    const auto t0 = Clock::now();
-    const api::Program::Result r = prog.run(inputs);
-    const api::ProgramStats& ps = prog.stats();
-    records.push_back({optimized ? "program/spd_pipeline_opt"
-                                 : "program/spd_pipeline_noopt",
-                       p, n, k, ms_since(t0), double(panels),
-                       r.algorithm_cost(), r.stats.critical_time});
-    std::cout << records.back().name << ": " << records.back().wall_ms
-              << " ms for " << panels << " rhs panels; program steps="
-              << ps.steps_executed << " merged=" << ps.nodes_merged
-              << " elided=" << ps.nodes_elided << " redist="
-              << ps.redistributes_inserted << " avoided="
-              << ps.redistributes_avoided << "\n";
-  }
+  const auto t0 = Clock::now();
+  const api::Program::Result r = prog.run(inputs);
+  const api::ProgramStats& ps = prog.stats();
+  records.push_back({"program/spd_pipeline_opt", p, n, k, ms_since(t0),
+                     double(panels), r.algorithm_cost(),
+                     r.stats.critical_time});
+  std::cout << records.back().name << ": " << records.back().wall_ms
+            << " ms for " << panels << " rhs panels; program steps="
+            << ps.steps_executed << " merged=" << ps.nodes_merged
+            << " elided=" << ps.nodes_elided << " redist="
+            << ps.redistributes_inserted << " avoided="
+            << ps.redistributes_avoided << "\n";
 }
 
 /// Oracle-overhead A/B: the same solve with the correctness oracle

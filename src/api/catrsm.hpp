@@ -211,10 +211,6 @@ class DistHandle {
   /// True while the resident blocks are marked untrustworthy after a
   /// faulted run (see Context::repair).
   bool poisoned() const;
-  /// True while the resident blocks are actually present in the store
-  /// (false after a byte-budget eviction; the next use transparently
-  /// re-scatters from the recorded upload source).
-  bool resident() const;
 
  private:
   friend class Context;
@@ -298,16 +294,15 @@ struct CacheStats {
 /// What the Program optimizer did on the last run (Program::stats()).
 /// `redistributes_inserted` counts the layout changes the executed
 /// schedule performs (one per distinct (node, layout) — each is computed
-/// once and read by every consumer); `redistributes_avoided` is how many
-/// the as-written DAG would have paid beyond that. With the optimizer off,
-/// inserted equals the as-written mismatch count and everything else is 0.
+/// once and read by every consumer); `redistributes_avoided` is the number
+/// of layout changes that one change per mismatched use would have paid
+/// beyond the shared ones.
 struct ProgramStats {
   std::uint64_t nodes_elided = 0;    // steps unreachable from any output
   std::uint64_t nodes_merged = 0;    // duplicate (plan, args) steps reused
   std::uint64_t redistributes_inserted = 0;
   std::uint64_t redistributes_avoided = 0;
   std::uint64_t steps_executed = 0;
-  bool optimized = false;
 };
 
 /// Result of Plan::execute_batch: the entire panel stream ran as ONE
@@ -552,19 +547,6 @@ class Context {
   void set_auto_repair(bool on) { auto_repair_ = on; }
   bool auto_repair() const { return auto_repair_; }
 
-  /// If the handle's blocks were evicted under the byte budget
-  /// (CATRSM_HANDLE_BUDGET), re-scatter them from the recorded upload
-  /// source — bitwise the original bytes, epoch unchanged. Returns true
-  /// when a re-upload happened. Execution and download paths call this
-  /// automatically; it is exposed for warm-up and for tests.
-  bool ensure_resident(const DistHandle& h);
-
-  /// Pin a handle's blocks against byte-budget eviction (pins nest).
-  /// In-flight runs already protect their operands; pin is for keeping a
-  /// hot operand resident ACROSS runs under a tight budget.
-  void pin(const DistHandle& h);
-  void unpin(const DistHandle& h);
-
   CacheStats cache_stats() const { return stats_; }
 
  private:
@@ -605,12 +587,10 @@ namespace opt {
 struct Schedule;
 
 /// Compile `prog` into an execution schedule for the input layouts bound
-/// by the current run: one flat list of op steps and layout changes. With
-/// `enabled` false the schedule reproduces the as-written DAG exactly
-/// (every step, one layout change per mismatched use); with it true two
-/// passes run, dead-node elision and common-sub-DAG merging, and each
-/// distinct (node, layout) change runs once (see opt.hpp).
-Schedule compile(const Program& prog, bool enabled);
+/// by the current run: one flat list of op steps and layout changes,
+/// after dead-node elision and common-sub-DAG merging, with each distinct
+/// (node, layout) change run once (see opt.hpp).
+Schedule compile(const Program& prog);
 }  // namespace opt
 
 /// A small op-DAG over resident operands: chain several plans through ONE
@@ -634,19 +614,18 @@ Schedule compile(const Program& prog, bool enabled);
 /// different input handles. Not thread-safe; must not outlive its
 /// Context.
 ///
-/// Before executing, the DAG is compiled by the optimizer (opt::compile,
-/// gated by CATRSM_PROGRAM_OPT, default on): steps unreachable from a
-/// marked output are elided, structurally identical (plan, args) steps
-/// are merged (one factor feeding many solves computes once), and each
-/// distinct (node, layout) change a consumer needs is one schedule step
-/// whose result every such consumer reads. Optimized and unoptimized runs
-/// produce bitwise-identical outputs; stats() reports what the last run's
-/// schedule did.
+/// Each run compiles the DAG for its bound input layouts (opt::compile):
+/// steps unreachable from a marked output are elided, structurally
+/// identical (plan, args) steps are merged (one factor feeding many solves
+/// computes once), and each distinct (node, layout) change a consumer
+/// needs is one schedule step whose result every such consumer reads. The
+/// passes only skip or share work, never change its arithmetic; stats()
+/// reports what the last run's schedule did.
 class Program {
  public:
   using NodeId = int;
 
-  explicit Program(Context& ctx);
+  explicit Program(Context& ctx) : ctx_(&ctx) {}
 
   /// Declare the next external input (bound positionally by run()).
   NodeId input(index_t rows, index_t cols);
@@ -703,14 +682,9 @@ class Program {
   /// What the optimizer did on the most recent run() (see ProgramStats).
   const Stats& stats() const { return stats_; }
 
-  /// Override the CATRSM_PROGRAM_OPT default for this Program. Off, the
-  /// DAG executes exactly as written — the bitwise A/B reference.
-  void set_optimize(bool on) { optimize_ = on; }
-  bool optimize() const { return optimize_; }
-
  private:
   friend class Plan;  // execute_dist runs as a one-step program
-  friend opt::Schedule opt::compile(const Program&, bool);
+  friend opt::Schedule opt::compile(const Program&);
 
   /// run_async for a stream (Plan::launch) whose steps that keep L-only
   /// state (Plan::keeps_l_state) are of one plan against one operand and
@@ -740,10 +714,6 @@ class Program {
   std::vector<Step> steps_;
   std::vector<NodeId> outputs_;
   int n_inputs_ = 0;
-  bool optimize_ = true;  // seeded from CATRSM_PROGRAM_OPT in the ctor
-  // Compiled schedule, reused across run() calls while the DAG, the
-  // optimize flag, and the bound input layouts stay the same.
-  std::shared_ptr<const opt::Schedule> compiled_;
   Stats stats_;
 };
 

@@ -45,11 +45,6 @@ bool DistHandle::poisoned() const {
   return state_->machine->handle_store().poisoned(state_->id);
 }
 
-bool DistHandle::resident() const {
-  CATRSM_CHECK(state_ != nullptr, "DistHandle: empty handle");
-  return state_->machine->handle_store().resident(state_->id);
-}
-
 sim::Cost DistExecResult::algorithm_cost() const {
   return stats.phase_cost("algorithm");
 }
@@ -62,8 +57,8 @@ namespace {
 
 /// Fill every participating rank's slot of the handle's entry from its
 /// recorded source under the host-realized distribution `d` (shared by
-/// upload, repair and re-residency). A matrix source is copied row by
-/// row; a generator is called once per element.
+/// upload and repair). A matrix source is copied row by row; a generator
+/// is called once per element.
 void fill_slots(sim::HandleStore& store, std::uint64_t id,
                 const la::Matrix* matrix, const Gen& gen,
                 const std::shared_ptr<const dist::Distribution>& d, int p) {
@@ -135,13 +130,8 @@ DistHandle Context::admit(std::shared_ptr<DistHandle::State> state,
   sim::HandleStore& store = machine_->handle_store();
   fill_slots(store, state->id, state->matrix.get(), state->gen, d,
              nprocs());
-  // Uploaded operands carry their source, so they can be rebuilt bitwise
-  // after a byte-budget eviction — mark them evictable, account their
-  // bytes, and let the new admission push the LRU tail out.
-  store.set_evictable(state->id, true);
   store.touch(state->id);
   state->epoch = store.epoch(state->id);
-  store.evict_to_budget();
   return DistHandle(std::move(state));
 }
 
@@ -163,43 +153,6 @@ void Context::repair(const DistHandle& h) {
   store.unpoison(h.id());
   store.touch(h.id());
   h.state_->epoch = store.epoch(h.id());
-}
-
-bool Context::ensure_resident(const DistHandle& h) {
-  CATRSM_CHECK(h.valid(), "ensure_resident: empty handle");
-  CATRSM_CHECK(h.state_->machine == machine_,
-               "ensure_resident: handle belongs to a different machine");
-  sim::HandleStore& store = machine_->handle_store();
-  if (store.resident(h.id())) return false;
-  // Only entries with a recorded source are ever marked evictable, so a
-  // non-resident entry always has one.
-  CATRSM_CHECK(h.state_->has_source(),
-               "ensure_resident: evicted handle has no upload source");
-  const auto d =
-      detail::realize_host(h.layout(), h.rows(), h.cols(), nprocs());
-  fill_slots(store, h.id(), h.state_->matrix.get(), h.state_->gen, d,
-             nprocs());
-  // touch(), not a fresh epoch: the restored bytes are identical, so
-  // content-keyed state (a plan's replica) stays valid across the
-  // evict/re-upload round trip. No budget pass here — the caller is
-  // about to use the blocks (run paths hold run-use marks; download
-  // evicts after assembling).
-  store.touch(h.id());
-  return true;
-}
-
-void Context::pin(const DistHandle& h) {
-  CATRSM_CHECK(h.valid(), "pin: empty handle");
-  CATRSM_CHECK(h.state_->machine == machine_,
-               "pin: handle belongs to a different machine");
-  machine_->handle_store().pin(h.id());
-}
-
-void Context::unpin(const DistHandle& h) {
-  CATRSM_CHECK(h.valid(), "unpin: empty handle");
-  CATRSM_CHECK(h.state_->machine == machine_,
-               "unpin: handle belongs to a different machine");
-  machine_->handle_store().unpin(h.id());
 }
 
 la::Matrix Context::download(const DistHandle& h) {
@@ -225,7 +178,6 @@ la::Matrix Context::download_on(
     throw PoisonedOperandError(
         "download: operand was touched by a faulted run and may be "
         "partially rewritten — Context::repair it (or re-upload) first");
-  ensure_resident(h);  // transparent re-upload after a budget eviction
   // The parts tile the matrix, so every element of `out` is written.
   auto out = la::Matrix::uninit(h.rows(), h.cols());
   const auto rows_of = d->rows_by_part(0, d->rows());
@@ -245,9 +197,6 @@ la::Matrix Context::download_on(
       for (std::size_t c = 0; c < cols.size(); ++c) dst[cols[c]] = src[c];
     }
   }
-  // Budget 0 degenerates to always-re-upload: the blocks just read can
-  // leave again now that the gather is done.
-  store.evict_to_budget();
   return out;
 }
 

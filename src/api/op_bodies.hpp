@@ -35,8 +35,8 @@ struct DistHandle::State {
   index_t rows = 0;
   index_t cols = 0;
   std::uint64_t epoch = 0;
-  /// Recovery source for Context::repair and re-residency: the shared
-  /// copy of an uploaded matrix, or the generator of a generator upload.
+  /// Recovery source for Context::repair: the shared copy of an uploaded
+  /// matrix, or the generator of a generator upload.
   /// Both empty for handles produced by a Program/execute_dist run.
   std::shared_ptr<const la::Matrix> matrix;
   Gen gen;
@@ -56,8 +56,8 @@ namespace detail {
 /// operand: the blocks of every rank's trsm::Replica (the iterative
 /// TRSM's Ltilde, the recursive TRSM's gathered blocks of L), one store
 /// entry per block in call order, each attached to the operand's entry so
-/// it is released with the operand. Run-output entries: counted in
-/// resident_bytes() and never evicted. A recording run fills `staged`;
+/// it is released with the operand. Run-output entries, counted in
+/// resident_bytes(). A recording run fills `staged`;
 /// settling it makes the blocks resident. The last reference releases
 /// the entries.
 struct Replica {

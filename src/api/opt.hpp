@@ -3,7 +3,8 @@
 // op-DAG plus the input layouts bound by the current run() into a static
 // execution Schedule that Program::run's rank body follows verbatim —
 // every rank walks the same schedule over the world communicator, so the
-// result is deterministic and collective-safe by construction.
+// result is deterministic and collective-safe by construction. Each run
+// compiles its own schedule.
 //
 // A schedule is one flat list of steps over value slots. Slots
 // [0, nodes) hold the program's nodes; every layout change appends one
@@ -11,7 +12,7 @@
 // redistributes one slot into a layout: a layout change is a step like
 // any other, placed right before its first reader.
 //
-// With `enabled` true, two passes shape the list:
+// Two passes shape the list:
 //
 //   1. Dead-node elision: steps whose outputs are unreachable from any
 //      marked output are dropped (their input nodes are not even loaded
@@ -22,9 +23,7 @@
 //      one is dropped and its node aliased to the earlier (`resolve`).
 //
 // and one layout change is emitted per distinct (node, layout) a kept
-// step reads. With `enabled` false, the schedule is the as-written DAG:
-// every step in order and one change per mismatched use — bit-for-bit
-// and cost-for-cost the pre-optimizer behavior.
+// step reads.
 
 #include <vector>
 
@@ -44,9 +43,6 @@ struct Step {
 };
 
 struct Schedule {
-  bool optimized = false;
-  /// Input layouts this schedule was compiled against (node order).
-  std::vector<Layout> input_sig;
   /// Per node: does a kept step or an output need its value? An input
   /// node that is not live is never loaded out of the HandleStore.
   std::vector<char> live;

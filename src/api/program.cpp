@@ -4,14 +4,11 @@
 // "redistribute" phase (everything else lands under "algorithm" plus the
 // step's own label).
 //
-// run() executes a compiled opt::Schedule rather than the raw DAG: one
-// flat list of op steps and layout changes over value slots. With the
-// optimizer on (CATRSM_PROGRAM_OPT, default), dead steps are elided,
-// duplicate (plan, args) steps are merged, and each distinct
-// (node, layout) change runs once and is read by every consumer; with it
-// off the schedule replays the DAG exactly as written — same steps, one
-// change per mismatched use, bitwise-identical outputs either way. Every
-// slot lives until the run ends.
+// Each run compiles and executes its own opt::Schedule rather than the
+// raw DAG: one flat list of op steps and layout changes over value slots.
+// Dead steps are elided, duplicate (plan, args) steps are merged, and
+// each distinct (node, layout) change runs once and is read by every
+// consumer. Every slot lives until the run ends.
 
 #include <algorithm>
 #include <optional>
@@ -23,7 +20,6 @@
 #include "api/opt.hpp"
 #include "sim/fault.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace catrsm::api {
 
@@ -33,9 +29,6 @@ sim::Cost Program::Result::algorithm_cost() const {
   return stats.phase_cost("algorithm");
 }
 
-Program::Program(Context& ctx)
-    : ctx_(&ctx), optimize_(env::flag_or("CATRSM_PROGRAM_OPT", true)) {}
-
 Program::NodeId Program::input(index_t rows, index_t cols) {
   CATRSM_CHECK(rows >= 1 && cols >= 1, "program: empty input shape");
   Node node;
@@ -43,7 +36,6 @@ Program::NodeId Program::input(index_t rows, index_t cols) {
   node.cols = cols;
   node.input_index = n_inputs_++;
   nodes_.push_back(node);
-  compiled_.reset();
   return static_cast<NodeId>(nodes_.size()) - 1;
 }
 
@@ -115,7 +107,6 @@ Program::NodeId Program::add(std::shared_ptr<Plan> plan,
   step.phase = std::move(phase);
   step.out = out_id;
   steps_.push_back(std::move(step));
-  compiled_.reset();
   return out_id;
 }
 
@@ -127,7 +118,6 @@ void Program::mark_output(NodeId node) {
   for (const NodeId existing : outputs_)
     CATRSM_CHECK(existing != node, "program: node is already an output");
   outputs_.push_back(node);
-  compiled_.reset();
 }
 
 // Everything one in-flight run needs, snapshotted host-side at launch:
@@ -145,7 +135,7 @@ struct Program::AsyncResult::Shared {
   std::vector<Node> nodes;
   std::vector<Step> steps;
   std::vector<NodeId> outputs;
-  std::shared_ptr<const opt::Schedule> sched;
+  opt::Schedule sched;  // compiled for this run's input layouts
 
   std::vector<DistHandle> inputs;
   std::vector<std::uint64_t> in_ids;  // distinct, run-use marked in flight
@@ -213,31 +203,19 @@ Program::AsyncResult Program::run_async(
     node.layout = h.layout();
   }
 
-  // Compile (or reuse) the execution schedule for this DAG + the bound
-  // input layouts + the optimize flag. stats_ reflects the schedule even
-  // if the run itself later faults.
-  {
-    std::vector<Layout> sig;
-    for (const Node& node : nodes_)
-      if (node.input_index >= 0) sig.push_back(node.layout);
-    if (compiled_ == nullptr || compiled_->optimized != optimize_ ||
-        compiled_->input_sig != sig)
-      compiled_ = std::make_shared<const opt::Schedule>(
-          opt::compile(*this, optimize_));
-  }
-  const opt::Schedule& sched = *compiled_;
-  stats_ = sched.stats;
-
   // Snapshot the DAG for the in-flight run: the rank body reads only the
-  // Shared block, never the (mutable) Program members.
+  // Shared block, never the (mutable) Program members. The schedule is
+  // compiled for this run's bound input layouts; stats_ reflects it even
+  // if the run itself later faults.
   auto sh = std::make_shared<AsyncResult::Shared>();
+  sh->sched = opt::compile(*this);
+  stats_ = sh->sched.stats;
   sh->machine = &machine;
   sh->store = &store;
   sh->p = p;
   sh->nodes = nodes_;
   sh->steps = steps_;
   sh->outputs = outputs_;
-  sh->sched = compiled_;
   sh->inputs = inputs;
   for (const Node& node : nodes_) {
     if (node.input_index < 0) continue;
@@ -256,12 +234,9 @@ Program::AsyncResult Program::run_async(
   // MOVES blocks out of the store for the run's duration, so two
   // overlapping runs must never hold the same entry. All-or-nothing and
   // released on a worker thread at completion, so this always makes
-  // progress. Residency is restored AFTER the marks are held — busy
-  // entries cannot be evicted by a concurrent stream's budget pass
-  // between here and the run.
+  // progress.
   store.acquire_run_use(sh->in_ids);
   try {
-    for (const DistHandle& h : inputs) ctx_->ensure_resident(h);
     sh->out_ids.reserve(outputs_.size());
     for (std::size_t i = 0; i < outputs_.size(); ++i)
       sh->out_ids.push_back(store.create());
@@ -276,7 +251,7 @@ Program::AsyncResult Program::run_async(
     const std::vector<NodeId>& outputs_ = sh->outputs;
     const std::vector<DistHandle>& inputs = sh->inputs;
     const std::vector<std::uint64_t>& out_ids = sh->out_ids;
-    const opt::Schedule& sched = *sh->sched;
+    const opt::Schedule& sched = sh->sched;
     sim::HandleStore& store = *sh->store;
     const int p = sh->p;
 
@@ -464,10 +439,6 @@ Program::Result Program::AsyncResult::wait() {
       }
       sh.outcome = std::current_exception();
     }
-    // The inputs just left flight (run-use released at completion):
-    // enforce the byte budget now, so budget 0 degenerates to
-    // always-re-upload the moment an operand goes idle.
-    store.evict_to_budget();
     sh.ticket = sim::RunTicket{};
     sh.inputs.clear();  // drop operand refs; result keeps the outputs
     sh.replica.reset();

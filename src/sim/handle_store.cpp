@@ -1,22 +1,13 @@
 #include "sim/handle_store.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace catrsm::sim {
 
 HandleStore::HandleStore(int p) : p_(p) {
   CATRSM_CHECK(p >= 1, "HandleStore: machine needs at least one rank");
-  // -1 (or unset) means unlimited; 0 is a legal degenerate budget (every
-  // evictable entry is dropped as soon as it is idle — always re-upload).
-  const long long budget =
-      env::int64_or("CATRSM_HANDLE_BUDGET", -1, -1,
-                    std::numeric_limits<long long>::max());
-  byte_budget_ =
-      budget < 0 ? kUnlimited : static_cast<std::uint64_t>(budget);
 }
 
 std::uint64_t HandleStore::create() {
@@ -25,7 +16,6 @@ std::uint64_t HandleStore::create() {
   auto entry = std::make_unique<Entry>();
   entry->locals.resize(static_cast<std::size_t>(p_));
   entry->epoch = ++writes_;
-  entry->lru_tick = ++lru_clock_;
   entries_.emplace(id, std::move(entry));
   return id;
 }
@@ -40,7 +30,7 @@ void HandleStore::release_locked(std::uint64_t id) {
   if (it == entries_.end()) return;
   const std::unique_ptr<Entry> e = std::move(it->second);
   entries_.erase(it);
-  if (e->resident) resident_bytes_ -= e->bytes;
+  resident_bytes_ -= e->bytes;
   if (Entry* parent = find(e->parent)) std::erase(parent->children, id);
   for (const std::uint64_t child : e->children) release_locked(child);
 }
@@ -105,108 +95,20 @@ void HandleStore::unpoison(std::uint64_t id) {
   e->epoch = ++writes_;  // fresh stamp for the repaired contents
 }
 
-// ---------------------------------------------------------------------------
-// Byte budget & LRU eviction
-
-std::uint64_t HandleStore::byte_budget() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return byte_budget_;
-}
-
-void HandleStore::set_byte_budget(std::uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  byte_budget_ = bytes;
-}
-
 std::uint64_t HandleStore::resident_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return resident_bytes_;
-}
-
-std::uint64_t HandleStore::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
-bool HandleStore::resident(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Entry* e = find(id);
-  CATRSM_CHECK(e != nullptr, "HandleStore: unknown handle id");
-  return e->resident;
-}
-
-void HandleStore::set_evictable(std::uint64_t id, bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = find(id);
-  CATRSM_CHECK(e != nullptr, "HandleStore: unknown handle id");
-  e->evictable = on;
-}
-
-void HandleStore::touch_locked(Entry& e) {
-  if (e.resident) resident_bytes_ -= e.bytes;
-  std::uint64_t bytes = 0;
-  for (const la::Matrix& m : e.locals)
-    bytes += static_cast<std::uint64_t>(m.size()) * sizeof(double);
-  e.bytes = bytes;
-  e.resident = true;
-  e.lru_tick = ++lru_clock_;
-  resident_bytes_ += bytes;
 }
 
 void HandleStore::touch(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry* e = find(id);
   CATRSM_CHECK(e != nullptr, "HandleStore: unknown handle id");
-  touch_locked(*e);
-}
-
-void HandleStore::pin(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = find(id);
-  CATRSM_CHECK(e != nullptr, "HandleStore: unknown handle id");
-  ++e->pins;
-}
-
-void HandleStore::unpin(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = find(id);
-  if (e == nullptr) return;  // unpin may race release in shutdown paths
-  CATRSM_CHECK(e->pins > 0, "HandleStore: unpin without pin");
-  --e->pins;
-}
-
-bool HandleStore::pinned(std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Entry* e = find(id);
-  CATRSM_CHECK(e != nullptr, "HandleStore: unknown handle id");
-  return e->pins > 0;
-}
-
-void HandleStore::evict_to_budget_locked() {
-  while (resident_bytes_ > byte_budget_) {
-    Entry* victim = nullptr;
-    for (auto& [id, e] : entries_) {
-      if (!e->resident || !e->evictable || e->poisoned || e->pins > 0 ||
-          e->busy > 0 || e->bytes == 0)
-        continue;
-      if (victim == nullptr || e->lru_tick < victim->lru_tick)
-        victim = e.get();
-    }
-    if (victim == nullptr) return;  // nothing eligible: stay over budget
-    // Drop only the blocks; id, epoch and flags survive so the api layer
-    // re-scatters the identical bytes on the next use (epoch unchanged:
-    // content-keyed caches remain valid across the round trip).
-    for (la::Matrix& m : victim->locals) m = la::Matrix{};
-    resident_bytes_ -= victim->bytes;
-    victim->bytes = 0;
-    victim->resident = false;
-    ++evictions_;
-  }
-}
-
-void HandleStore::evict_to_budget() {
-  std::lock_guard<std::mutex> lock(mu_);
-  evict_to_budget_locked();
+  std::uint64_t bytes = 0;
+  for (const la::Matrix& m : e->locals)
+    bytes += static_cast<std::uint64_t>(m.size()) * sizeof(double);
+  resident_bytes_ = resident_bytes_ - e->bytes + bytes;
+  e->bytes = bytes;
 }
 
 // ---------------------------------------------------------------------------

@@ -15,18 +15,8 @@
 // the hot path). The layout that gives the blocks meaning lives with the
 // api-level handle; the store is deliberately layout-agnostic.
 //
-// BYTE BUDGET (CATRSM_HANDLE_BUDGET, bytes; default unlimited): when the
-// resident total exceeds the budget, evict_to_budget() drops the blocks
-// of least-recently-touched entries that are EVICTABLE (the api layer
-// marks entries whose contents can be rebuilt from a recorded upload
-// source — run outputs have no source and are never evicted), unpinned,
-// not in use by any in-flight run, and not poisoned. Eviction keeps the
-// entry (id, epoch, poison flag) and clears only the blocks; the api
-// layer transparently re-scatters from the source on the next use, so
-// eviction can never change results — only the host-side cost of the
-// re-scatter. The epoch is NOT bumped by evict/re-upload (the restored
-// bytes are identical), so content-keyed caches stay valid across a
-// round trip. Budget 0 degenerates to always-re-upload.
+// An entry's blocks stay in the store until its handle is released;
+// resident_bytes() totals them for observability and bounds nothing.
 
 #include <cstdint>
 #include <condition_variable>
@@ -41,11 +31,7 @@ namespace catrsm::sim {
 
 class HandleStore {
  public:
-  /// Resident byte total is never constrained.
-  static constexpr std::uint64_t kUnlimited = ~std::uint64_t{0};
-
-  /// Store for a machine of `p` ranks. The byte budget initializes from
-  /// CATRSM_HANDLE_BUDGET (strict parse, warn-and-fallback to unlimited).
+  /// Store for a machine of `p` ranks.
   explicit HandleStore(int p);
 
   HandleStore(const HandleStore&) = delete;
@@ -54,7 +40,7 @@ class HandleStore {
   int nprocs() const { return p_; }
 
   /// New entry with p empty per-rank slots; returns its id (never 0,
-  /// never reused). Entries start resident, unpinned, non-evictable.
+  /// never reused).
   std::uint64_t create();
 
   /// Drop an entry and free its blocks, and release every entry attached
@@ -85,57 +71,25 @@ class HandleStore {
   /// Mark an entry's contents untrustworthy — a faulted run may have left
   /// its slots partially rewritten. Bumps the epoch so every content-keyed
   /// state (a plan's replica) invalidates, and makes api-level reads
-  /// fail fast until unpoison(). Poisoned entries are never evicted (and
-  /// so never silently laundered by a clean re-upload). No-op for unknown
-  /// ids.
+  /// fail fast until unpoison(). No-op for unknown ids.
   void poison(std::uint64_t id);
   bool poisoned(std::uint64_t id) const;
   /// Clear the poison flag after the owner rewrote every slot, stamping a
   /// fresh epoch for the new contents.
   void unpoison(std::uint64_t id);
 
-  // --- Byte budget & LRU eviction ----------------------------------------
-
-  /// Current cap on the resident byte total (kUnlimited when unbounded).
-  std::uint64_t byte_budget() const;
-  /// Override the environment-derived budget (tests; takes effect on the
-  /// next evict_to_budget()).
-  void set_byte_budget(std::uint64_t bytes);
-  /// Bytes held by resident entries (per last touch() accounting).
+  /// Bytes held by every entry's blocks (per last touch() accounting).
   std::uint64_t resident_bytes() const;
-  /// Entries evicted since construction.
-  std::uint64_t evictions() const;
-
-  /// True while the entry's blocks are present (false after eviction).
-  bool resident(std::uint64_t id) const;
-
-  /// Mark whether the entry may be evicted: the api layer sets this for
-  /// entries with a recorded upload source ("clean" operands it can
-  /// rebuild bitwise); run outputs stay non-evictable.
-  void set_evictable(std::uint64_t id, bool on);
 
   /// Recompute the entry's byte accounting from its slots after a
-  /// host-side (re)write, mark it resident, and stamp it most recently
-  /// used. Call after filling slots (upload, re-upload, repair) and after
-  /// a run produced or rewrote the entry.
+  /// host-side (re)write. Call after filling slots (upload, repair) and
+  /// after a run produced or rewrote the entry.
   void touch(std::uint64_t id);
-
-  /// Pin: pinned entries are never evicted regardless of LRU order or
-  /// budget pressure. Pins nest.
-  void pin(std::uint64_t id);
-  void unpin(std::uint64_t id);
-  bool pinned(std::uint64_t id) const;
-
-  /// Evict least-recently-touched eligible entries (evictable, unpinned,
-  /// idle, not poisoned) until resident_bytes() <= byte_budget() or no
-  /// candidate remains. Host-side only; in-use entries are protected by
-  /// their run-use marks.
-  void evict_to_budget();
 
   // --- Run-use marks ------------------------------------------------------
   // A run that reads or writes entries marks them in use for its whole
-  // flight so (a) eviction cannot drop operand blocks mid-run and (b) two
-  // concurrent streams cannot move blocks out of one entry at once.
+  // flight so two concurrent streams cannot move blocks out of one entry
+  // at once.
 
   /// Atomically mark every id in use by one run, blocking until none of
   /// them is in use by another run (all-or-nothing, so concurrent
@@ -154,11 +108,7 @@ class HandleStore {
     std::vector<la::Matrix> locals;
     std::uint64_t epoch = 0;
     bool poisoned = false;
-    bool resident = true;
-    bool evictable = false;
     std::uint64_t bytes = 0;  // accounted at last touch()
-    std::uint64_t lru_tick = 0;
-    int pins = 0;
     int busy = 0;  // in-flight runs using this entry
     std::uint64_t parent = 0;              // 0: attached to nothing
     std::vector<std::uint64_t> children;   // released with this entry
@@ -167,18 +117,13 @@ class HandleStore {
   Entry& entry(std::uint64_t id) const;
   Entry* find(std::uint64_t id) const;  // mu_ held; null for unknown ids
   void release_locked(std::uint64_t id);
-  void touch_locked(Entry& e);
-  void evict_to_budget_locked();
 
   int p_;
   mutable std::mutex mu_;
   mutable std::condition_variable busy_cv_;
   std::uint64_t next_id_ = 1;
   std::uint64_t writes_ = 0;
-  std::uint64_t lru_clock_ = 0;
-  std::uint64_t byte_budget_ = kUnlimited;
   std::uint64_t resident_bytes_ = 0;
-  std::uint64_t evictions_ = 0;
   // unique_ptr values: entry addresses stay stable across map rehashes,
   // so the references ranks hold during a run never dangle.
   std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> entries_;

@@ -47,27 +47,6 @@ int int_or(const char* name, int fallback, long lo, long hi) {
   return static_cast<int>(n);
 }
 
-long long int64_or(const char* name, long long fallback, long long lo,
-                   long long hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long long n = std::strtoll(v, &end, 10);
-  const char* why = nullptr;
-  if (end == v || *end != '\0' || errno == ERANGE)
-    why = "not an integer";
-  else if (n < lo || n > hi)
-    why = "out of range";
-  if (why != nullptr) {
-    std::fprintf(stderr,
-                 "catrsm: ignoring %s=\"%s\" (%s); using default %lld\n",
-                 name, v, why, fallback);
-    return fallback;
-  }
-  return n;
-}
-
 bool flag_or(const char* name, bool fallback) {
   long n = 0;
   switch (parse_long(name, &n)) {

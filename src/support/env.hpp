@@ -17,12 +17,8 @@ namespace catrsm::env {
 /// out-of-range values warn on stderr and return `fallback`.
 int int_or(const char* name, int fallback, long lo, long hi);
 
-/// Same contract for 64-bit knobs (byte budgets exceed int range).
-long long int64_or(const char* name, long long fallback, long long lo,
-                   long long hi);
-
 /// Parse `name` as a boolean flag: any valid integer, nonzero = true (so
-/// CATRSM_PROGRAM_OPT=0 turns the optimizer off). Unset or empty returns
+/// CATRSM_SIM_CHECK=1 arms the collective matcher). Unset or empty returns
 /// `fallback`; malformed values warn and return `fallback`.
 bool flag_or(const char* name, bool fallback);
 

@@ -9,19 +9,21 @@
 // of programs is additionally traced and replayed; the replay verifies
 // bit-identical payloads and exactly equal modeled S/W/F costs.
 //
-// Every program also runs a second time with the Program optimizer
-// disabled: outputs must match the optimized run bit for bit, and the
-// optimizer's elided/merged counts must equal exactly what the grafted
-// dead/duplicate decoy steps imply.
+// Dead and duplicate decoy steps are grafted onto each program, and the
+// optimizer's elided/merged counts must equal exactly what they imply.
+// Every program is then generated a second time from the same RNG state,
+// without the decoys, and run on the same machine: that run must elide
+// and merge nothing, and every output it shares with the decoy program
+// must match bit for bit.
 //
 // Standalone main (no GTest): exits nonzero on the first failing
 // program, printing the seed that reproduces it. --verbose prints one
-// stdout line per run (optimizer on, then off) with the critical time,
-// every phase's max S/W/F, the ProgramStats, floats in hex, an FNV-1a
-// digest of each output's bytes and, on traced runs, a digest of the
-// trace's payload hashes in rank order: diffing two builds' verbose
-// output checks modeled identity, output bits and wire bytes over random
-// DAGs.
+// stdout line per run (the decoy program's "opt", then the decoy-free
+// "base") with the critical time, every phase's max S/W/F, the
+// ProgramStats, floats in hex, an FNV-1a digest of each output's bytes
+// and, on traced runs, a digest of the trace's payload hashes in rank
+// order: diffing two builds' verbose output checks modeled identity,
+// output bits and wire bytes over random DAGs.
 //
 //   fuzz_dag [--programs N] [--seed S] [--verbose]
 
@@ -276,6 +278,15 @@ void gen_tri_inv(Context& ctx, std::mt19937_64& rng, Generated& g) {
   }
 }
 
+/// Draw one program of a random kind into `g`.
+void generate(Context& ctx, std::mt19937_64& rng, Generated& g) {
+  switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
+    case 0: gen_panel_chain(ctx, rng, g); break;
+    case 1: gen_cholesky_pipeline(ctx, rng, g); break;
+    default: gen_tri_inv(ctx, rng, g); break;
+  }
+}
+
 /// FNV-1a digest of a trace's payload hashes, rank by rank in program
 /// order: equal digests mean the same bytes crossed the wire in the same
 /// order.
@@ -301,13 +312,12 @@ void print_run(std::uint64_t seed, const char* mode,
   for (const auto& [phase, c] : r.stats.phase_max)
     std::printf(" %s=%a/%a/%a", phase.c_str(), c.msgs, c.words, c.flops);
   std::printf(" elided=%llu merged=%llu inserted=%llu avoided=%llu "
-              "steps=%llu optimized=%d",
+              "steps=%llu",
               static_cast<unsigned long long>(ps.nodes_elided),
               static_cast<unsigned long long>(ps.nodes_merged),
               static_cast<unsigned long long>(ps.redistributes_inserted),
               static_cast<unsigned long long>(ps.redistributes_avoided),
-              static_cast<unsigned long long>(ps.steps_executed),
-              ps.optimized ? 1 : 0);
+              static_cast<unsigned long long>(ps.steps_executed));
   for (const Matrix& m : outputs)
     std::printf(" out=%016llx",
                 static_cast<unsigned long long>(catrsm::sim::check::hash_words(
@@ -323,13 +333,10 @@ bool run_one(std::uint64_t seed, const Options& opt) {
   Context ctx(p);
   ctx.machine().set_collective_checking(true);
 
+  // The generator's draws start here; a copy regenerates the program.
+  const std::mt19937_64 gen_state = rng;
   Generated g(ctx);
-  const int kind = std::uniform_int_distribution<int>(0, 2)(rng);
-  switch (kind) {
-    case 0: gen_panel_chain(ctx, rng, g); break;
-    case 1: gen_cholesky_pipeline(ctx, rng, g); break;
-    default: gen_tri_inv(ctx, rng, g); break;
-  }
+  generate(ctx, rng, g);
 
   // Graft optimizer decoys with known exact counts onto the DAG. The
   // base generators never produce a dead or duplicate step (every node
@@ -352,7 +359,6 @@ bool run_one(std::uint64_t seed, const Options& opt) {
   const bool traced = chance(rng, 0.25);
   if (traced) ctx.machine().set_tracing(true, /*capture_payloads=*/true);
 
-  g.prog.set_optimize(true);
   Program::Result result = g.prog.run(g.inputs);
   if (result.outputs.size() != g.expected.size()) {
     std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): %zu outputs, "
@@ -401,31 +407,36 @@ bool run_one(std::uint64_t seed, const Options& opt) {
   if (opt.verbose)
     print_run(seed, "opt", result, g.prog.stats(), got, wire);
 
-  // Metamorphic leg: the same program with the optimizer off must
-  // reproduce every output bit for bit (the passes only skip, share, or
-  // relocate work — they may never touch the arithmetic).
-  g.prog.set_optimize(false);
-  Program::Result raw = g.prog.run(g.inputs);
-  if (g.prog.stats().nodes_elided != 0 || g.prog.stats().nodes_merged != 0) {
-    std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): disabled "
-                 "optimizer still reported elisions/merges\n",
+  // Metamorphic leg: the same program without the decoys. Elision and
+  // merging only skip or share work, never touch the arithmetic, so every
+  // output but the +dup one must reproduce the decoy run's bits.
+  std::mt19937_64 base_rng = gen_state;
+  Generated base(ctx);
+  generate(ctx, base_rng, base);
+  Program::Result base_result = base.prog.run(base.inputs);
+  if (base.prog.stats().nodes_elided != 0 ||
+      base.prog.stats().nodes_merged != 0 ||
+      base_result.outputs.size() + want_merged != got.size()) {
+    std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): decoy-free "
+                 "program elided or merged steps, or lost outputs\n",
                  static_cast<unsigned long long>(seed), g.shape.c_str(), p);
     return false;
   }
-  std::vector<Matrix> raw_got;
-  raw_got.reserve(raw.outputs.size());
-  for (std::size_t i = 0; i < raw.outputs.size(); ++i) {
-    raw_got.push_back(ctx.download(raw.outputs[i]));
-    if (!raw_got.back().equals(got[i])) {
+  std::vector<Matrix> base_got;
+  base_got.reserve(base_result.outputs.size());
+  for (std::size_t i = 0; i < base_result.outputs.size(); ++i) {
+    base_got.push_back(ctx.download(base_result.outputs[i]));
+    if (!base_got.back().equals(got[i])) {
       std::fprintf(stderr, "fuzz_dag: seed %llu (%s, p=%d): output %zu "
-                   "differs between optimizer on and off\n",
+                   "differs between the decoy and decoy-free programs\n",
                    static_cast<unsigned long long>(seed), g.shape.c_str(), p,
                    i);
       return false;
     }
   }
   if (opt.verbose)
-    print_run(seed, "noopt", raw, g.prog.stats(), raw_got, std::nullopt);
+    print_run(seed, "base", base_result, base.prog.stats(), base_got,
+              std::nullopt);
 
   if (opt.verbose)
     std::fprintf(stderr, "fuzz_dag: seed %llu ok (%s, p=%d%s)\n",

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -335,19 +334,6 @@ TEST(Handles, RejectsForeignAndUnsupportedVariants) {
   const DistHandle hb_other = other.upload(b, plan->input_layout(1));
   EXPECT_THROW((void)plan->execute_dist(hl, hb_other), Error);
 
-  // Handle ids count per machine, so a foreign handle can share its id
-  // with a local one: unpin must reject it, not unpin the local entry.
-  Context mine_ctx(4);
-  Context foreign_ctx(4);
-  const Matrix m = la::make_dense(573, 8, 8);
-  const DistHandle mine = mine_ctx.upload(m, cyclic_layout(2, 2));
-  const DistHandle foreign = foreign_ctx.upload(m, cyclic_layout(2, 2));
-  ASSERT_EQ(mine.id(), foreign.id());
-  mine_ctx.pin(mine);
-  EXPECT_THROW(mine_ctx.unpin(foreign), Error);
-  EXPECT_TRUE(mine_ctx.machine().handle_store().pinned(mine.id()));
-  EXPECT_THROW(mine_ctx.pin(foreign), Error);
-
   TrsmSpec upper;
   upper.uplo = la::Uplo::kUpper;
   auto upper_plan = ctx.plan(trsm_op(n, k, upper));
@@ -471,15 +457,53 @@ TEST(Programs, OneHandleBoundToTwoInputsIsLoadedOnceAndCopied) {
   EXPECT_EQ(prog.stats().redistributes_inserted, 0u);
 }
 
+TEST(Programs, EachRunSchedulesItsOwnInputLayouts) {
+  // One Program run three times against B in different layouts: each run
+  // schedules for the layouts it binds, so only the mismatched run pays a
+  // layout change, and all three return the same bits.
+  const index_t n = 48, k = 12;
+  const int p = 16;
+  const Matrix l = la::make_lower_triangular(761, n);
+  const Matrix b = la::make_rhs(762, n, k);
+
+  Context ctx(p);
+  auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
+  ASSERT_FALSE(plan->input_layout(0) == plan->input_layout(1));
+  Program prog(ctx);
+  const auto nl = prog.input(n, n);
+  const auto nb = prog.input(n, k);
+  prog.mark_output(prog.add(plan, {nl, nb}));
+
+  const DistHandle hl = ctx.upload(l, plan->input_layout(0));
+  const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+  const DistHandle hb_foreign = ctx.upload(b, plan->input_layout(0));
+
+  const Program::Result native = prog.run({hl, hb});
+  EXPECT_EQ(prog.stats().redistributes_inserted, 0u);
+  EXPECT_EQ(native.stats.phase_max.count("redistribute"), 0u);
+
+  const Program::Result foreign = prog.run({hl, hb_foreign});
+  EXPECT_EQ(prog.stats().redistributes_inserted, 1u);
+  EXPECT_GT(foreign.stats.phase_cost("redistribute").words, 0.0);
+
+  const Program::Result again = prog.run({hl, hb});
+  EXPECT_EQ(prog.stats().redistributes_inserted, 0u);
+
+  const Matrix x = ctx.download(native.outputs[0]);
+  EXPECT_TRUE(ctx.download(foreign.outputs[0]).equals(x));
+  EXPECT_TRUE(ctx.download(again.outputs[0]).equals(x));
+  EXPECT_LT(la::max_abs_diff(x, la::solve_lower(l, b)), 1e-9);
+}
+
 // ---------------------------------------------------------------------------
-// Program optimizer: elision, merging, shared layout changes, the A/B gate
+// Program optimizer: elision, merging, shared layout changes
 
 TEST(Optimizer, FactorFeedingManySolvesComputesOnce) {
   // The serving workload's shape, written redundantly: every solve wires
   // its OWN factor step against the same operand. The optimizer must
   // merge the duplicates (N - 1 merges) and execute kCholesky exactly
-  // once — proved through the "cholesky" phase charge, which is 1x the
-  // single-factor program's with the optimizer on and N x with it off.
+  // once — proved through the "cholesky" phase charge, which equals the
+  // single-factor program's.
   const index_t n = 40, k = 8;
   const int q = 3, p = 9;
   const int solves = 3;
@@ -511,7 +535,6 @@ TEST(Optimizer, FactorFeedingManySolvesComputesOnce) {
     prog.mark_output(prog.add(bwd_plan, {nl, ny}, "backward-trsm"));
   }
 
-  prog.set_optimize(true);
   Program::Result opt = prog.run(inputs);
   EXPECT_EQ(prog.stats().nodes_merged,
             static_cast<std::uint64_t>(solves - 1));
@@ -543,20 +566,6 @@ TEST(Optimizer, FactorFeedingManySolvesComputesOnce) {
     EXPECT_TRUE(ctx.download(opt.outputs[static_cast<std::size_t>(j)])
                     .equals(ctx.download(
                         ref.outputs[static_cast<std::size_t>(j)])));
-
-  // The hard A/B: optimizer off replays the redundant DAG as written —
-  // N x the factor charge, bitwise-identical outputs.
-  prog.set_optimize(false);
-  Program::Result raw = prog.run(inputs);
-  EXPECT_FALSE(prog.stats().optimized);
-  EXPECT_EQ(prog.stats().nodes_merged, 0u);
-  const sim::Cost raw_factor = raw.stats.phase_cost("cholesky");
-  EXPECT_EQ(raw_factor.msgs, solves * one_factor.msgs);
-  EXPECT_EQ(raw_factor.words, solves * one_factor.words);
-  for (int j = 0; j < solves; ++j)
-    EXPECT_TRUE(ctx.download(raw.outputs[static_cast<std::size_t>(j)])
-                    .equals(ctx.download(
-                        opt.outputs[static_cast<std::size_t>(j)])));
 }
 
 TEST(Optimizer, DeadStepsAreElided) {
@@ -590,28 +599,20 @@ TEST(Optimizer, DeadStepsAreElided) {
 
   const DistHandle ha = ctx.upload(a, cyclic_layout(q, q));
   const DistHandle hb = ctx.upload(b, row_blocked_layout(q, 1));
-  prog.set_optimize(true);
   Program::Result opt = prog.run({ha, hb});
   EXPECT_EQ(prog.stats().nodes_elided, 1u);
   EXPECT_EQ(prog.stats().steps_executed, 3u);
   EXPECT_EQ(opt.stats.phase_max.count("decoy-mm"), 0u);
 
-  prog.set_optimize(false);
-  Program::Result raw = prog.run({ha, hb});
-  EXPECT_EQ(prog.stats().nodes_elided, 0u);
-  EXPECT_EQ(raw.stats.phase_max.count("decoy-mm"), 1u);
-  EXPECT_TRUE(ctx.download(raw.outputs[0]).equals(
-      ctx.download(opt.outputs[0])));
-
-  // And against the decoy-free program: same bits, same stats shape.
+  // Against the decoy-free pipeline: same bits.
   const ExecResult ref = solve_plan->execute(a, b);
   EXPECT_TRUE(ctx.download(opt.outputs[0]).equals(ref.x));
 }
 
 TEST(Optimizer, SharedConversionRunsOnceAndIsChargedOnce) {
   // One producer feeding two consumers that both need the SAME non-native
-  // layout: the optimizer inserts one cached redistribute where the
-  // as-written DAG pays two. Pure data movement — bits cannot change.
+  // layout: the optimizer inserts one shared redistribute where one per
+  // use would pay two. Pure data movement — bits cannot change.
   const index_t n = 48, k = 12;
   const int p = 16;
   const Matrix l = la::make_lower_triangular(731, n);
@@ -638,31 +639,30 @@ TEST(Optimizer, SharedConversionRunsOnceAndIsChargedOnce) {
   ASSERT_FALSE(wrong == plan1->input_layout(1));
   const DistHandle hb = ctx.upload(b, wrong);
 
-  prog.set_optimize(true);
   Program::Result opt = prog.run({hl, hb});
   EXPECT_EQ(prog.stats().redistributes_inserted, 1u);
   EXPECT_EQ(prog.stats().redistributes_avoided, 1u);
   EXPECT_EQ(prog.stats().nodes_merged, 0u);
   const sim::Cost opt_redist = opt.stats.phase_cost("redistribute");
+  EXPECT_GT(opt_redist.words, 0.0);
 
-  prog.set_optimize(false);
-  Program::Result raw = prog.run({hl, hb});
-  EXPECT_EQ(prog.stats().redistributes_inserted, 2u);
-  EXPECT_EQ(prog.stats().redistributes_avoided, 0u);
-  const sim::Cost raw_redist = raw.stats.phase_cost("redistribute");
-  EXPECT_EQ(raw_redist.msgs, 2 * opt_redist.msgs);
-  EXPECT_EQ(raw_redist.words, 2 * opt_redist.words);
-  EXPECT_TRUE(ctx.download(opt.outputs[0]).equals(
-      ctx.download(raw.outputs[0])));
-  EXPECT_TRUE(ctx.download(opt.outputs[1]).equals(
-      ctx.download(raw.outputs[1])));
+  // Each step run alone changes B's layout once, at the shared change's
+  // cost, and returns its own step's bits.
+  const DistExecResult r1 = plan1->execute_dist(hl, hb);
+  const DistExecResult r2 = plan2->execute_dist(hl, hb);
+  for (const DistExecResult* r : {&r1, &r2}) {
+    EXPECT_EQ(r->redistribute_cost().msgs, opt_redist.msgs);
+    EXPECT_EQ(r->redistribute_cost().words, opt_redist.words);
+  }
+  EXPECT_TRUE(ctx.download(opt.outputs[0]).equals(ctx.download(r1.x)));
+  EXPECT_TRUE(ctx.download(opt.outputs[1]).equals(ctx.download(r2.x)));
 }
 
 TEST(Optimizer, IntermediateReadOnlyInForeignLayoutsChangesOncePerLayout) {
   // The factor (cyclic 2 x 2) is read only in layouts other than its own:
   // by a triangular inversion (cyclic 4 x 4) and a recursive solve (cyclic
-  // 1 x 16). Each consumer costs one layout change, optimizer on or off,
-  // and the two schedules produce the same bits and the same charges.
+  // 1 x 16). Each consumer costs one layout change, none is shared, and
+  // both outputs match their dense references.
   const index_t n = 32, k = 1024;
   const int p = 16;
   const Matrix a = la::make_spd(771, n);
@@ -688,23 +688,11 @@ TEST(Optimizer, IntermediateReadOnlyInForeignLayoutsChangesOncePerLayout) {
   const DistHandle ha = ctx.upload(a, factor_plan->input_layout(0));
   const DistHandle hb = ctx.upload(b, solve_plan->input_layout(1));
 
-  prog.set_optimize(true);
   const Program::Result opt = prog.run({ha, hb});
   EXPECT_EQ(prog.stats().redistributes_inserted, 2u);
   EXPECT_EQ(prog.stats().redistributes_avoided, 0u);
-  prog.set_optimize(false);
-  const Program::Result raw = prog.run({ha, hb});
-  EXPECT_EQ(prog.stats().redistributes_inserted, 2u);
-
-  const sim::Cost opt_redist = opt.stats.phase_cost("redistribute");
-  const sim::Cost raw_redist = raw.stats.phase_cost("redistribute");
-  EXPECT_GT(opt_redist.words, 0.0);
-  EXPECT_EQ(opt_redist.msgs, raw_redist.msgs);
-  EXPECT_EQ(opt_redist.words, raw_redist.words);
+  EXPECT_GT(opt.stats.phase_cost("redistribute").words, 0.0);
   ASSERT_EQ(opt.outputs.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i)
-    EXPECT_TRUE(ctx.download(opt.outputs[i])
-                    .equals(ctx.download(raw.outputs[i])));
 
   const Matrix l = la::cholesky(a);
   EXPECT_LT(la::max_abs_diff(ctx.download(opt.outputs[0]),
@@ -713,19 +701,6 @@ TEST(Optimizer, IntermediateReadOnlyInForeignLayoutsChangesOncePerLayout) {
   EXPECT_LT(la::max_abs_diff(ctx.download(opt.outputs[1]),
                              la::solve_lower(l, b)),
             1e-9);
-}
-
-TEST(Programs, OptimizerEnvKnobParsesStrictly) {
-  Context ctx(4);
-  ::setenv("CATRSM_PROGRAM_OPT", "0", 1);
-  EXPECT_FALSE(Program(ctx).optimize());
-  ::setenv("CATRSM_PROGRAM_OPT", "1", 1);
-  EXPECT_TRUE(Program(ctx).optimize());
-  // Malformed values warn and fall back to the default (on).
-  ::setenv("CATRSM_PROGRAM_OPT", "banana", 1);
-  EXPECT_TRUE(Program(ctx).optimize());
-  ::unsetenv("CATRSM_PROGRAM_OPT");
-  EXPECT_TRUE(Program(ctx).optimize());
 }
 
 // ---------------------------------------------------------------------------
@@ -774,123 +749,6 @@ TEST(Programs, BatchIsOneProgramRunMatchingPerPanelSolvesBitwise) {
   for (int i = 0; i < items; ++i)
     EXPECT_TRUE(br2.xs[static_cast<std::size_t>(i)]
                     .equals(refs[static_cast<std::size_t>(i)].x));
-}
-
-// ---------------------------------------------------------------------------
-// Byte budget & LRU eviction (CATRSM_HANDLE_BUDGET)
-
-TEST(Eviction, LruOrderDropsColdestFirstAndSparesPinned) {
-  const index_t n = 32;
-  Context ctx(4);
-  sim::HandleStore& store = ctx.machine().handle_store();
-  auto plan = ctx.plan(trsm_op(n, 8, iterative_spec()));
-  const Layout lay = plan->input_layout(0);
-
-  const DistHandle a = ctx.upload(la::make_lower_triangular(801, n), lay);
-  const DistHandle b = ctx.upload(la::make_lower_triangular(802, n), lay);
-  const DistHandle c = ctx.upload(la::make_lower_triangular(803, n), lay);
-  ASSERT_TRUE(a.resident() && b.resident() && c.resident());
-  const std::uint64_t total = store.resident_bytes();
-  const std::uint64_t one = total / 3;
-
-  // Touch order oldest-to-newest is now a, b, c. Pin b, then squeeze to
-  // roughly one operand's worth: LRU wants a then b then c, but pinned b
-  // must be skipped — so a and c go, b survives.
-  ctx.pin(b);
-  store.set_byte_budget(one);
-  store.evict_to_budget();
-  EXPECT_FALSE(a.resident());
-  EXPECT_TRUE(b.resident());
-  EXPECT_FALSE(c.resident());
-  EXPECT_EQ(store.evictions(), 2u);
-
-  // Unpinned, b is fair game for the next squeeze.
-  ctx.unpin(b);
-  store.set_byte_budget(0);
-  store.evict_to_budget();
-  EXPECT_FALSE(b.resident());
-  EXPECT_EQ(store.evictions(), 3u);
-  EXPECT_EQ(store.resident_bytes(), 0u);
-}
-
-TEST(Eviction, ReuploadIsBitwiseWithStableEpochAndChangesNothing) {
-  const index_t n = 48, k = 12;
-  const Matrix l = la::make_lower_triangular(811, n);
-  const Matrix b = la::make_rhs(812, n, k);
-
-  // Unlimited-budget reference.
-  Context ref_ctx(4);
-  auto ref_plan = ref_ctx.plan(trsm_op(n, k, iterative_spec()));
-  const Matrix x_ref = ref_ctx.download(
-      ref_plan
-          ->execute_dist(ref_ctx.upload(l, ref_plan->input_layout(0)),
-                         ref_ctx.upload(b, ref_plan->input_layout(1)))
-          .x);
-
-  Context ctx(4);
-  sim::HandleStore& store = ctx.machine().handle_store();
-  auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
-  const DistHandle hl = ctx.upload(l, plan->input_layout(0));
-  const DistHandle hb = ctx.upload(b, plan->input_layout(1));
-  const std::uint64_t epoch_before = hl.epoch();
-
-  store.set_byte_budget(0);
-  store.evict_to_budget();
-  ASSERT_FALSE(hl.resident());
-  ASSERT_FALSE(hb.resident());
-
-  // Execution transparently re-scatters from the recorded sources; the
-  // restored bytes are identical, so the epoch must NOT move (the
-  // diag-inverse cache keys on it) and the solution must be bitwise the
-  // unlimited-budget one. Download re-uploads just the same.
-  const DistExecResult r = plan->execute_dist(hl, hb);
-  EXPECT_TRUE(ctx.download(r.x).equals(x_ref));
-  EXPECT_EQ(hl.epoch(), epoch_before);
-  EXPECT_TRUE(ctx.download(hl).equals(l));
-
-  // Budget 0 degenerates to always-re-upload: another solve evicts and
-  // restores again, and the eviction counter shows the round trips.
-  const std::uint64_t evictions_before = store.evictions();
-  const DistExecResult r2 = plan->execute_dist(hl, hb);
-  EXPECT_GT(store.evictions(), evictions_before);
-  EXPECT_TRUE(ctx.download(r2.x).equals(x_ref));
-
-  // ensure_resident is the explicit warm-up: restores once, then no-ops.
-  EXPECT_TRUE(ctx.ensure_resident(hl));
-  EXPECT_FALSE(ctx.ensure_resident(hl));
-}
-
-TEST(Eviction, RunOutputsAndPoisonedEntriesAreNeverEvicted) {
-  const index_t n = 32, k = 8;
-  Context ctx(4);
-  sim::HandleStore& store = ctx.machine().handle_store();
-  auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
-  const DistHandle hl =
-      ctx.upload(la::make_lower_triangular(821, n), plan->input_layout(0));
-  const DistHandle hb =
-      ctx.upload(la::make_rhs(822, n, k), plan->input_layout(1));
-  const DistExecResult r = plan->execute_dist(hl, hb);
-  const Matrix x = ctx.download(r.x);
-
-  // A run output has no upload source to rebuild from: squeezing the
-  // budget to zero must never drop it.
-  store.set_byte_budget(0);
-  store.evict_to_budget();
-  EXPECT_FALSE(hl.resident());
-  EXPECT_TRUE(r.x.resident());
-  EXPECT_TRUE(ctx.download(r.x).equals(x));
-
-  // Poisoned entries are never evicted either — an evict/re-upload round
-  // trip would launder untrustworthy blocks into clean-looking ones
-  // without the owner ever calling repair().
-  ctx.ensure_resident(hl);
-  store.poison(hl.id());
-  store.evict_to_budget();
-  EXPECT_TRUE(hl.resident());
-  EXPECT_THROW((void)ctx.download(hl), PoisonedOperandError);
-  // repair() is still the (only) way back.
-  ctx.repair(hl);
-  EXPECT_TRUE(ctx.download(hl).equals(la::make_lower_triangular(821, n)));
 }
 
 TEST(Replica, WarmSolveReplaysTheColdSolvesGathersBitwise) {

@@ -402,25 +402,5 @@ TEST(Streams, StreamsKnobGarbageWarnsAndFallsBack) {
   EXPECT_TRUE(ctx.download(done[0].result.x).equals(x_ref));
 }
 
-TEST(Streams, HandleBudgetKnobGarbageWarnsAndFallsBack) {
-  // CATRSM_HANDLE_BUDGET=garbage falls back to unlimited — nothing is
-  // ever evicted — and serving works end to end.
-  ScopedEnv garbage("CATRSM_HANDLE_BUDGET", "garbage");
-  sim::Machine machine(4);
-  EXPECT_EQ(machine.handle_store().byte_budget(), sim::HandleStore::kUnlimited);
-
-  Context ctx(machine);
-  const index_t n = 32, k = 8;
-  auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
-  const DistHandle hl =
-      ctx.upload(la::make_lower_triangular(971, n), plan->input_layout(0));
-  const DistHandle hb =
-      ctx.upload(la::make_rhs(972, n, k), plan->input_layout(1));
-  const DistExecResult r = plan->execute_dist(hl, hb);
-  EXPECT_TRUE(hl.resident());
-  EXPECT_EQ(machine.handle_store().evictions(), 0u);
-  (void)ctx.download(r.x);
-}
-
 }  // namespace
 }  // namespace catrsm::api
