@@ -8,11 +8,8 @@
 
 namespace catrsm::api {
 
-StreamPool::StreamPool(int max_inflight) {
-  max_ = max_inflight > 0
-             ? max_inflight
-             : env::int_or("CATRSM_SIM_STREAMS", 4, 1, INT_MAX);
-}
+StreamPool::StreamPool()
+    : max_(env::int_or("CATRSM_SIM_STREAMS", 4, 1, INT_MAX)) {}
 
 int StreamPool::add_tenant(Context& ctx) {
   tenants_.push_back(&ctx);

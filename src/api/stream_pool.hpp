@@ -2,7 +2,7 @@
 // api::StreamPool — multi-tenant admission over execution streams.
 //
 // Several Contexts (tenants) — typically sharing ONE machine — queue
-// execute_dist requests; the pool keeps up to max_inflight of them in
+// execute_dist requests; the pool keeps up to max_inflight() of them in
 // flight as concurrent simulator streams and admits new work round-robin
 // across tenants as streams complete, so one tenant's deep backlog cannot
 // starve the others. Completions (results or captured errors) are
@@ -43,9 +43,9 @@ class StreamPool {
     std::exception_ptr error;
   };
 
-  /// `max_inflight` 0 derives the width from CATRSM_SIM_STREAMS — the
-  /// machine's own stream cap, so admission never blocks on it.
-  explicit StreamPool(int max_inflight = 0);
+  /// The pool is CATRSM_SIM_STREAMS wide — the machine's own stream cap,
+  /// so admission never blocks on it.
+  StreamPool();
 
   StreamPool(const StreamPool&) = delete;
   StreamPool& operator=(const StreamPool&) = delete;

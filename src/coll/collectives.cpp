@@ -28,7 +28,7 @@ std::vector<std::size_t> offsets_of(const Counts& counts) {
 /// Armed skew-fault hook (sim/fault.hpp), called after a primitive's local
 /// precondition checks and before its CheckScope so the collective matcher
 /// sees the perturbed metadata at entry. When the injector picks this
-/// (epoch, call) site and this rank as the victim, *root is rotated
+/// (group, call) site and this rank as the victim, *root is rotated
 /// (scatter/gather) or `skewed` receives a copy of `counts` with one peer
 /// slot perturbed (allgather/reduce-scatter) and the hook returns true —
 /// the caller must then run the collective with the skewed values, exactly
@@ -41,8 +41,8 @@ bool skew_hook(const sim::Comm& comm, int* root, const Counts& counts,
   sim::FaultInjector* fi = r.fault_injector();
   if (fi == nullptr) return false;
   *skewed = counts;
-  return fi->maybe_skew(comm.epoch(), r.id(), comm.rank(), comm.size(), root,
-                        skewed);
+  return fi->maybe_skew(sim::members_hash(comm.members()), r.id(),
+                        comm.rank(), comm.size(), root, skewed);
 }
 
 }  // namespace

@@ -20,8 +20,4 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  gemm(1.0, a, b, 1.0, c);
-}
-
 }  // namespace catrsm::la

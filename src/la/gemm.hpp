@@ -14,9 +14,6 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
 /// Convenience: returns A * B.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C += A * B (no allocation of temporaries beyond blocking registers).
-void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c);
-
 /// Flop count charged for a gemm of these dimensions (multiply + add).
 constexpr double gemm_flops(index_t m, index_t n, index_t k) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(n) *

@@ -43,13 +43,6 @@ void trmm_left_strided(Uplo uplo, Diag diag, index_t n, index_t k,
   }
 }
 
-void trmm_left(Uplo uplo, Diag diag, const Matrix& t, Matrix& b) {
-  CATRSM_CHECK(t.rows() == t.cols(), "trmm: T must be square");
-  CATRSM_CHECK(t.rows() == b.rows(), "trmm: dimension mismatch");
-  trmm_left_strided(uplo, diag, t.rows(), b.cols(), t.ptr(), t.rows(),
-                    b.ptr(), b.cols());
-}
-
 Matrix trmm(Uplo uplo, const Matrix& t, const Matrix& b) {
   CATRSM_CHECK(t.rows() == t.cols(), "trmm: T must be square");
   CATRSM_CHECK(t.rows() == b.rows(), "trmm: dimension mismatch");

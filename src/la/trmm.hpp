@@ -1,7 +1,7 @@
 #pragma once
 // Triangular matrix-matrix multiply: exploits the triangle to halve flops
-// relative to a dense gemm. The in-place forms serve la::tri_inv, which
-// multiplies by triangular sub-blocks of a partly built inverse; the
+// relative to a dense gemm. The in-place strided form serves la::tri_inv,
+// which multiplies by triangular sub-blocks of a partly built inverse; the
 // out-of-place form is the pooled team product of kernel::trmm and serves
 // the residual checks (la::trsm_residual).
 
@@ -10,11 +10,9 @@
 
 namespace catrsm::la {
 
-/// B := L * B with L lower (or upper) triangular, n x n, B n x k.
-void trmm_left(Uplo uplo, Diag diag, const Matrix& t, Matrix& b);
-
-/// Strided form over raw row-major storage: T is n x n triangular with
-/// leading dim ldt, B is n x k with leading dim ldb, updated in place.
+/// B := T * B with T lower (or upper) triangular, over raw row-major
+/// storage: T is n x n with leading dim ldt, B is n x k with leading dim
+/// ldb, updated in place.
 /// Lets callers multiply by a triangular SUBMATRIX (e.g. the trailing
 /// block of a partially built inverse) without copying it out first.
 /// T and the updated B region must not overlap.

@@ -86,4 +86,16 @@ class Comm {
   std::uint64_t epoch_ = 0;
 };
 
+/// FNV-1a over an ordered member list. It depends on the members alone,
+/// unlike an epoch, which the registry hands out in the order threads
+/// first look a group up.
+inline std::uint64_t members_hash(const std::vector<int>& members) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const int m : members) {
+    h ^= static_cast<std::uint32_t>(m);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 }  // namespace catrsm::sim

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "coll/collectives.hpp"
 #include "sim/check/fault_report.hpp"
 #include "sim/check/trace.hpp"
 #include "support/check.hpp"
@@ -149,10 +150,13 @@ FaultInjector::FaultInjector(FaultPlan plan, int p) : plan_(plan), p_(p) {
 }
 
 void FaultInjector::begin_run() {
-  for (PairSeq& ps : pair_seq_) ps.next.clear();
+  for (PairSeq& ps : pair_seq_) {
+    ps.next.clear();
+    ps.band_next.clear();
+  }
   for (RecvSeq& rs : recv_seq_) rs.last.clear();
   op_count_.assign(op_count_.size(), 0);
-  for (auto& per_epoch : coll_seq_) per_epoch.clear();
+  for (auto& per_group : coll_seq_) per_group.clear();
   std::lock_guard<std::mutex> lk(log_mu_);
   injections_ = 0;
   log_.clear();
@@ -192,35 +196,40 @@ FaultInjector::Action FaultInjector::on_deliver(int src, int dst, int tag,
   // the message and testifies to what the sender meant to say.
   *checksum = check::hash_words(payload->data(), payload->size());
 
+  // The site's coordinates. A collective tag carries its communicator's
+  // epoch, a registry id handed out in thread arrival order, so a
+  // collective site keys on the tag's family band and the sender's
+  // delivery ordinal within that band on this edge, which follow the
+  // sender's program order.
+  std::uint64_t site_tag = static_cast<std::uint64_t>(tag);
+  std::uint32_t site_seq = s;
+  if (tag >= coll::kTagBase) {
+    const int band = coll::kTagBase + (tag - coll::kTagBase) /
+                                          coll::kEpochSpace *
+                                          coll::kEpochSpace;
+    site_tag = static_cast<std::uint64_t>(band);
+    site_seq = ps.band_next[band]++;
+  }
   const std::uint64_t edge = pack_edge(src, dst);
+  if (!fires(edge, site_tag, site_seq)) return Action::kPass;
   std::ostringstream site;
   site << src << "->" << dst << " tag " << tag << " seq " << s << " ("
        << payload->size() << " words)";
   switch (plan_.cls) {
     case FaultClass::kDrop:
-      if (fires(edge, static_cast<std::uint64_t>(tag), s)) {
-        record("dropped message " + site.str());
-        return Action::kDrop;
-      }
-      break;
+      record("dropped message " + site.str());
+      return Action::kDrop;
     case FaultClass::kDuplicate:
-      if (fires(edge, static_cast<std::uint64_t>(tag), s)) {
-        record("duplicated message " + site.str());
-        return Action::kDuplicate;
-      }
-      break;
+      record("duplicated message " + site.str());
+      return Action::kDuplicate;
     case FaultClass::kDelay:
-      if (fires(edge, static_cast<std::uint64_t>(tag), s)) {
-        record("delayed message " + site.str());
-        return Action::kDelay;
-      }
-      break;
+      record("delayed message " + site.str());
+      return Action::kDelay;
     case FaultClass::kCorrupt:
-      if (!payload->empty() && fires(edge, static_cast<std::uint64_t>(tag), s)) {
+      if (!payload->empty()) {
         std::vector<double> words = payload->to_vector();
         const std::size_t at =
-            mix4(plan_.seed ^ kParamSalt, edge, static_cast<std::uint64_t>(tag),
-                 s) %
+            mix4(plan_.seed ^ kParamSalt, edge, site_tag, site_seq) %
             words.size();
         std::uint64_t bits = 0;
         std::memcpy(&bits, &words[at], sizeof(bits));
@@ -279,19 +288,19 @@ void FaultInjector::maybe_kill(int rank) {
   throw check::RankKilledError(os.str());
 }
 
-bool FaultInjector::maybe_skew(std::uint64_t epoch, int world_rank,
+bool FaultInjector::maybe_skew(std::uint64_t group, int world_rank,
                                int comm_rank, int comm_size, int* root,
                                std::vector<std::size_t>* counts) {
   if (plan_.cls != FaultClass::kSkewCollective || comm_size < 2) return false;
   const std::uint32_t call =
-      coll_seq_[static_cast<std::size_t>(world_rank)][epoch]++;
-  if (!fires(epoch, call, 0x534B4557ull)) return false;  // "SKEW"
-  const std::uint64_t param = mix4(plan_.seed ^ kParamSalt, epoch, call, 1);
+      coll_seq_[static_cast<std::size_t>(world_rank)][group]++;
+  if (!fires(group, call, 0x534B4557ull)) return false;  // "SKEW"
+  const std::uint64_t param = mix4(plan_.seed ^ kParamSalt, group, call, 1);
   const int chosen = static_cast<int>(param % static_cast<unsigned>(comm_size));
   if (comm_rank != chosen) return false;
 
   std::ostringstream site;
-  site << "epoch " << epoch << " call " << call << " at comm rank " << comm_rank
+  site << "group " << group << " call " << call << " at comm rank " << comm_rank
        << " (world " << world_rank << ")";
   if (root != nullptr && *root >= 0) {
     const int shift =

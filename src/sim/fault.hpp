@@ -15,8 +15,11 @@
 //
 // Determinism discipline: injection decisions are pure functions of the
 // plan seed and *logical* per-message coordinates — the (src, dst, tag)
-// delivery sequence number, a rank's transport-op ordinal, a
-// collective's (epoch, call) position — never of thread arrival order.
+// delivery sequence number of a point-to-point message, the sender's
+// per-(src, dst) ordinal within a collective message's family band, a
+// rank's transport-op ordinal, a collective's (member list, call)
+// position — never of thread arrival order. Communicator epochs are
+// registry ids handed out in arrival order, so no site keys on one.
 // Two runs of the same SPMD program under the same plan inject at the
 // same sites, so every faulted test is replayable from its seed alone.
 //
@@ -113,13 +116,14 @@ class FaultInjector {
   void maybe_kill(int rank);
 
   /// Collective-skew hook, called on entry to a primitive collective
-  /// before any checking or communication. When this (epoch, call) site
+  /// before any checking or communication. `group` identifies the
+  /// communicator by a hash of its member list. When this (group, call) site
   /// is chosen and `world_rank` is the chosen victim, perturbs *root
   /// (scatter/gather, when *root >= 0) or *counts (allgather/
   /// reduce-scatter — never the caller's own slot, so local size checks
   /// still pass and the collective matcher is what sees the disagreement)
   /// and returns true.
-  bool maybe_skew(std::uint64_t epoch, int world_rank, int comm_rank,
+  bool maybe_skew(std::uint64_t group, int world_rank, int comm_rank,
                   int comm_size, int* root, std::vector<std::size_t>* counts);
 
   /// Number of faults actually fired this run, and one log line per fire
@@ -136,9 +140,12 @@ class FaultInjector {
   int kill_victim_ = 0;
   std::uint32_t kill_op_ = 1;
 
-  // Sender-side per-(src, dst) tag sequence counters (writer: rank src).
+  // Sender-side per-(src, dst) counters (writer: rank src): the
+  // verification sequence per tag, and the site ordinal per collective
+  // family band (keyed kTagBase + band * kEpochSpace).
   struct PairSeq {
     std::map<int, std::uint32_t> next;
+    std::map<int, std::uint32_t> band_next;
   };
   std::vector<PairSeq> pair_seq_;
   // Receiver-side last-seen sequence per (dst; src, tag) (writer: dst).
@@ -148,7 +155,7 @@ class FaultInjector {
   std::vector<RecvSeq> recv_seq_;
   // Per-rank transport-op ordinals for the kill site (writer: the rank).
   std::vector<std::uint32_t> op_count_;
-  // Per-rank collective-call ordinals per epoch (writer: the rank).
+  // Per-rank collective-call ordinals per group (writer: the rank).
   std::vector<std::map<std::uint64_t, std::uint32_t>> coll_seq_;
 
   mutable std::mutex log_mu_;  // guards the two fields below (rare: fires)

@@ -13,6 +13,7 @@
 #include "sim/check/deadlock.hpp"
 #include "sim/check/fault_report.hpp"
 #include "sim/check/trace.hpp"
+#include "sim/comm.hpp"
 #include "sim/fault.hpp"
 #include "support/env.hpp"
 
@@ -33,53 +34,44 @@ struct Message {
   std::uint32_t seq = 0;
 };
 
-/// One mailbox per ordered (dst, src) pair: senders to the same receiver
-/// shard across locks instead of serializing on one mailbox-map mutex.
-struct Mailbox {
+/// Rank `dst`'s inbox: every message addressed to it, from any sender, in
+/// arrival order. A receive takes the oldest entry with its (src, tag), so
+/// matching is FIFO per (src, tag); SPMD program order makes that
+/// sufficient and deterministic. A receiver holds only a few unmatched
+/// messages at a time, so a linear scan is the whole index. Aligned so
+/// senders to neighbouring ranks never contend on one cache line.
+struct alignas(64) Inbox {
+  struct Entry {
+    int src;
+    int tag;
+    Message msg;
+  };
   std::mutex mu;
-  // FIFO queue per tag; SPMD program order makes FIFO matching
-  // sufficient and deterministic. A flat deque of (tag, queue) entries
-  // beats a map here: a box sees a handful of tags, the entries (and
-  // their message blocks) are reused run after run instead of being
-  // reallocated, and — critically — growing a deque never invalidates
-  // the queue reference a blocked receiver holds across its wait (a
-  // vector would dangle it on reallocation).
-  std::deque<std::pair<int, std::deque<Message>>> queues;
-  std::deque<Message>& queue_for(int tag) {
-    for (auto& [t, q] : queues)
-      if (t == tag) return q;
-    return queues.emplace_back(tag, std::deque<Message>{}).second;
-  }
+  std::vector<Entry> queued;  // guarded by mu
   // Rendezvous: the receiving rank's wake token (RankScheduler::
-  // current_rank) and the tag it waits for, set only while it is blocked
-  // in take() (only rank `dst` ever receives on this box, so one slot
+  // current_rank) and the (src, tag) it waits for, set only while it is
+  // blocked in take() (only rank `dst` receives here, so one slot
   // suffices). Guarded by mu.
   void* waiter = nullptr;
+  int waiter_src = -1;
   int waiter_tag = 0;
-  // Deliveries held back by an armed delay fault (guarded by mu): each
-  // is appended to its tag queue *behind* the next message delivered
-  // into this box, reordering the FIFO deterministically. A held message
-  // cannot wake its receiver, so a run starved by one is a genuine (and
-  // correctly declared) deadlock; the dump does not list held messages.
-  // Always empty when no plan is armed.
-  std::deque<std::pair<int, Message>> delayed;
-};
-
-/// A run's p*p mailboxes. Pooled on the machine and reset at acquisition:
-/// tag entries and their message blocks are reused run after run instead
-/// of being reallocated.
-struct MailboxSet {
-  explicit MailboxSet(int p) {
-    boxes.reserve(static_cast<std::size_t>(p) * static_cast<std::size_t>(p));
-    for (int i = 0; i < p * p; ++i) boxes.push_back(std::make_unique<Mailbox>());
-  }
-  std::vector<std::unique_ptr<Mailbox>> boxes;
+  // Deliveries held back by an armed delay fault (guarded by mu): each is
+  // queued *behind* the next delivery from the same sender, reordering
+  // that sender's FIFO deterministically. A held message cannot wake its
+  // receiver, so a run starved by one is a genuine (and correctly
+  // declared) deadlock; the dump does not list held messages. Always
+  // empty when no plan is armed.
+  std::vector<Entry> held;
 };
 
 class RunContext {
  public:
   RunContext(Machine* m, std::function<void(Rank&)> fn)
-      : machine(m), p(m->nprocs()), params(m->params()), body(std::move(fn)) {
+      : machine(m),
+        p(m->nprocs()),
+        params(m->params()),
+        body(std::move(fn)),
+        inboxes(static_cast<std::size_t>(p)) {
     waits.resize(static_cast<std::size_t>(p));
     ranks.reserve(static_cast<std::size_t>(p));
     for (int i = 0; i < p; ++i)
@@ -90,7 +82,9 @@ class RunContext {
   int p;
   MachineParams params;
   std::function<void(Rank&)> body;
-  std::unique_ptr<MailboxSet> mail;  // borrowed from the machine pool
+  // One per receiving rank. They die with the run, so a failed run's
+  // leftovers can never match in a later one.
+  std::vector<Inbox> inboxes;
   std::atomic<bool> aborted{false};
   std::vector<std::unique_ptr<Rank>> ranks;
 
@@ -120,13 +114,13 @@ class RunContext {
   std::exception_ptr outcome;
   int injections_final = 0;
 
-  Mailbox& box_of(int dst, int src) {
-    return *mail->boxes[static_cast<std::size_t>(dst) *
-                            static_cast<std::size_t>(p) +
-                        static_cast<std::size_t>(src)];
-  }
   void deliver(int src, int dst, int tag, Message msg);
   Message take(int dst, int src, int tag);
+  /// What the inboxes queue (`held` false) or hold back (`held` true): one
+  /// summary per (dst, src, tag), in ascending dst and, within an inbox,
+  /// in order of first arrival. Reads each inbox under its lock; the
+  /// caller's run is quiescent (stalled, or every rank returned).
+  std::vector<check::PendingQueue> pending(bool held);
   void abort_all();
   /// Record a failure (the first one wins) and abort the run.
   void fail(std::exception_ptr error);
@@ -248,12 +242,7 @@ std::atomic<std::uint64_t> g_machine_serials{0};
 
 struct MembersHash {
   std::size_t operator()(const std::vector<int>& members) const noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the ids
-    for (const int m : members) {
-      h ^= static_cast<std::uint32_t>(m);
-      h *= 0x100000001b3ull;
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(members_hash(members));
   }
 };
 
@@ -316,52 +305,63 @@ void RunContext::deliver(int src, int dst, int tag, Message msg) {
   // Armed fault injection intercepts here — the single choke point both
   // send and shift deliver through. on_deliver stamps the verification
   // checksum/sequence (and applies payload corruption) before the message
-  // enters the mailbox; only rank `src` delivers into box(dst, src), so
+  // enters the inbox; it runs on rank `src`, outside the inbox lock, so
   // the injector's per-edge counters have a single writer.
   auto act = FaultInjector::Action::kPass;
   if (FaultInjector* fi = injector.get()) {
     act = fi->on_deliver(src, dst, tag, &msg.data, &msg.checksum, &msg.seq);
     if (act == FaultInjector::Action::kDrop) return;  // vanished in flight
   }
-  Mailbox& box = box_of(dst, src);
+  Inbox& in = inboxes[static_cast<std::size_t>(dst)];
   void* waiter = nullptr;
   {
-    std::lock_guard<std::mutex> lock(box.mu);
+    std::lock_guard<std::mutex> lock(in.mu);
     if (act == FaultInjector::Action::kDelay) {
-      // Held back: flushed behind the next delivery into this box. If no
-      // later delivery ever flushes it, the receiver blocks and the run
-      // stalls into a declared deadlock.
-      box.delayed.emplace_back(tag, std::move(msg));
+      // Held back: flushed behind this sender's next delivery to dst. If
+      // none ever flushes it, the receiver blocks and the run stalls into
+      // a declared deadlock.
+      in.held.push_back({src, tag, std::move(msg)});
       return;
     }
-    box.queue_for(tag).push_back(std::move(msg));
+    in.queued.push_back({src, tag, std::move(msg)});
     if (act == FaultInjector::Action::kDuplicate) {
-      Message dup = box.queue_for(tag).back();  // slab share, no copy
-      box.queue_for(tag).push_back(std::move(dup));
+      Message dup = in.queued.back().msg;  // slab share, no copy
+      in.queued.push_back({src, tag, std::move(dup)});
     }
-    bool wake = box.waiter != nullptr && box.waiter_tag == tag;
-    while (!box.delayed.empty()) {
-      auto& [held_tag, held] = box.delayed.front();
-      box.queue_for(held_tag).push_back(std::move(held));
-      if (box.waiter != nullptr && box.waiter_tag == held_tag) wake = true;
-      box.delayed.pop_front();
+    const bool waits_on_src = in.waiter != nullptr && in.waiter_src == src;
+    bool wake = waits_on_src && in.waiter_tag == tag;
+    for (auto it = in.held.begin(); it != in.held.end();) {
+      if (it->src != src) {
+        ++it;
+        continue;
+      }
+      wake = wake || (waits_on_src && in.waiter_tag == it->tag);
+      in.queued.push_back(std::move(*it));
+      it = in.held.erase(it);
     }
-    if (wake) waiter = std::exchange(box.waiter, nullptr);
+    if (wake) waiter = std::exchange(in.waiter, nullptr);
   }
   if (waiter != nullptr) RankScheduler::wake(waiter);
 }
 
 Message RunContext::take(int dst, int src, int tag) {
-  Mailbox& box = box_of(dst, src);
-  std::unique_lock<std::mutex> lock(box.mu);
-  auto& queue = box.queue_for(tag);
+  Inbox& in = inboxes[static_cast<std::size_t>(dst)];
+  const auto oldest = [&] {
+    return std::find_if(in.queued.begin(), in.queued.end(),
+                        [&](const Inbox::Entry& e) {
+                          return e.src == src && e.tag == tag;
+                        });
+  };
+  std::unique_lock<std::mutex> lock(in.mu);
+  auto it = oldest();
   void* const self = RankScheduler::current_rank();
-  while (queue.empty() && !aborted.load()) {
-    box.waiter = self;
-    box.waiter_tag = tag;
+  while (it == in.queued.end() && !aborted.load()) {
+    in.waiter = self;
+    in.waiter_src = src;
+    in.waiter_tag = tag;
     // Abort wakes only the waiters it finds registered, so re-check under
-    // the box lock after registering: either this load sees the abort, or
-    // the abort's scan (serialized by box.mu) sees the waiter and wakes
+    // the inbox lock after registering: either this load sees the abort,
+    // or the abort's scan (serialized by in.mu) sees the waiter and wakes
     // it — never neither.
     if (aborted.load()) break;
     check::RankWait& w = waits[static_cast<std::size_t>(dst)];
@@ -370,9 +370,10 @@ Message RunContext::take(int dst, int src, int tag) {
     lock.unlock();
     RankScheduler::park();
     lock.lock();
+    it = oldest();
   }
-  box.waiter = nullptr;
-  if (queue.empty()) {
+  in.waiter = nullptr;
+  if (it == in.queued.end()) {
     // Another rank failed; propagate so the whole run unwinds cleanly
     // (when the failure was a declared deadlock, rethrow it as such so
     // every rank's unwind carries the diagnostic dump).
@@ -380,36 +381,40 @@ Message RunContext::take(int dst, int src, int tag) {
     if (deadlocked.load()) fault_deadlock();
     throw Error("simulated run aborted by failure on a peer rank");
   }
-  Message msg = std::move(queue.front());
-  queue.pop_front();
+  Message msg = std::move(it->msg);
+  in.queued.erase(it);
   return msg;
+}
+
+std::vector<check::PendingQueue> RunContext::pending(bool held) {
+  std::vector<check::PendingQueue> out;
+  for (int dst = 0; dst < p; ++dst) {
+    Inbox& in = inboxes[static_cast<std::size_t>(dst)];
+    std::lock_guard<std::mutex> lock(in.mu);
+    const std::size_t first = out.size();
+    for (const Inbox::Entry& e : held ? in.held : in.queued) {
+      std::size_t i = first;
+      while (i < out.size() && (out[i].src != e.src || out[i].tag != e.tag))
+        ++i;
+      if (i == out.size()) out.push_back({dst, e.src, e.tag, 0, 0});
+      ++out[i].messages;
+      out[i].words += e.msg.data.size();
+    }
+  }
+  return out;
 }
 
 void RunContext::declare_deadlock() {
   if (aborted.load()) return;
   try {
-    // No rank of this run runs until abort_all below, so the mailboxes
-    // and waits are quiescent: summarize them for the dump without
-    // racing.
-    std::vector<check::PendingQueue> pending;
-    for (int dst = 0; dst < p; ++dst) {
-      for (int src = 0; src < p; ++src) {
-        if (dst == src) continue;
-        Mailbox& box = box_of(dst, src);
-        std::lock_guard<std::mutex> lock(box.mu);
-        for (const auto& [qtag, q] : box.queues) {
-          if (q.empty()) continue;
-          std::size_t words = 0;
-          for (const Message& m : q) words += m.data.size();
-          pending.push_back({dst, src, qtag, q.size(), words});
-        }
-      }
-    }
+    // No rank of this run runs until abort_all below, so the inboxes and
+    // waits are quiescent: summarize them for the dump without racing.
     std::vector<std::string> contexts(static_cast<std::size_t>(p));
     if (matcher != nullptr)
       for (int r = 0; r < p; ++r)
         contexts[static_cast<std::size_t>(r)] = matcher->context_of(r);
-    std::string dump = check::describe_deadlock(waits, pending, contexts);
+    std::string dump =
+        check::describe_deadlock(waits, pending(false), contexts);
     std::lock_guard<std::mutex> lock(error_mu);
     deadlock_dump = std::move(dump);
     deadlocked.store(true);
@@ -427,14 +432,14 @@ void RunContext::fault_deadlock() {
 
 void RunContext::abort_all() {
   // Wake every rank OF THIS RUN blocked in take(); they observe aborted
-  // and unwind. Only waiters registered in this run's own mailboxes are
+  // and unwind. Only waiters registered in this run's own inboxes are
   // touched, so concurrent streams never notice.
   aborted.store(true);
-  for (auto& box : mail->boxes) {
+  for (Inbox& in : inboxes) {
     void* waiter = nullptr;
     {
-      std::lock_guard<std::mutex> lock(box->mu);
-      waiter = std::exchange(box->waiter, nullptr);
+      std::lock_guard<std::mutex> lock(in.mu);
+      waiter = std::exchange(in.waiter, nullptr);
     }
     if (waiter != nullptr) RankScheduler::wake(waiter);
   }
@@ -473,28 +478,19 @@ RunStats RunContext::wait_and_assemble() {
 
       if (injector != nullptr) {
         // Residual sweep (armed runs only): every rank returned cleanly,
-        // so the mailboxes are quiescent — anything still queued or held
+        // so the inboxes are quiescent — anything still queued or held
         // back is an injected delivery no receive ever consumed (an
         // unconsumed duplicate, a never-flushed delay) that would
-        // otherwise vanish silently when the boxes are pooled.
+        // otherwise vanish silently with the run.
         std::ostringstream residue;
         std::size_t leftovers = 0;
-        for (int dst = 0; dst < p; ++dst) {
-          for (int src = 0; src < p; ++src) {
-            if (dst == src) continue;
-            Mailbox& box = box_of(dst, src);
-            std::lock_guard<std::mutex> bl(box.mu);
-            for (const auto& [qtag, q] : box.queues) {
-              if (q.empty()) continue;
-              leftovers += q.size();
-              residue << "\n  " << q.size() << " queued message(s) " << src
-                      << "->" << dst << " tag " << qtag;
-            }
-            if (!box.delayed.empty()) {
-              leftovers += box.delayed.size();
-              residue << "\n  " << box.delayed.size()
-                      << " held-back delivery(ies) " << src << "->" << dst;
-            }
+        for (const bool held : {false, true}) {
+          for (const check::PendingQueue& q : pending(held)) {
+            leftovers += q.messages;
+            residue << "\n  " << q.messages
+                    << (held ? " held-back delivery(ies) "
+                             : " queued message(s) ")
+                    << q.src << "->" << q.dst << " tag " << q.tag;
           }
         }
         if (leftovers > 0) {
@@ -622,33 +618,6 @@ HandleStore& Machine::handle_store() {
   return *handles_;
 }
 
-std::unique_ptr<MailboxSet> Machine::acquire_mailboxes_locked() {
-  std::unique_ptr<MailboxSet> set;
-  if (!mailbox_pool_.empty()) {
-    set = std::move(mailbox_pool_.back());
-    mailbox_pool_.pop_back();
-  } else {
-    set = std::make_unique<MailboxSet>(p_);
-  }
-  // Fresh mailboxes for the new run: a message a previous run left
-  // unconsumed (a failed run's leftovers) must never FIFO-match into this
-  // one. Empty per-tag entries are kept for block reuse unless they have
-  // accumulated — a long-lived machine sees fresh tags per communicator
-  // epoch, so unbounded entry growth would make every send's tag scan
-  // linear in dead tags.
-  constexpr std::size_t kMaxIdleTagEntries = 8;
-  for (auto& box : set->boxes) {
-    if (box->queues.size() > kMaxIdleTagEntries) {
-      box->queues.clear();
-    } else {
-      for (auto& [tag, queue] : box->queues) queue.clear();
-    }
-    box->delayed.clear();
-    box->waiter = nullptr;
-  }
-  return set;
-}
-
 void Machine::prune_finished_locked() {
   inflight_.erase(
       std::remove_if(inflight_.begin(), inflight_.end(),
@@ -661,7 +630,6 @@ void Machine::prune_finished_locked() {
 void Machine::retire_run(RunContext* rc) {
   {
     std::lock_guard<std::mutex> lock(runs_mu_);
-    if (rc->mail != nullptr) mailbox_pool_.push_back(std::move(rc->mail));
     inflight_.erase(
         std::remove_if(inflight_.begin(), inflight_.end(),
                        [rc](const std::shared_ptr<RunContext>& e) {
@@ -700,7 +668,6 @@ RunTicket Machine::run_async(const std::function<void(Rank&)>& fn,
       lock.lock();
       prune_finished_locked();
     }
-    rc->mail = acquire_mailboxes_locked();
     // The submission's job handle is dropped by the scheduler when the
     // last rank finishes, so this shared_ptr cycle (rc -> sub -> job ->
     // rc) is broken at run completion.

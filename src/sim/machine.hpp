@@ -5,9 +5,10 @@
 // worker pool (see sim/scheduler.hpp — workers are created on the first
 // run and reused for the machine's lifetime; ranks are cooperative
 // fibers).
-// Ranks exchange zero-copy sim::Buffer payloads through matched
-// (src, dst, tag) mailboxes, one mailbox per ordered (dst, src) pair so
-// concurrent senders to one receiver never contend on a lock. Every transfer advances
+// Ranks exchange zero-copy sim::Buffer payloads through one inbox per
+// receiving rank: a short list of (src, tag, message) in arrival order,
+// matched FIFO per (src, tag), so transport state grows with the messages
+// in flight, not with p^2. Every transfer advances
 // alpha-beta-gamma cost counters and a per-rank *virtual clock*: a receive
 // cannot complete before the sender's virtual send time, so max-over-ranks
 // of the final clocks is the exact critical path length of the run under
@@ -17,7 +18,7 @@
 // run_async + RunTicket::wait), while Machine::run_async dispatches an
 // EXECUTION STREAM and returns a future-like RunTicket immediately. Up
 // to CATRSM_SIM_STREAMS runs (default 4) can be in flight at once; each
-// gets its own RunContext — mailboxes, deadlock census, virtual clocks,
+// gets its own RunContext — inboxes, deadlock census, virtual clocks,
 // S/W/F counters, collective matcher, trace recorder, and fault injector
 // are all per-run state — so streams never exchange messages, a deadlock
 // or injected fault in one stream cannot abort or poison another, and
@@ -33,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -60,8 +60,7 @@ class FaultInjector;  // sim/fault.hpp
 struct FaultPlan;
 
 class Machine;
-class RunContext;   // per-run state, private to machine.cpp
-struct MailboxSet;  // one run's p*p mailboxes, pooled across runs
+class RunContext;  // per-run state, private to machine.cpp
 
 /// The execution context handed to each simulated rank. Not copyable; lives
 /// for the duration of one run.
@@ -98,7 +97,7 @@ class Rank {
   /// distinct groups can never share an id (unlike a hash). Every member
   /// asking for the same list gets the same id — including members in
   /// different concurrent runs, which is safe because tags only ever
-  /// match within a run's own mailboxes. A repeat lookup is answered from
+  /// match within a run's own inboxes. A repeat lookup is answered from
   /// the calling thread's copy of the registry, without its lock.
   std::uint64_t comm_epoch(const std::vector<int>& members);
 
@@ -239,7 +238,7 @@ class Machine {
   /// Dispatch `fn` on all p ranks as an independent execution stream and
   /// return immediately. Up to max_streams() runs fly at once; when the
   /// cap is reached this blocks until the oldest in-flight run drains.
-  /// Each stream has private mailboxes, clocks, counters and tooling —
+  /// Each stream has private inboxes, clocks, counters and tooling —
   /// see the file comment for the isolation guarantees. `fn` is copied
   /// (it outlives the call). The ticket (any copy) must be wait()ed or
   /// dropped before the machine is destroyed. `on_complete` (optional)
@@ -276,7 +275,6 @@ class Machine {
   /// by CATRSM_SIM_CHECK=1 at machine construction. Must not be toggled
   /// during a run.
   void set_collective_checking(bool on);
-  bool collective_checking() const { return checking_on_; }
 
   /// Attach (or detach) the trace recorder: every run logs per-rank
   /// communication events (with payloads when capture_payloads — the
@@ -312,12 +310,10 @@ class Machine {
   friend class RunContext;
   friend class RunTicket;
 
-  /// Pop (or build) a reset mailbox set for a new run; runs_mu_ held.
-  std::unique_ptr<MailboxSet> acquire_mailboxes_locked();
   /// Drop finished runs from the in-flight list; runs_mu_ held.
   void prune_finished_locked();
-  /// Return the run's mailboxes to the pool, remove it from the in-flight
-  /// list, and deposit its tracer/injector into the last-run slots.
+  /// Remove the run from the in-flight list and deposit its
+  /// tracer/injector into the last-run slots.
   /// Called exactly once per run, from RunTicket::wait.
   void retire_run(RunContext* rc);
 
@@ -345,11 +341,10 @@ class Machine {
   std::unique_ptr<check::TraceRecorder> tracer_;
   std::unique_ptr<FaultInjector> injector_;
 
-  // In-flight streams + mailbox pool (both guarded by runs_mu_).
+  // In-flight streams (guarded by runs_mu_).
   int max_streams_;
   std::mutex runs_mu_;
   std::vector<std::shared_ptr<RunContext>> inflight_;
-  std::vector<std::unique_ptr<MailboxSet>> mailbox_pool_;
 };
 
 }  // namespace catrsm::sim

@@ -12,11 +12,6 @@ long long Rng::uniform_int(long long lo, long long hi) {
   return d(gen_);
 }
 
-double Rng::normal() {
-  std::normal_distribution<double> d(0.0, 1.0);
-  return d(gen_);
-}
-
 Rng Rng::child(std::uint64_t index) const {
   // splitmix64 of (state-independent) index to decorrelate child streams.
   std::uint64_t z = index + 0x9e3779b97f4a7c15ULL;

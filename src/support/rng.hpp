@@ -19,9 +19,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   long long uniform_int(long long lo, long long hi);
 
-  /// Standard normal deviate.
-  double normal();
-
   /// Derive an independent child stream (stable function of seed & index).
   Rng child(std::uint64_t index) const;
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -372,6 +373,52 @@ TEST(FaultMatrix, NoSeededFaultEscapesAcrossSeeds) {
             << report.to_string();
         EXPECT_GE(report.injections, 1) << report.to_string();
       }
+    }
+  }
+}
+
+TEST(FaultMatrix, CollectiveFaultSitesDependOnlyOnTheSeed) {
+  // Several workers hand out communicator epochs in whatever order their
+  // ranks first look a group up, and collective tags carry the epoch. The
+  // corruption sites, and so the result bits, must not follow that order.
+  ScopedEnv workers("CATRSM_SIM_WORKERS", "4");
+  constexpr int kP = 12;
+  FaultPlan plan{FaultClass::kCorrupt, 5, 3};
+  plan.verify_transport = false;  // let the corrupted run complete
+  std::vector<std::vector<double>> first;
+  int first_injections = -1;
+  for (int trial = 0; trial < 8; ++trial) {
+    Machine m(kP);
+    m.arm_fault(plan);
+    std::vector<std::vector<double>> results(kP);
+    m.run([&results](Rank& r) {
+      Comm world = Comm::world(r);
+      std::vector<double> mine(24);
+      for (std::size_t i = 0; i < mine.size(); ++i)
+        mine[i] = 1.0 + r.id() + 0.125 * static_cast<double>(i);
+      std::vector<double>& out = results[static_cast<std::size_t>(r.id())];
+      for (const Comm& comm :
+           {world.strided_fiber(2), world.strided_fiber(3), world}) {
+        const Buffer sum = coll::allreduce(comm, Buffer(mine));
+        out.insert(out.end(), sum.begin(), sum.end());
+      }
+    });
+    const int injections = m.fault_injector()->injections();
+    EXPECT_GE(injections, 1);
+    if (trial == 0) {
+      first = std::move(results);
+      first_injections = injections;
+      continue;
+    }
+    EXPECT_EQ(injections, first_injections) << "trial " << trial;
+    for (int r = 0; r < kP; ++r) {
+      const auto& got = results[static_cast<std::size_t>(r)];
+      const auto& want = first[static_cast<std::size_t>(r)];
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << "trial " << trial << ", rank " << r;
     }
   }
 }

@@ -160,6 +160,60 @@ TEST(Machine, FifoOrderWithinSameTag) {
   });
 }
 
+TEST(Machine, MessagesMatchBySenderAndTag) {
+  // Three senders share one receiver and two tags; the receiver takes
+  // them in an order unrelated to arrival. Each (sender, tag) pair must
+  // match exactly and stay FIFO.
+  Machine m(4);
+  m.run([](Rank& r) {
+    if (r.id() != 0) {
+      const double base = 10.0 * r.id();
+      r.send(0, std::vector<double>{base + 0.0}, 7);
+      r.send(0, std::vector<double>{base + 1.0}, 7);
+      r.send(0, std::vector<double>{base + 9.0}, 8);
+      r.send(0, std::vector<double>{base + 2.0}, 7);
+      return;
+    }
+    for (int src = 3; src >= 1; --src) {
+      const Buffer got = r.recv(src, 8);
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0], 10.0 * src + 9.0) << "tag 8 from " << src;
+    }
+    for (int src = 3; src >= 1; --src) {
+      for (int i = 0; i < 3; ++i) {
+        const Buffer got = r.recv(src, 7);
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0], 10.0 * src + i) << "tag 7 from " << src;
+      }
+    }
+  });
+}
+
+TEST(Machine, AFailedRunLeavesNoMessageForTheNextRun) {
+  Machine m(2);
+  EXPECT_THROW(m.run([](Rank& r) {
+                 if (r.id() == 0) {
+                   r.send(1, std::vector<double>{1.0}, 5);
+                   r.send(1, std::vector<double>{0.0}, 6);
+                 } else {
+                   // Tag 6 arrives after tag 5, so {1.0} is queued when
+                   // this rank fails without receiving it.
+                   (void)r.recv(0, 6);
+                   throw Error("injected failure");
+                 }
+               }),
+               Error);
+  m.run([](Rank& r) {
+    if (r.id() == 0) {
+      r.send(1, std::vector<double>{2.0}, 5);
+    } else {
+      const Buffer got = r.recv(0, 5);
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0], 2.0);
+    }
+  });
+}
+
 TEST(Machine, RankFailurePropagatesWithoutHanging) {
   Machine m(4);
   EXPECT_THROW(m.run([](Rank& r) {
