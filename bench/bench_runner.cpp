@@ -530,7 +530,7 @@ void run_oracle_cases(std::vector<Record>& records) {
 /// L and B, so streams never contend on a handle), served two ways over
 /// the SAME pre-uploaded operands — a serial loop (execute_dist +
 /// download per request, in admission order) versus api::StreamPool
-/// keeping CATRSM_SIM_STREAMS runs in flight while the host downloads
+/// keeping sim::kMaxStreams runs in flight while the host downloads
 /// finished solutions. Both walls are committed as solves/sec-derivable
 /// records; every concurrent solution must match its serial counterpart
 /// bit for bit, and every request's modeled S/W/F + critical time must be

@@ -41,7 +41,7 @@
 //
 // EXECUTION STREAMS: the _async variants (Plan::execute_dist_async,
 // Program::run_async) launch the simulated run and return a future-like
-// ticket immediately; up to CATRSM_SIM_STREAMS runs overlap on the
+// ticket immediately; up to sim::kMaxStreams (4) runs overlap on the
 // machine's shared worker pool (api::StreamPool in stream_pool.hpp
 // round-robins whole request queues across several Contexts).
 // Concurrent streams produce bitwise the same results as the same calls
@@ -366,7 +366,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
                               const DistHandle& b = DistHandle());
 
   /// Launch execute_dist as an independent execution stream and return a
-  /// ticket immediately. Up to CATRSM_SIM_STREAMS runs overlap on the
+  /// ticket immediately. Up to sim::kMaxStreams runs overlap on the
   /// machine; a launch that shares a handle with an in-flight run blocks
   /// until that run completes, so results are bitwise identical to the
   /// serial call order. execute_dist is exactly
@@ -541,12 +541,6 @@ class Context {
   /// (e.g. it was produced by a Program run, not uploaded).
   void repair(const DistHandle& h);
 
-  /// When enabled, Plan::execute_dist and Program::run transparently
-  /// repair() poisoned INPUT handles (that have sources) instead of
-  /// throwing — the retry path after a detected fault.
-  void set_auto_repair(bool on) { auto_repair_ = on; }
-  bool auto_repair() const { return auto_repair_; }
-
   CacheStats cache_stats() const { return stats_; }
 
  private:
@@ -574,7 +568,6 @@ class Context {
   std::unique_ptr<sim::Machine> owned_;
   sim::Machine* machine_;
   std::size_t capacity_;
-  bool auto_repair_ = false;
   CacheStats stats_;
   // LRU: most recently used at the front.
   std::list<std::pair<std::string, std::shared_ptr<Plan>>> lru_;

@@ -181,9 +181,7 @@ Program::AsyncResult Program::run_async(
   const int p = machine.nprocs();
 
   // Bind input layouts for this run and validate the handles. A poisoned
-  // input is repaired transparently when the Context allows it (the
-  // retry-after-fault path); otherwise it fails fast here, before any
-  // simulated work.
+  // input fails fast here, before any simulated work.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
     if (node.input_index < 0) continue;
@@ -193,13 +191,10 @@ Program::AsyncResult Program::run_async(
                  "program: input handle belongs to a different machine");
     CATRSM_CHECK(h.rows() == node.rows && h.cols() == node.cols,
                  "program: input handle shape mismatch");
-    if (store.poisoned(h.id())) {
-      if (!ctx_->auto_repair())
-        throw PoisonedOperandError(
-            "program: input operand was touched by a faulted run — "
-            "Context::repair it (or set_auto_repair(true)) before retrying");
-      ctx_->repair(h);
-    }
+    if (store.poisoned(h.id()))
+      throw PoisonedOperandError(
+          "program: input operand was touched by a faulted run — "
+          "Context::repair it before retrying");
     node.layout = h.layout();
   }
 

@@ -1,15 +1,10 @@
 #include "api/stream_pool.hpp"
 
-#include <climits>
 #include <utility>
 
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace catrsm::api {
-
-StreamPool::StreamPool()
-    : max_(env::int_or("CATRSM_SIM_STREAMS", 4, 1, INT_MAX)) {}
 
 int StreamPool::add_tenant(Context& ctx) {
   tenants_.push_back(&ctx);
@@ -47,7 +42,8 @@ void StreamPool::admit() {
   // Round-robin across tenants with queued work; the cursor persists
   // across calls so service order stays fair between polls.
   int idle_scans = 0;
-  while (static_cast<int>(inflight_.size()) < max_ && idle_scans < nt) {
+  while (static_cast<int>(inflight_.size()) < sim::kMaxStreams &&
+         idle_scans < nt) {
     const int t = rr_;
     rr_ = (rr_ + 1) % nt;
     std::deque<Request>& q = queues_[static_cast<std::size_t>(t)];

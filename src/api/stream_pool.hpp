@@ -8,7 +8,7 @@
 // starve the others. Completions (results or captured errors) are
 // surfaced in completion order through poll()/drain().
 //
-//   api::StreamPool pool;                       // CATRSM_SIM_STREAMS wide
+//   api::StreamPool pool;                       // sim::kMaxStreams wide
 //   const int t0 = pool.add_tenant(ctx0);
 //   const int t1 = pool.add_tenant(ctx1);
 //   pool.submit(t0, plan_a, hl, hb);
@@ -43,9 +43,9 @@ class StreamPool {
     std::exception_ptr error;
   };
 
-  /// The pool is CATRSM_SIM_STREAMS wide — the machine's own stream cap,
+  /// The pool is sim::kMaxStreams wide — the machine's own stream cap,
   /// so admission never blocks on it.
-  StreamPool();
+  StreamPool() = default;
 
   StreamPool(const StreamPool&) = delete;
   StreamPool& operator=(const StreamPool&) = delete;
@@ -81,7 +81,7 @@ class StreamPool {
 
   /// Requests accepted but not yet surfaced as completions.
   std::size_t pending() const;
-  int max_inflight() const { return max_; }
+  int max_inflight() const { return sim::kMaxStreams; }
 
  private:
   struct Request {
@@ -100,7 +100,6 @@ class StreamPool {
   Completion finish(InFlight& f);
   void admit();
 
-  int max_;
   int next_id_ = 0;
   int rr_ = 0;  // next tenant the round-robin cursor offers admission to
   std::vector<Context*> tenants_;

@@ -15,13 +15,9 @@ std::optional<Backend> parse_backend(const std::string& s) {
   return std::nullopt;
 }
 
-bool usable(Backend b) {
-  return microkernel_for(b) != nullptr && cpu_supports(b);
-}
-
 Backend widest_supported() {
-  if (usable(Backend::kAvx512)) return Backend::kAvx512;
-  if (usable(Backend::kAvx2)) return Backend::kAvx2;
+  if (cpu_supports(Backend::kAvx512)) return Backend::kAvx512;
+  if (cpu_supports(Backend::kAvx2)) return Backend::kAvx2;
   return Backend::kScalar;
 }
 
@@ -33,8 +29,8 @@ Backend select() {
     if (!want.has_value()) {
       env::warn_invalid("CATRSM_KERNEL", "not recognized (scalar|avx2|avx512)",
                         microkernel_for(chosen)->name);
-    } else if (!usable(*want)) {
-      env::warn_invalid("CATRSM_KERNEL", "not supported on this CPU/build",
+    } else if (!cpu_supports(*want)) {
+      env::warn_invalid("CATRSM_KERNEL", "not supported on this CPU",
                         microkernel_for(chosen)->name);
     } else {
       chosen = *want;
@@ -66,15 +62,10 @@ bool cpu_supports(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return true;
-#ifdef CATRSM_UKR_X86
     case Backend::kAvx2:
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
     case Backend::kAvx512:
       return __builtin_cpu_supports("avx512f");
-#else
-    default:
-      return false;
-#endif
   }
   return false;
 }

@@ -8,17 +8,12 @@ namespace catrsm::la::kernel {
 
 namespace {
 
-// Cache blocking per element type: an MC x KC packed panel of A lives in
-// L2 while KC x NC of packed B streams from L3. MC is a common multiple
-// of every backend's MR so full strips dominate; NC likewise for NR.
-template <class T>
-struct Blocking;
-template <>
-struct Blocking<double> {
-  static constexpr index_t kMc = 144;
-  static constexpr index_t kKc = 256;
-  static constexpr index_t kNc = 1024;
-};
+// Cache blocking: an MC x KC packed panel of A lives in L2 while KC x NC
+// of packed B streams from L3. MC is a common multiple of every backend's
+// MR so full strips dominate; NC likewise for NR.
+constexpr index_t kMc = 144;
+constexpr index_t kKc = 256;
+constexpr index_t kNc = 1024;
 
 // Below this m*n*k the packing and dispatch overhead beats the gain; run a
 // branch-free naive loop instead (identical results up to summation order).
@@ -56,14 +51,14 @@ enum class Tri { kDense, kLower, kUpper };
 /// (kUpper) element (i, l) is read only when l <= i + off (l >= i + off),
 /// `off` being the panel's first row minus its first column in the whole
 /// matrix, and packs as zero otherwise.
-template <class T, Tri kTri = Tri::kDense>
-void pack_a_strips(const T* a, index_t lda, index_t m, index_t k, T alpha,
-                   index_t mr_full, T* ap, index_t s0, index_t s1,
-                   index_t off = 0) {
+template <Tri kTri = Tri::kDense>
+void pack_a_strips(const double* a, index_t lda, index_t m, index_t k,
+                   double alpha, index_t mr_full, double* ap, index_t s0,
+                   index_t s1, index_t off = 0) {
   for (index_t s = s0; s < s1; ++s) {
     const index_t i0 = s * mr_full;
     const index_t mr = std::min(mr_full, m - i0);
-    T* dst = ap + s * k * mr_full;
+    double* dst = ap + s * k * mr_full;
     for (index_t l = 0; l < k; ++l) {
       // The strip's rows [lo, hi) hold column l's elements of the triangle.
       index_t lo = 0;
@@ -72,41 +67,39 @@ void pack_a_strips(const T* a, index_t lda, index_t m, index_t k, T alpha,
         lo = std::clamp<index_t>(l - off - i0, 0, mr);
       if constexpr (kTri == Tri::kUpper)
         hi = std::clamp<index_t>(l - off - i0 + 1, 0, mr);
-      for (index_t i = 0; i < lo; ++i) dst[l * mr_full + i] = T(0);
+      for (index_t i = 0; i < lo; ++i) dst[l * mr_full + i] = 0.0;
       for (index_t i = lo; i < hi; ++i)
         dst[l * mr_full + i] = alpha * a[(i0 + i) * lda + l];
-      for (index_t i = hi; i < mr_full; ++i) dst[l * mr_full + i] = T(0);
+      for (index_t i = hi; i < mr_full; ++i) dst[l * mr_full + i] = 0.0;
     }
   }
 }
 
 /// Pack nr-column strips [s0, s1) of B(k x n, stride ldb), row-major
 /// within each strip, zero-padded past n. Disjoint writes per strip (and
-/// strip boundaries land on cache lines: k * nr_full * sizeof(T) is a
+/// strip boundaries land on cache lines: k * nr_full * sizeof(double) is a
 /// multiple of 64 for every backend), so cooperative packing never
 /// false-shares.
-template <class T>
-void pack_b_strips(const T* b, index_t ldb, index_t k, index_t n,
-                   index_t nr_full, T* bp, index_t s0, index_t s1) {
+void pack_b_strips(const double* b, index_t ldb, index_t k, index_t n,
+                   index_t nr_full, double* bp, index_t s0, index_t s1) {
   for (index_t s = s0; s < s1; ++s) {
     const index_t j0 = s * nr_full;
     const index_t nr = std::min(nr_full, n - j0);
-    T* dst = bp + s * k * nr_full;
+    double* dst = bp + s * k * nr_full;
     for (index_t l = 0; l < k; ++l) {
-      const T* brow = b + l * ldb + j0;
+      const double* brow = b + l * ldb + j0;
       for (index_t j = 0; j < nr; ++j) dst[l * nr_full + j] = brow[j];
-      for (index_t j = nr; j < nr_full; ++j) dst[l * nr_full + j] = T(0);
+      for (index_t j = nr; j < nr_full; ++j) dst[l * nr_full + j] = 0.0;
     }
   }
 }
 
-template <class T>
-void apply_beta(T beta, index_t m, index_t n, T* c, index_t ldc) {
-  if (beta == T(1)) return;
+void apply_beta(double beta, index_t m, index_t n, double* c, index_t ldc) {
+  if (beta == 1.0) return;
   for (index_t i = 0; i < m; ++i) {
-    T* crow = c + i * ldc;
-    if (beta == T(0)) {
-      std::fill(crow, crow + n, T(0));
+    double* crow = c + i * ldc;
+    if (beta == 0.0) {
+      std::fill(crow, crow + n, 0.0);
     } else {
       for (index_t j = 0; j < n; ++j) crow[j] *= beta;
     }
@@ -115,14 +108,14 @@ void apply_beta(T beta, index_t m, index_t n, T* c, index_t ldc) {
 
 /// Branch-free i-l-j loop for small products, alpha folded into the A
 /// element (C += alpha * A * B; beta already applied).
-template <class T>
-void gemm_naive(index_t m, index_t n, index_t k, T alpha, const T* a,
-                index_t lda, const T* b, index_t ldb, T* c, index_t ldc) {
+void gemm_naive(index_t m, index_t n, index_t k, double alpha,
+                const double* a, index_t lda, const double* b, index_t ldb,
+                double* c, index_t ldc) {
   for (index_t i = 0; i < m; ++i) {
-    T* crow = c + i * ldc;
+    double* crow = c + i * ldc;
     for (index_t l = 0; l < k; ++l) {
-      const T av = alpha * a[i * lda + l];
-      const T* brow = b + l * ldb;
+      const double av = alpha * a[i * lda + l];
+      const double* brow = b + l * ldb;
       for (index_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
@@ -132,10 +125,9 @@ void gemm_naive(index_t m, index_t n, index_t k, T alpha, const T* a,
 /// panels of depth kc. The store mode never changes the computed tile
 /// values — accumulate adds them to C, assign overwrites C (legal only on
 /// the first K pass of a beta == 0 product, where the old C is dead).
-template <class T>
-void macro_tile(const MicroKernelT<T>& uk, index_t kc, const T* ap,
-                const T* bp, T* ct, index_t ldc, index_t mr, index_t nr,
-                Store mode) {
+void macro_tile(const MicroKernel& uk, index_t kc, const double* ap,
+                const double* bp, double* ct, index_t ldc, index_t mr,
+                index_t nr, Store mode) {
   const index_t nr_full = uk.nr;
   if (mr == uk.mr && nr == nr_full) {
     if (mode == Store::kAccum) {
@@ -147,11 +139,11 @@ void macro_tile(const MicroKernelT<T>& uk, index_t kc, const T* ap,
   }
   // Partial tile: compute a full-size local tile (the packed panels are
   // zero-padded) and write back only the live part.
-  alignas(64) T tile[kMaxMr * kMaxNr] = {};
+  alignas(64) double tile[kMaxMr * kMaxNr] = {};
   uk.run(kc, ap, bp, tile, nr_full);
   for (index_t i = 0; i < mr; ++i) {
-    T* crow = ct + i * ldc;
-    const T* trow = tile + i * nr_full;
+    double* crow = ct + i * ldc;
+    const double* trow = tile + i * nr_full;
     if (mode == Store::kAccum) {
       for (index_t j = 0; j < nr; ++j) crow[j] += trow[j];
     } else {
@@ -171,15 +163,15 @@ struct StripCut {
 /// One jr strip of the macro-kernel: every ir strip of the mc x nc block
 /// against packed panels of depth kc, each over the K range cut(ir, mr)
 /// gives it (an empty range skips the strip).
-template <class T, class Cut>
-void macro_strip(const MicroKernelT<T>& uk, index_t kc, index_t mc,
-                 index_t nc, const T* apack, const T* bpack, T* c,
+template <class Cut>
+void macro_strip(const MicroKernel& uk, index_t kc, index_t mc, index_t nc,
+                 const double* apack, const double* bpack, double* c,
                  index_t ldc, index_t jr_strip, const Cut& cut) {
   const index_t mr_full = uk.mr;
   const index_t nr_full = uk.nr;
   const index_t jr = jr_strip * nr_full;
   const index_t nr = std::min(nr_full, nc - jr);
-  const T* bp = bpack + jr * kc;
+  const double* bp = bpack + jr * kc;
   for (index_t ir = 0; ir < mc; ir += mr_full) {
     const index_t mr = std::min(mr_full, mc - ir);
     const StripCut sc = cut(ir, mr);
@@ -213,15 +205,14 @@ void run_product(index_t m, index_t n, index_t k, index_t mr,
 /// Everything a team participant needs. The B pack buffer is shared (the
 /// master's arena); A panels are per-thread (each participant's own
 /// arena).
-template <class T>
 struct TeamCtx {
-  const MicroKernelT<T>* uk;
+  const MicroKernel* uk;
   index_t m, n, k, lda, ldb, ldc;
-  T alpha;
-  const T* a;
-  const T* b;
-  T* c;
-  T* bpack;
+  double alpha;
+  const double* a;
+  const double* b;
+  double* c;
+  double* bpack;
   bool beta_zero;   // first K pass may overwrite C
   TeamBarrier* barrier;
 };
@@ -234,15 +225,11 @@ struct TeamCtx {
 /// be complete before anyone consumes it, and fully consumed before
 /// anyone repacks it. Called directly as (0, 1) on the single-threaded
 /// path, so both paths execute literally the same arithmetic.
-template <class T>
 void gemm_team_body(int tid, int nt, void* p) {
-  auto& tc = *static_cast<TeamCtx<T>*>(p);
-  const MicroKernelT<T>& uk = *tc.uk;
+  auto& tc = *static_cast<TeamCtx*>(p);
+  const MicroKernel& uk = *tc.uk;
   const index_t mr_full = uk.mr;
   const index_t nr_full = uk.nr;
-  constexpr index_t kMc = Blocking<T>::kMc;
-  constexpr index_t kKc = Blocking<T>::kKc;
-  constexpr index_t kNc = Blocking<T>::kNc;
 
   // This thread's band of C rows, split on micro-tile boundaries.
   const index_t mstrips = (tc.m + mr_full - 1) / mr_full;
@@ -251,9 +238,9 @@ void gemm_team_body(int tid, int nt, void* p) {
   const index_t band_m = band1 - band0;
 
   // Per-thread A arena (thread-local: workers each get their own).
-  T* apack = nullptr;
+  double* apack = nullptr;
   if (band_m > 0)
-    apack = pack_arena_a().ensure<T>(static_cast<std::size_t>(
+    apack = pack_arena_a().ensure(static_cast<std::size_t>(
         round_up(std::min(kMc, band_m), mr_full) * std::min(kKc, tc.k)));
 
   for (index_t jc = 0; jc < tc.n; jc += kNc) {
@@ -285,18 +272,15 @@ void gemm_team_body(int tid, int nt, void* p) {
   }
 }
 
-template <class T>
-void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
-                 T alpha, const T* a, index_t lda, const T* b, index_t ldb,
-                 T beta, T* c, index_t ldc) {
+void gemm_packed(const MicroKernel& uk, index_t m, index_t n, index_t k,
+                 double alpha, const double* a, index_t lda, const double* b,
+                 index_t ldb, double beta, double* c, index_t ldc) {
   const index_t nr_full = uk.nr;
-  constexpr index_t kKc = Blocking<T>::kKc;
-  constexpr index_t kNc = Blocking<T>::kNc;
 
   // beta == 0 skips the zero-fill pass entirely: the first K pass of the
   // macro-kernel overwrites C (same values — 0 + x == x for every x an
   // accumulator can produce).
-  const bool beta_zero = beta == T(0);
+  const bool beta_zero = beta == 0.0;
   if (!beta_zero) apply_beta(beta, m, n, c, ldc);
 
   // Packing scratch comes from thread-local arenas: no allocation (and
@@ -306,21 +290,21 @@ void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
   // shared by the whole team; workers only receive the pointer through
   // the dispatch (which synchronizes), and every write between barriers
   // is to a disjoint strip.
-  T* bpack = pack_arena_b().ensure<T>(static_cast<std::size_t>(
+  double* bpack = pack_arena_b().ensure(static_cast<std::size_t>(
       std::min(kKc, k) * round_up(std::min(kNc, n), nr_full)));
 
   TeamBarrier barrier;
-  TeamCtx<T> ctx{&uk, m, n, k, lda, ldb, ldc, alpha,
-                 a,   b, c, bpack, beta_zero, &barrier};
-  run_product(m, n, k, uk.mr, gemm_team_body<T>, &ctx);
+  TeamCtx ctx{&uk, m, n, k, lda, ldb, ldc, alpha,
+              a,   b, c, bpack, beta_zero, &barrier};
+  run_product(m, n, k, uk.mr, gemm_team_body, &ctx);
 }
 
-template <class T>
-void gemm_entry(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
-                T alpha, const T* a, index_t lda, const T* b, index_t ldb,
-                T beta, T* c, index_t ldc, bool allow_naive) {
+void gemm_entry(const MicroKernel& uk, index_t m, index_t n, index_t k,
+                double alpha, const double* a, index_t lda, const double* b,
+                index_t ldb, double beta, double* c, index_t ldc,
+                bool allow_naive) {
   if (m == 0 || n == 0) return;
-  if (alpha == T(0) || k == 0) {
+  if (alpha == 0.0 || k == 0) {
     apply_beta(beta, m, n, c, ldc);
     return;
   }
@@ -334,15 +318,14 @@ void gemm_entry(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
 
 /// What a trmm participant needs; unlike gemm's, nothing is shared but
 /// the read-only operands.
-template <class T>
 struct TrmmCtx {
-  const MicroKernelT<T>* uk;
+  const MicroKernel* uk;
   bool lower;
   index_t n, k, ldt, ldb, ldc;
-  T alpha, beta;
-  const T* t;
-  const T* b;
-  T* c;
+  double alpha, beta;
+  const double* t;
+  const double* b;
+  double* c;
 };
 
 /// Rows [r0, r1) of participant tid of nt: whole mr-row strips, cut where
@@ -369,28 +352,24 @@ std::pair<index_t, index_t> triangle_band(bool lower, index_t n, index_t mr,
 /// diagonal; the other triangle packs as zero and is never read. So every
 /// element sums the same nonzero terms in the same order as the dense
 /// product with that triangle zero, at any team size.
-template <class T>
 void trmm_team_body(int tid, int nt, void* p) {
-  const auto& tc = *static_cast<const TrmmCtx<T>*>(p);
-  const MicroKernelT<T>& uk = *tc.uk;
+  const auto& tc = *static_cast<const TrmmCtx*>(p);
+  const MicroKernel& uk = *tc.uk;
   const index_t mr_full = uk.mr;
   const index_t nr_full = uk.nr;
-  constexpr index_t kMc = Blocking<T>::kMc;
-  constexpr index_t kKc = Blocking<T>::kKc;
-  constexpr index_t kNc = Blocking<T>::kNc;
 
   const auto [r0, r1] = triangle_band(tc.lower, tc.n, mr_full, tid, nt);
   if (r0 == r1) return;
-  const bool beta_zero = tc.beta == T(0);
+  const bool beta_zero = tc.beta == 0.0;
   if (!beta_zero) apply_beta(tc.beta, r1 - r0, tc.k, tc.c + r0 * tc.ldc,
                              tc.ldc);
   // The columns of T, rows of B, that the band reads.
   const index_t need_lo = tc.lower ? 0 : r0;
   const index_t need_hi = tc.lower ? r1 : tc.n;
 
-  T* apack = pack_arena_a().ensure<T>(static_cast<std::size_t>(
+  double* apack = pack_arena_a().ensure(static_cast<std::size_t>(
       round_up(std::min(kMc, r1 - r0), mr_full) * std::min(kKc, tc.n)));
-  T* bpack = pack_arena_b().ensure<T>(static_cast<std::size_t>(
+  double* bpack = pack_arena_b().ensure(static_cast<std::size_t>(
       std::min(kKc, tc.n) * round_up(std::min(kNc, tc.k), nr_full)));
 
   for (index_t jc = 0; jc < tc.k; jc += kNc) {
@@ -408,13 +387,13 @@ void trmm_team_body(int tid, int nt, void* p) {
         if (tc.lower ? klo >= ic + mc : khi <= ic) continue;
         const index_t astrips = (mc + mr_full - 1) / mr_full;
         if (tc.lower) {
-          pack_a_strips<T, Tri::kLower>(tc.t + ic * tc.ldt + klo, tc.ldt, mc,
-                                        kc, tc.alpha, mr_full, apack, 0,
-                                        astrips, ic - klo);
+          pack_a_strips<Tri::kLower>(tc.t + ic * tc.ldt + klo, tc.ldt, mc,
+                                     kc, tc.alpha, mr_full, apack, 0,
+                                     astrips, ic - klo);
         } else {
-          pack_a_strips<T, Tri::kUpper>(tc.t + ic * tc.ldt + klo, tc.ldt, mc,
-                                        kc, tc.alpha, mr_full, apack, 0,
-                                        astrips, ic - klo);
+          pack_a_strips<Tri::kUpper>(tc.t + ic * tc.ldt + klo, tc.ldt, mc,
+                                     kc, tc.alpha, mr_full, apack, 0,
+                                     astrips, ic - klo);
         }
         // A strip reads this block up to its last row (lower) or from its
         // first (upper). Its first block of the triangle assigns when
@@ -472,8 +451,8 @@ void trmm(bool lower, index_t n, index_t k, double alpha, const double* t,
     return;
   }
   const MicroKernel& uk = active_microkernel();
-  TrmmCtx<double> ctx{&uk, lower, n, k, ldt, ldb, ldc, alpha, beta, t, b, c};
-  run_product(n, k, n, uk.mr, trmm_team_body<double>, &ctx);
+  TrmmCtx ctx{&uk, lower, n, k, ldt, ldb, ldc, alpha, beta, t, b, c};
+  run_product(n, k, n, uk.mr, trmm_team_body, &ctx);
 }
 
 }  // namespace catrsm::la::kernel

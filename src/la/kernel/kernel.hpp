@@ -57,17 +57,16 @@ enum class Backend { kScalar, kAvx2, kAvx512 };
 /// run_store writes the tile instead of accumulating (c = tile; C may be
 /// uninitialized), used on the first K-blocking pass when beta == 0. Both
 /// compute bit-identical values — only the final tile write differs.
-template <class T>
-struct MicroKernelT {
+struct MicroKernel {
   Backend backend;
   const char* name;
   int mr;
   int nr;
-  void (*run)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
-  void (*run_store)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
+  void (*run)(index_t kc, const double* ap, const double* bp, double* c,
+              index_t ldc);
+  void (*run_store)(index_t kc, const double* ap, const double* bp,
+                    double* c, index_t ldc);
 };
-
-using MicroKernel = MicroKernelT<double>;
 
 /// The micro-kernel the process dispatched to (resolved once, thread-safe).
 /// Order of precedence: CATRSM_KERNEL env var if set and usable, else the
@@ -77,8 +76,8 @@ const MicroKernel& active_microkernel();
 Backend active_backend();
 const char* backend_name();
 
-/// Kernel for a specific backend, or nullptr when it was compiled out
-/// (non-x86 build). Does not check CPU support — see cpu_supports().
+/// Kernel for a specific backend. Does not check CPU support — see
+/// cpu_supports().
 const MicroKernel* microkernel_for(Backend b);
 
 /// Whether the running CPU can execute this backend's instructions.

@@ -1,5 +1,7 @@
 #include "la/kernel/pool.hpp"
 
+#include <immintrin.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <limits>
@@ -10,10 +12,6 @@
 
 #include "support/env.hpp"
 #include "support/exec_context.hpp"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace catrsm::la::kernel {
 
@@ -39,14 +37,6 @@ int env_threads() {
 /// idle core-slice after the last kernel call of a burst.
 constexpr std::chrono::microseconds kSpin{120};
 
-inline void cpu_pause() {
-#if defined(__x86_64__)
-  _mm_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
 using SpinClock = std::chrono::steady_clock;
 
 /// Spin on `done` with pause hints for ~kSpin, then yield between
@@ -56,7 +46,7 @@ void spin_then_yield(F&& done) {
   const auto deadline = SpinClock::now() + kSpin;
   int slice = 0;
   while (!done()) {
-    cpu_pause();
+    _mm_pause();
     if (++slice >= 256) {
       slice = 0;
       if (SpinClock::now() > deadline) {
@@ -148,7 +138,7 @@ struct ThreadPool::Impl {
       if ((w & kSeqMask) != seen_seq ||
           shutdown.load(std::memory_order_acquire))
         return w;
-      cpu_pause();
+      _mm_pause();
       if (++slice >= 256) {
         slice = 0;
         if (SpinClock::now() > deadline) break;
@@ -252,13 +242,14 @@ PackArena::~PackArena() {
     ::operator delete(data_, std::align_val_t{64});
 }
 
-void* PackArena::ensure_bytes(std::size_t bytes) {
-  if (bytes > capacity_) {
-    std::size_t cap = capacity_ > 0 ? capacity_ : 8192;
-    while (cap < bytes) cap *= 2;
+double* PackArena::ensure(std::size_t count) {
+  if (count > capacity_) {
+    std::size_t cap = capacity_ > 0 ? capacity_ : 1024;
+    while (cap < count) cap *= 2;
     if (data_ != nullptr)
       ::operator delete(data_, std::align_val_t{64});
-    data_ = ::operator new(cap, std::align_val_t{64});
+    data_ = static_cast<double*>(
+        ::operator new(cap * sizeof(double), std::align_val_t{64}));
     capacity_ = cap;
   }
   return data_;

@@ -101,18 +101,13 @@ class PackArena {
   PackArena(const PackArena&) = delete;
   PackArena& operator=(const PackArena&) = delete;
 
-  /// A buffer of at least `count` elements of T, 64-byte aligned,
-  /// contents unspecified. Grows geometrically and never shrinks.
-  template <class T>
-  T* ensure(std::size_t count) {
-    return static_cast<T*>(ensure_bytes(count * sizeof(T)));
-  }
+  /// A buffer of at least `count` doubles, 64-byte aligned, contents
+  /// unspecified. Grows geometrically and never shrinks.
+  double* ensure(std::size_t count);
 
  private:
-  void* ensure_bytes(std::size_t bytes);
-
-  void* data_ = nullptr;
-  std::size_t capacity_ = 0;  // bytes
+  double* data_ = nullptr;
+  std::size_t capacity_ = 0;  // elements
 };
 
 /// Thread-local arenas for the packed A and B panels.

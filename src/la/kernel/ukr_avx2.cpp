@@ -7,13 +7,9 @@
 // macro — only the final tile write differs, so the accumulated values
 // are bit-identical across variants by construction.
 
-#ifdef CATRSM_UKR_X86
 #include <immintrin.h>
-#endif
 
 namespace catrsm::la::kernel {
-
-#ifdef CATRSM_UKR_X86
 
 namespace {
 
@@ -80,11 +76,5 @@ const MicroKernel* avx2_microkernel() {
                              run_f64,        run_store_f64};
   return &k;
 }
-
-#else  // non-x86 build: backend compiled out
-
-const MicroKernel* avx2_microkernel() { return nullptr; }
-
-#endif
 
 }  // namespace catrsm::la::kernel

@@ -4,13 +4,9 @@
 // variants that differ only in the final tile write. Only
 // avx512f is required, which every AVX-512 CPU provides.
 
-#ifdef CATRSM_UKR_X86
 #include <immintrin.h>
-#endif
 
 namespace catrsm::la::kernel {
-
-#ifdef CATRSM_UKR_X86
 
 namespace {
 
@@ -78,11 +74,5 @@ const MicroKernel* avx512_microkernel() {
                              run_f64,          run_store_f64};
   return &k;
 }
-
-#else  // non-x86 build: backend compiled out
-
-const MicroKernel* avx512_microkernel() { return nullptr; }
-
-#endif
 
 }  // namespace catrsm::la::kernel

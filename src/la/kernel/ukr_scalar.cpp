@@ -4,12 +4,6 @@ namespace catrsm::la::kernel {
 
 namespace {
 
-#if defined(__GNUC__) || defined(__clang__)
-#define CATRSM_PREFETCH(p) __builtin_prefetch((p), 0, 3)
-#else
-#define CATRSM_PREFETCH(p) ((void)0)
-#endif
-
 // 4x8 accumulator tile in plain C. The fixed trip
 // counts let the compiler keep the tile in registers and auto-vectorize
 // to whatever the baseline ISA offers; there are deliberately no
@@ -27,8 +21,8 @@ void run_impl(index_t kc, const double* ap, const double* bp, double* c,
               index_t ldc) {
   double acc[kMr][kNr] = {};
   for (index_t l = 0; l < kc; ++l) {
-    CATRSM_PREFETCH(ap + kMr * kPrefetchAhead);
-    CATRSM_PREFETCH(bp + kNr * kPrefetchAhead);
+    __builtin_prefetch(ap + kMr * kPrefetchAhead, 0, 3);
+    __builtin_prefetch(bp + kNr * kPrefetchAhead, 0, 3);
     for (int i = 0; i < kMr; ++i)
       for (int j = 0; j < kNr; ++j) acc[i][j] += ap[i] * bp[j];
     ap += kMr;

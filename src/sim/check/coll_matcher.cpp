@@ -108,10 +108,4 @@ std::string CollectiveMatcher::context_of(int world_rank) const {
   return last_context_[static_cast<std::size_t>(world_rank)];
 }
 
-void CollectiveMatcher::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  epochs_.clear();
-  for (auto& c : last_context_) c.clear();
-}
-
 }  // namespace catrsm::sim::check

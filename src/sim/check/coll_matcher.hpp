@@ -4,7 +4,7 @@
 // PARCOACH-style collective-correctness checking, done exactly instead of
 // conservatively: the simulator sees every rank's actual calls, so each
 // coll:: entry point registers (communicator epoch, op family, root,
-// per-rank counts) with this per-machine matcher, and the FIRST rank to
+// per-rank counts) with this per-run matcher, and the FIRST rank to
 // diverge from its peers faults immediately — with both sides' records in
 // the message — instead of producing a tag mismatch that blocks forever.
 //
@@ -55,9 +55,6 @@ class CollectiveMatcher {
   /// One-line description of the rank's most recent collective entry
   /// (empty when it never entered one). Feeds the deadlock dump.
   std::string context_of(int world_rank) const;
-
-  /// Forget all state (called at the start of every Machine::run).
-  void reset();
 
  private:
   /// First entrant's record for one (epoch, sequence-number) call slot.

@@ -19,16 +19,12 @@ std::uint64_t hash_words(const double* data, std::size_t n) {
 // ---------------------------------------------------------------------------
 // TraceRecorder
 
-TraceRecorder::TraceRecorder(int p, bool capture_payloads)
-    : p_(p), capture_payloads_(capture_payloads) {}
-
-void TraceRecorder::begin_run(const MachineParams& params) {
-  complete_ = false;
-  trace_ = Trace{};
-  trace_.p = p_;
-  trace_.payloads = capture_payloads_;
+TraceRecorder::TraceRecorder(int p, const MachineParams& params,
+                             bool capture_payloads) {
+  trace_.p = p;
+  trace_.payloads = capture_payloads;
   trace_.params = params;
-  trace_.events.assign(static_cast<std::size_t>(p_), {});
+  trace_.events.resize(static_cast<std::size_t>(p));
 }
 
 void TraceRecorder::on_send(int rank, int dst, int tag, const Buffer& data,
@@ -40,7 +36,7 @@ void TraceRecorder::on_send(int rank, int dst, int tag, const Buffer& data,
   ev.words = data.size();
   ev.hash = hash_words(data.data(), data.size());
   ev.vtime = vtime;
-  if (capture_payloads_) ev.payload = data.to_vector();
+  if (trace_.payloads) ev.payload = data.to_vector();
   trace_.events[static_cast<std::size_t>(rank)].push_back(std::move(ev));
 }
 
@@ -69,7 +65,7 @@ void TraceRecorder::on_shift(int rank, int dst, int src, int tag,
   ev.hash = hash_words(got.data(), got.size());
   ev.hash2 = hash_words(sent.data(), sent.size());
   ev.vtime = vtime;
-  if (capture_payloads_) ev.payload = sent.to_vector();
+  if (trace_.payloads) ev.payload = sent.to_vector();
   trace_.events[static_cast<std::size_t>(rank)].push_back(std::move(ev));
 }
 

@@ -77,14 +77,14 @@ struct Trace {
 /// FNV-1a 64-bit over the byte representation of `data[0..n)`.
 std::uint64_t hash_words(const double* data, std::size_t n);
 
-/// Per-machine event recorder; hooks in Rank::send/recv/shift/charge_flops
+/// Per-run event recorder; hooks in Rank::send/recv/shift/charge_flops
 /// and the coll:: entry points feed it. All methods are called by the
 /// owning rank only, so per-rank streams need no locking.
 class TraceRecorder {
  public:
-  TraceRecorder(int p, bool capture_payloads);
+  /// Writes the trace header; one recorder records one run.
+  TraceRecorder(int p, const MachineParams& params, bool capture_payloads);
 
-  void begin_run(const MachineParams& params);
   void on_send(int rank, int dst, int tag, const Buffer& data, double vtime);
   void on_recv(int rank, int src, int tag, const Buffer& data, double vtime);
   void on_shift(int rank, int dst, int src, int tag, const Buffer& sent,
@@ -96,19 +96,16 @@ class TraceRecorder {
                   const std::vector<double>& final_vtime,
                   double critical_time);
 
-  /// Move the finished trace out (the recorder stays armed for the next
-  /// run).
+  /// Move the finished trace out.
   Trace take();
 
-  /// True when the most recent run reached finish_run — i.e. the trace is
+  /// True when the run reached finish_run — i.e. the trace is
   /// finalized and replayable. A faulted run leaves this false (its
   /// events stop at the fault and final costs were never recorded), and
   /// Machine::take_trace refuses to hand out such a torso.
   bool run_complete() const { return complete_; }
 
  private:
-  int p_;
-  bool capture_payloads_;
   bool complete_ = false;
   Trace trace_;
 };

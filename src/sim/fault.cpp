@@ -135,7 +135,8 @@ std::string FaultPlan::describe() const {
 // ---------------------------------------------------------------------------
 // FaultInjector
 
-FaultInjector::FaultInjector(FaultPlan plan, int p) : plan_(plan), p_(p) {
+FaultInjector::FaultInjector(FaultPlan plan, int p)
+    : plan_(plan), ranks_(static_cast<std::size_t>(p)) {
   CATRSM_CHECK(p >= 1, "fault injector needs at least one rank");
   if (plan_.rate < 1) plan_.rate = 1;
   // The kill site is fixed per plan, not per site hash: one victim rank
@@ -143,23 +144,6 @@ FaultInjector::FaultInjector(FaultPlan plan, int p) : plan_(plan), p_(p) {
   Rng rng(plan_.seed ^ 0x4B494C4Cull);  // "KILL"
   kill_victim_ = static_cast<int>(rng.uniform_int(0, p - 1));
   kill_op_ = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
-  pair_seq_.resize(static_cast<std::size_t>(p) * static_cast<std::size_t>(p));
-  recv_seq_.resize(static_cast<std::size_t>(p));
-  op_count_.assign(static_cast<std::size_t>(p), 0);
-  coll_seq_.resize(static_cast<std::size_t>(p));
-}
-
-void FaultInjector::begin_run() {
-  for (PairSeq& ps : pair_seq_) {
-    ps.next.clear();
-    ps.band_next.clear();
-  }
-  for (RecvSeq& rs : recv_seq_) rs.last.clear();
-  op_count_.assign(op_count_.size(), 0);
-  for (auto& per_group : coll_seq_) per_group.clear();
-  std::lock_guard<std::mutex> lk(log_mu_);
-  injections_ = 0;
-  log_.clear();
 }
 
 bool FaultInjector::fires(std::uint64_t a, std::uint64_t b,
@@ -187,10 +171,8 @@ FaultInjector::Action FaultInjector::on_deliver(int src, int dst, int tag,
                                                 Buffer* payload,
                                                 std::uint64_t* checksum,
                                                 std::uint32_t* seq) {
-  PairSeq& ps = pair_seq_[static_cast<std::size_t>(src) *
-                              static_cast<std::size_t>(p_) +
-                          static_cast<std::size_t>(dst)];
-  const std::uint32_t s = ps.next[tag]++;
+  RankSeq& rs = ranks_[static_cast<std::size_t>(src)];
+  const std::uint32_t s = rs.send[{dst, tag}]++;
   *seq = s;
   // Checksum the payload BEFORE any corruption: the stamp travels with
   // the message and testifies to what the sender meant to say.
@@ -208,7 +190,7 @@ FaultInjector::Action FaultInjector::on_deliver(int src, int dst, int tag,
                                           coll::kEpochSpace *
                                           coll::kEpochSpace;
     site_tag = static_cast<std::uint64_t>(band);
-    site_seq = ps.band_next[band]++;
+    site_seq = rs.band[{dst, band}]++;
   }
   const std::uint64_t edge = pack_edge(src, dst);
   if (!fires(edge, site_tag, site_seq)) return Action::kPass;
@@ -261,10 +243,8 @@ void FaultInjector::verify_receive(int dst, int src, int tag,
           "corruption)";
     throw check::TransportChecksumError(os.str());
   }
-  auto& last = recv_seq_[static_cast<std::size_t>(dst)].last;
-  const auto key = std::make_pair(src, tag);
-  const auto it = last.find(key);
-  const std::uint32_t expect = it == last.end() ? 0 : it->second + 1;
+  std::uint32_t& expect =
+      ranks_[static_cast<std::size_t>(dst)].recv[{src, tag}];
   if (seq != expect) {
     std::ostringstream os;
     os << "transport sequence mismatch on " << site.str() << ": expected seq "
@@ -273,13 +253,13 @@ void FaultInjector::verify_receive(int dst, int src, int tag,
                         : "gap: earlier message(s) on this edge were lost");
     throw check::TransportSequenceError(os.str());
   }
-  last[key] = seq;
+  ++expect;
 }
 
 void FaultInjector::maybe_kill(int rank) {
   if (plan_.cls != FaultClass::kKillRank) return;
   if (rank != kill_victim_) return;
-  const std::uint32_t op = ++op_count_[static_cast<std::size_t>(rank)];
+  const std::uint32_t op = ++victim_ops_;
   if (op != kill_op_) return;
   std::ostringstream os;
   os << "rank " << rank << " killed by fault plan " << plan_.describe()
@@ -293,7 +273,7 @@ bool FaultInjector::maybe_skew(std::uint64_t group, int world_rank,
                                std::vector<std::size_t>* counts) {
   if (plan_.cls != FaultClass::kSkewCollective || comm_size < 2) return false;
   const std::uint32_t call =
-      coll_seq_[static_cast<std::size_t>(world_rank)][group]++;
+      ranks_[static_cast<std::size_t>(world_rank)].coll[group]++;
   if (!fires(group, call, 0x534B4557ull)) return false;  // "SKEW"
   const std::uint64_t param = mix4(plan_.seed ^ kParamSalt, group, call, 1);
   const int chosen = static_cast<int>(param % static_cast<unsigned>(comm_size));

@@ -35,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/buffer.hpp"
@@ -77,20 +78,16 @@ struct FaultPlan {
   std::string describe() const;
 };
 
-/// Per-run injection state for one armed FaultPlan. Owned by the Machine;
-/// all transport hooks are called with deterministic coordinates (see the
-/// header comment). Counter state is sharded so that every counter has a
-/// single writing rank: pair sequence numbers are written only by the
-/// sending rank, receive-side expectations only by the receiving rank,
-/// kill/collective ordinals only by the rank they belong to.
+/// Injection state for one armed FaultPlan over one run: every armed run
+/// builds its own injector. All transport hooks are called with
+/// deterministic coordinates (see the header comment). Each rank's
+/// counters live in its own RankSeq, which holds only the (peer, tag)
+/// pairs its traffic uses, and only that rank writes it.
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, int p);
 
   const FaultPlan& plan() const { return plan_; }
-
-  /// Reset per-run counters and the injection log (Machine::run start).
-  void begin_run();
 
   /// What deliver() must do with one stamped message.
   enum class Action { kPass, kDrop, kDuplicate, kDelay };
@@ -136,27 +133,24 @@ class FaultInjector {
   void record(std::string line);
 
   FaultPlan plan_;
-  int p_;
   int kill_victim_ = 0;
   std::uint32_t kill_op_ = 1;
+  std::uint32_t victim_ops_ = 0;  // writer: the kill victim
 
-  // Sender-side per-(src, dst) counters (writer: rank src): the
-  // verification sequence per tag, and the site ordinal per collective
-  // family band (keyed kTagBase + band * kEpochSpace).
-  struct PairSeq {
-    std::map<int, std::uint32_t> next;
-    std::map<int, std::uint32_t> band_next;
+  // Rank r's counters (writer: rank r). Aligned so neighbouring ranks
+  // never write one cache line.
+  struct alignas(64) RankSeq {
+    // As sender: the verification sequence per (dst, tag), and the site
+    // ordinal per (dst, collective family band), the band keyed
+    // kTagBase + band * kEpochSpace.
+    std::map<std::pair<int, int>, std::uint32_t> send;
+    std::map<std::pair<int, int>, std::uint32_t> band;
+    // As receiver: the next expected sequence per (src, tag).
+    std::map<std::pair<int, int>, std::uint32_t> recv;
+    // Collective-call ordinal per member-list hash.
+    std::map<std::uint64_t, std::uint32_t> coll;
   };
-  std::vector<PairSeq> pair_seq_;
-  // Receiver-side last-seen sequence per (dst; src, tag) (writer: dst).
-  struct RecvSeq {
-    std::map<std::pair<int, int>, std::uint32_t> last;
-  };
-  std::vector<RecvSeq> recv_seq_;
-  // Per-rank transport-op ordinals for the kill site (writer: the rank).
-  std::vector<std::uint32_t> op_count_;
-  // Per-rank collective-call ordinals per group (writer: the rank).
-  std::vector<std::map<std::uint64_t, std::uint32_t>> coll_seq_;
+  std::vector<RankSeq> ranks_;
 
   mutable std::mutex log_mu_;  // guards the two fields below (rare: fires)
   int injections_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -305,8 +304,8 @@ void RunContext::deliver(int src, int dst, int tag, Message msg) {
   // Armed fault injection intercepts here — the single choke point both
   // send and shift deliver through. on_deliver stamps the verification
   // checksum/sequence (and applies payload corruption) before the message
-  // enters the inbox; it runs on rank `src`, outside the inbox lock, so
-  // the injector's per-edge counters have a single writer.
+  // enters the inbox; it runs on rank `src`, outside the inbox lock, and
+  // writes only rank src's injector counters.
   auto act = FaultInjector::Action::kPass;
   if (FaultInjector* fi = injector.get()) {
     act = fi->on_deliver(src, dst, tag, &msg.data, &msg.checksum, &msg.seq);
@@ -554,11 +553,6 @@ int RunTicket::injections() const {
 Machine::Machine(int p, MachineParams params)
     : serial_(++g_machine_serials), p_(p), params_(params) {
   CATRSM_CHECK(p >= 1, "machine needs at least one rank");
-  // Strict parsing with warn-and-fallback, like every CATRSM_* knob: a
-  // garbage stream cap runs with the default instead of silently
-  // serializing (or unboundedly admitting) streams.
-  max_streams_ = env::int_or("CATRSM_SIM_STREAMS", 4, 1,
-                             std::numeric_limits<int>::max());
   if (env::flag_or("CATRSM_SIM_CHECK", false)) set_collective_checking(true);
   if (const std::optional<FaultPlan> plan = FaultPlan::from_env())
     arm_fault(*plan);
@@ -583,7 +577,8 @@ void Machine::set_tracing(bool on, bool capture_payloads) {
     // The observation slot starts with a pristine recorder so pre-run
     // take_trace() fails with the same diagnostic it always did; each
     // waited run replaces it with that run's recorder.
-    tracer_ = std::make_unique<check::TraceRecorder>(p_, capture_payloads);
+    tracer_ = std::make_unique<check::TraceRecorder>(p_, params_,
+                                                     capture_payloads);
   else
     tracer_.reset();
 }
@@ -646,19 +641,16 @@ RunTicket Machine::run_async(const std::function<void(Rank&)>& fn,
   auto rc = std::make_shared<RunContext>(this, fn);
   if (checking_on_)
     rc->matcher = std::make_unique<check::CollectiveMatcher>(p_);
-  if (tracing_on_) {
-    rc->tracer = std::make_unique<check::TraceRecorder>(p_, trace_payloads_);
-    rc->tracer->begin_run(params_);
-  }
-  if (armed_plan_ != nullptr) {
+  if (tracing_on_)
+    rc->tracer = std::make_unique<check::TraceRecorder>(p_, params_,
+                                                        trace_payloads_);
+  if (armed_plan_ != nullptr)
     rc->injector = std::make_unique<FaultInjector>(*armed_plan_, p_);
-    rc->injector->begin_run();
-  }
   RankScheduler& sched = scheduler();
   {
     std::unique_lock<std::mutex> lock(runs_mu_);
     prune_finished_locked();
-    while (static_cast<int>(inflight_.size()) >= max_streams_) {
+    while (static_cast<int>(inflight_.size()) >= kMaxStreams) {
       // Stream cap reached: drain the oldest in-flight run. Its ranks
       // progress on the workers regardless of anyone waiting, so this
       // cannot deadlock the admitting thread.

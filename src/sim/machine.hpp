@@ -17,8 +17,8 @@
 // Runs come in two flavors: Machine::run blocks (and is exactly
 // run_async + RunTicket::wait), while Machine::run_async dispatches an
 // EXECUTION STREAM and returns a future-like RunTicket immediately. Up
-// to CATRSM_SIM_STREAMS runs (default 4) can be in flight at once; each
-// gets its own RunContext — inboxes, deadlock census, virtual clocks,
+// to kMaxStreams runs can be in flight at once; each gets its own
+// RunContext — inboxes, deadlock census, virtual clocks,
 // S/W/F counters, collective matcher, trace recorder, and fault injector
 // are all per-run state — so streams never exchange messages, a deadlock
 // or injected fault in one stream cannot abort or poison another, and
@@ -215,6 +215,10 @@ class RunTicket {
   std::shared_ptr<RunContext> rc_;
 };
 
+/// How many runs one machine keeps in flight; run_async past it drains
+/// the oldest first.
+inline constexpr int kMaxStreams = 4;
+
 class Machine {
  public:
   explicit Machine(int p, MachineParams params = MachineParams{});
@@ -249,8 +253,8 @@ class Machine {
   RunTicket run_async(const std::function<void(Rank&)>& fn,
                       std::function<void()> on_complete = nullptr);
 
-  /// In-flight run cap (CATRSM_SIM_STREAMS, default 4).
-  int max_streams() const { return max_streams_; }
+  /// In-flight run cap (kMaxStreams).
+  int max_streams() const { return kMaxStreams; }
 
   /// The persistent worker pool (created lazily by the first run).
   RankScheduler& scheduler();
@@ -342,7 +346,6 @@ class Machine {
   std::unique_ptr<FaultInjector> injector_;
 
   // In-flight streams (guarded by runs_mu_).
-  int max_streams_;
   std::mutex runs_mu_;
   std::vector<std::shared_ptr<RunContext>> inflight_;
 };

@@ -254,11 +254,10 @@ struct RankScheduler::Worker {
   /// this worker. Touched only by this worker's thread and by the single
   /// fiber currently executing on it, so no synchronization is needed.
   StackContext ctx;
-  /// In-flight fibers assigned here (rank i of every live submission with
-  /// i % W == id). Appended by submit(), removed only by this worker's
-  /// thread; both under mu. Bookkeeping only — dispatch runs off ready_q,
-  /// so its size never enters the per-wake cost.
-  std::vector<Fiber*> fibers;
+  /// How many in-flight fibers are assigned here (rank i of every live
+  /// submission with i % W == id). Raised by submit(), lowered only by
+  /// this worker's thread; both under mu. Read only by the shutdown test.
+  int resident = 0;
   /// Fibers to switch in: one entry per submit() arm or per wake of a
   /// parked fiber, so each queued fiber appears exactly once and a wake
   /// stays O(1) however many fibers (from however many concurrent
@@ -373,7 +372,7 @@ RankScheduler::SubmissionPtr RankScheduler::submit(
     {
       std::lock_guard<std::mutex> lock(worker->mu);
       for (int i = worker->id; i < p_; i += w) {
-        worker->fibers.push_back(picked[static_cast<std::size_t>(i)]);
+        ++worker->resident;
         worker->ready_q.push_back(picked[static_cast<std::size_t>(i)]);
         added = true;
       }
@@ -456,7 +455,7 @@ void RankScheduler::worker_loop(Worker& w) {
         // Shutdown only matters once nothing resides here; a resident
         // parked fiber's wake will arrive as a queue entry.
         return shutdown_.load(std::memory_order_acquire) &&
-               w.fibers.empty();
+               w.resident == 0;
       });
       if (w.ready_q.empty()) return;  // shutdown, nothing resident
       f = w.ready_q.front();
@@ -475,7 +474,7 @@ void RankScheduler::worker_loop(Worker& w) {
     if (f->finished) {
       {
         std::lock_guard<std::mutex> lock(w.mu);
-        w.fibers.erase(std::find(w.fibers.begin(), w.fibers.end(), f));
+        --w.resident;
       }
 #ifdef CATRSM_TSAN
       __tsan_destroy_fiber(f->ctx.tsan_fiber);

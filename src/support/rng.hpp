@@ -23,9 +23,7 @@ class Rng {
   Rng child(std::uint64_t index) const;
 
  private:
-  Rng(std::uint64_t seed, int) : gen_(seed) {}
   std::mt19937_64 gen_;
-  std::uint64_t seed_mix_ = 0;
 };
 
 }  // namespace catrsm

@@ -5,7 +5,7 @@
 // answer or an undeclared hang. Also here: FaultPlan spec parsing and
 // env arming, the disarmed/armed cost-purity contract, and the
 // api-level graceful-degradation path (typed errors, handle poisoning,
-// repair / auto-repair retry).
+// repair and retry).
 
 #include <gtest/gtest.h>
 
@@ -348,30 +348,39 @@ TEST(FaultMatrix, NoSeededFaultEscapesAcrossSeeds) {
   const auto body = [](Rank& r) {
     ring_body(r, 3);
     Comm world = Comm::world(r);
-    const coll::Counts counts(4, 2);
+    const int p = r.nprocs();
+    const coll::Counts counts(static_cast<std::size_t>(p), 2);
     const Buffer got = coll::allgather(
         world,
         Buffer(std::vector<double>{static_cast<double>(r.id()),
                                    static_cast<double>(r.id())}),
         counts);
-    ASSERT_EQ(got.size(), 8u);
-    for (int w = 0; w < 4; ++w)
+    ASSERT_EQ(got.size(), 2u * static_cast<std::size_t>(p));
+    for (int w = 0; w < p; ++w)
       EXPECT_EQ(got[static_cast<std::size_t>(2 * w)],
                 static_cast<double>(w));
   };
-  for (const FaultClass cls : classes) {
-    for (std::uint64_t seed = 0; seed < 6; ++seed) {
-      Machine m(4);
-      m.set_collective_checking(true);
-      m.arm_fault(FaultPlan{cls, seed});
-      try {
-        m.run(body);
-      } catch (const std::exception& e) {
-        const auto report = check::report_fault(m, e);
-        EXPECT_TRUE(report.detected())
-            << "fault escaped as an unclassified error: "
-            << report.to_string();
-        EXPECT_GE(report.injections, 1) << report.to_string();
+  // Every seed at p = 4; seed 0 at p = 1024, where an armed run must not
+  // build state for every rank pair.
+  struct Case {
+    int p;
+    std::uint64_t seeds;
+  };
+  for (const Case c : {Case{4, 6}, Case{1024, 1}}) {
+    for (const FaultClass cls : classes) {
+      for (std::uint64_t seed = 0; seed < c.seeds; ++seed) {
+        Machine m(c.p);
+        m.set_collective_checking(true);
+        m.arm_fault(FaultPlan{cls, seed});
+        try {
+          m.run(body);
+        } catch (const std::exception& e) {
+          const auto report = check::report_fault(m, e);
+          EXPECT_TRUE(report.detected())
+              << "p = " << c.p << ": fault escaped as an unclassified "
+              << "error: " << report.to_string();
+          EXPECT_GE(report.injections, 1) << report.to_string();
+        }
       }
     }
   }
@@ -432,22 +441,24 @@ TEST(FaultCost, ArmedButUnfiredRunMatchesDisarmedBitwise) {
     Comm world = Comm::world(r);
     (void)coll::allreduce(world, Buffer(std::vector<double>(4, 1.0)));
   };
-  Machine plain(4);
-  const RunStats off = plain.run(body);
+  for (const int p : {4, 1024}) {
+    Machine plain(p);
+    const RunStats off = plain.run(body);
 
-  Machine armed(4);
-  // A rate so sparse this workload's sites never fire: the verification
-  // stamps ride along, but modeled S/W/F and clocks must not move.
-  armed.arm_fault(FaultPlan{FaultClass::kCorrupt, 1, 4000000000u});
-  const RunStats on = armed.run(body);
-  ASSERT_EQ(armed.fault_injector()->injections(), 0);
+    Machine armed(p);
+    // A rate so sparse this workload's sites never fire: the verification
+    // stamps ride along, but modeled S/W/F and clocks must not move.
+    armed.arm_fault(FaultPlan{FaultClass::kCorrupt, 1, 4000000000u});
+    const RunStats on = armed.run(body);
+    ASSERT_EQ(armed.fault_injector()->injections(), 0) << "p = " << p;
 
-  EXPECT_EQ(off.critical_time, on.critical_time);
-  ASSERT_EQ(off.per_rank.size(), on.per_rank.size());
-  for (std::size_t i = 0; i < off.per_rank.size(); ++i) {
-    EXPECT_EQ(off.per_rank[i].msgs, on.per_rank[i].msgs);
-    EXPECT_EQ(off.per_rank[i].words, on.per_rank[i].words);
-    EXPECT_EQ(off.per_rank[i].flops, on.per_rank[i].flops);
+    EXPECT_EQ(off.critical_time, on.critical_time) << "p = " << p;
+    ASSERT_EQ(off.per_rank.size(), on.per_rank.size());
+    for (std::size_t i = 0; i < off.per_rank.size(); ++i) {
+      EXPECT_EQ(off.per_rank[i].msgs, on.per_rank[i].msgs);
+      EXPECT_EQ(off.per_rank[i].words, on.per_rank[i].words);
+      EXPECT_EQ(off.per_rank[i].flops, on.per_rank[i].flops);
+    }
   }
 }
 
@@ -493,30 +504,6 @@ TEST(FaultApi, FaultedRunPoisonsInputsAndRepairRecovers) {
   EXPECT_TRUE(ctx.download(hl).equals(l));
   const Matrix x_retry = ctx.download(plan->execute_dist(hl, hb).x);
   EXPECT_TRUE(x_retry.equals(x_ref));
-}
-
-TEST(FaultApi, AutoRepairRetriesTransparently) {
-  const index_t n = 32, k = 8;
-  const Matrix l = catrsm::la::make_lower_triangular(611, n);
-  const Matrix b = catrsm::la::make_rhs(612, n, k);
-
-  api::Context ctx(4);
-  auto plan = ctx.plan(api::trsm_op(n, k));
-  const api::DistHandle hl = ctx.upload(l, plan->input_layout(0));
-  const api::DistHandle hb = ctx.upload(b, plan->input_layout(1));
-  const Matrix x_ref = ctx.download(plan->execute_dist(hl, hb).x);
-
-  ctx.machine().arm_fault(FaultPlan{FaultClass::kKillRank, 43});
-  EXPECT_THROW((void)plan->execute_dist(hl, hb), check::RankKilledError);
-  ctx.machine().disarm_fault();
-  ASSERT_TRUE(hl.poisoned());
-
-  // With auto-repair on, the retry re-uploads poisoned inputs itself.
-  ctx.set_auto_repair(true);
-  const Matrix x_retry = ctx.download(plan->execute_dist(hl, hb).x);
-  EXPECT_TRUE(x_retry.equals(x_ref));
-  EXPECT_FALSE(hl.poisoned());
-  EXPECT_FALSE(hb.poisoned());
 }
 
 TEST(FaultApi, FaultedBatchPoisonsWholeRunAndRepairRecovers) {
