@@ -171,14 +171,4 @@ DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
   throw Error("op_body: op has no single distributed body");
 }
 
-DistMatrix load_slot(sim::HandleStore& store, std::uint64_t id,
-                     std::shared_ptr<const dist::Distribution> d, int me) {
-  // The adopting constructor checks the stored block's shape.
-  return DistMatrix(std::move(d), me, std::move(store.local(id, me)));
-}
-
-void restore_slot(sim::HandleStore& store, std::uint64_t id, DistMatrix& dm) {
-  store.local(id, dm.me()) = std::move(dm.local());
-}
-
 }  // namespace catrsm::api::detail

@@ -139,14 +139,5 @@ dist::DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
                          const dist::DistMatrix& b,
                          trsm::Replica* replica = nullptr);
 
-/// Move rank `me`'s resident block out of the store into a DistMatrix
-/// view under `d` (shape-checked); restore_slot moves it back. Never
-/// copies.
-dist::DistMatrix load_slot(sim::HandleStore& store, std::uint64_t id,
-                           std::shared_ptr<const dist::Distribution> d,
-                           int me);
-void restore_slot(sim::HandleStore& store, std::uint64_t id,
-                  dist::DistMatrix& dm);
-
 }  // namespace detail
 }  // namespace catrsm::api

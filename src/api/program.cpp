@@ -13,7 +13,7 @@
 #include <algorithm>
 #include <optional>
 #include <numeric>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "api/op_bodies.hpp"
@@ -140,6 +140,13 @@ struct Program::AsyncResult::Shared {
   std::vector<DistHandle> inputs;
   std::vector<std::uint64_t> in_ids;  // distinct, run-use marked in flight
   std::vector<std::uint64_t> out_ids;
+  // Each in_ids and out_ids entry's per-rank slots, looked up once here
+  // so the rank body indexes them by rank without the store's lock. The
+  // run holds its inputs and replica, and creates its outputs before it
+  // starts and releases them only after it ends, so every span outlives
+  // the ranks.
+  std::vector<std::span<la::Matrix>> in_slots;
+  std::vector<std::span<la::Matrix>> out_slots;
   // The replica the steps that keep L-only state share (Plan::launch); its
   // resident entries are run-use marked with the inputs.
   std::shared_ptr<detail::Replica> replica;
@@ -235,6 +242,10 @@ Program::AsyncResult Program::run_async(
     sh->out_ids.reserve(outputs_.size());
     for (std::size_t i = 0; i < outputs_.size(); ++i)
       sh->out_ids.push_back(store.create());
+    for (const std::uint64_t id : sh->in_ids)
+      sh->in_slots.push_back(store.slots(id));
+    for (const std::uint64_t id : sh->out_ids)
+      sh->out_slots.push_back(store.slots(id));
   } catch (...) {
     store.release_run_use(sh->in_ids);
     throw;
@@ -245,12 +256,14 @@ Program::AsyncResult Program::run_async(
     const std::vector<Step>& steps_ = sh->steps;
     const std::vector<NodeId>& outputs_ = sh->outputs;
     const std::vector<DistHandle>& inputs = sh->inputs;
-    const std::vector<std::uint64_t>& out_ids = sh->out_ids;
+    const std::vector<std::uint64_t>& in_ids = sh->in_ids;
     const opt::Schedule& sched = sh->sched;
-    sim::HandleStore& store = *sh->store;
     const int p = sh->p;
 
     const int me = r.id();
+    const auto mine = [me](std::span<la::Matrix> slots) -> la::Matrix& {
+      return slots[static_cast<std::size_t>(me)];
+    };
     sim::Comm world = sim::Comm::world(r);
     std::vector<DistMatrix> vals(static_cast<std::size_t>(sched.slots));
 
@@ -259,40 +272,47 @@ Program::AsyncResult Program::run_async(
     // failed program never destroys the caller's resident operands. A
     // handle bound to several input nodes is moved out once and copied
     // for the rest. Inputs feeding only elided steps are never touched.
-    // A resident replica's blocks are moved out and back the same way.
-    std::unordered_map<std::uint64_t, std::size_t> first_node_of;
+    // A resident replica's blocks (in_ids' tail) are moved out and back
+    // the same way. loaded[j] is the node in_ids[j]'s block moved into,
+    // nodes_.size() while it is in the store.
+    const std::size_t n_replica =
+        sh->replica != nullptr ? sh->replica->ids.size() : 0;
+    std::vector<std::size_t> loaded(in_ids.size() - n_replica, nodes_.size());
     trsm::Replica local_replica;
-    const std::vector<std::uint64_t> no_ids;
-    const std::vector<std::uint64_t>& replica_ids =
-        sh->replica != nullptr ? sh->replica->ids : no_ids;
     const auto restore_inputs = [&] {
-      for (const auto& [id, node] : first_node_of)
-        detail::restore_slot(store, id, vals[node]);
-      first_node_of.clear();
-      if (!replica_ids.empty())
+      for (std::size_t j = 0; j < loaded.size(); ++j) {
+        if (loaded[j] == nodes_.size()) continue;
+        mine(sh->in_slots[j]) = std::move(vals[loaded[j]].local());
+        loaded[j] = nodes_.size();
+      }
+      if (n_replica > 0)
         for (std::size_t i = 0; i < local_replica.blocks.size(); ++i)
-          store.local(replica_ids[i], me) =
+          mine(sh->in_slots[loaded.size() + i]) =
               std::move(local_replica.blocks[i]);
       local_replica.blocks.clear();
     };
     try {
-    for (const std::uint64_t id : replica_ids)
-      local_replica.blocks.push_back(std::move(store.local(id, me)));
-    local_replica.complete = !replica_ids.empty();
+    for (std::size_t i = 0; i < n_replica; ++i)
+      local_replica.blocks.push_back(
+          std::move(mine(sh->in_slots[loaded.size() + i])));
+    local_replica.complete = n_replica > 0;
     trsm::Replica* const step_replica =
         sh->replica != nullptr ? &local_replica : nullptr;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const Node& node = nodes_[i];
       if (node.input_index < 0 || !sched.live[i]) continue;
-      const DistHandle& h =
-          inputs[static_cast<std::size_t>(node.input_index)];
+      const std::uint64_t id =
+          inputs[static_cast<std::size_t>(node.input_index)].id();
+      const std::size_t j = static_cast<std::size_t>(
+          std::find(in_ids.begin(), in_ids.end(), id) - in_ids.begin());
       auto d = detail::realize(node.layout, node.rows, node.cols, world);
-      const auto seen = first_node_of.find(h.id());
-      if (seen == first_node_of.end()) {
-        vals[i] = detail::load_slot(store, h.id(), std::move(d), me);
-        first_node_of.emplace(h.id(), i);
+      if (loaded[j] == nodes_.size()) {
+        // The adopting constructor checks the stored block's shape.
+        vals[i] =
+            DistMatrix(std::move(d), me, std::move(mine(sh->in_slots[j])));
+        loaded[j] = i;
       } else {
-        vals[i] = DistMatrix(std::move(d), me, vals[seen->second].local());
+        vals[i] = DistMatrix(std::move(d), me, vals[loaded[j]].local());
       }
     }
 
@@ -351,9 +371,9 @@ Program::AsyncResult Program::run_async(
           break;
         }
       if (last)
-        store.local(out_ids[i], me) = std::move(vals[src].local());
+        mine(sh->out_slots[i]) = std::move(vals[src].local());
       else
-        store.local(out_ids[i], me) = vals[src].local();
+        mine(sh->out_slots[i]) = vals[src].local();
     }
     // A recording run hands its blocks to the host, which makes them
     // resident once the whole run has succeeded (Plan settles it).

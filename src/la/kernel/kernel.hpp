@@ -8,28 +8,22 @@
 // (portable scalar, AVX2/FMA, AVX-512F) is selected once per process by
 // CPU detection and overridable with CATRSM_KERNEL=scalar|avx2|avx512.
 //
-// Large products additionally fan out over a persistent worker pool
-// (kernel/pool.hpp, CATRSM_KERNEL_THREADS) as ONE team dispatch per gemm
-// call: the B panel is packed cooperatively into a single shared buffer,
-// then each thread owns a contiguous band of C rows — packing its own A
-// panels and running every jr strip of its band — with spin barriers
-// between the phases. The split only decides which thread computes an
-// element, never what it computes, so results are bit-identical at any
-// pool size. The pool composes with the simulator rather than fighting
-// it: calls issued from inside a simulated rank (exec::in_sim_rank())
-// always run single-threaded, because sim::RankScheduler already
-// multiplexes the p ranks over the physical cores — only direct/library
-// callers fan out.
-//
-// The out-of-place triangular product (trmm) rides on the same packing,
-// blocking and micro-kernels, as ONE barrier-free team dispatch: each
-// participant owns MR-aligned rows holding 1/nt of the triangle's area
-// and packs the B rows they read into its own arena. It takes gemm's K
-// blocks in gemm's order, skips those outside the triangle and cuts a
-// straddling one at the diagonal, under gemm's small-product and fan-out
-// rules applied to the dense count; so for a T whose other triangle is
-// zero it equals the dense gemm bit for bit, at any pool size, at half
-// the flops.
+// Every product — dense gemm and the out-of-place triangular trmm alike —
+// goes through one entry and one team body, templated on which part of A
+// it reads. Large products fan out over a persistent worker pool
+// (kernel/pool.hpp, CATRSM_KERNEL_THREADS) as ONE barrier-free team
+// dispatch: each participant owns MR-aligned rows of C holding 1/nt of
+// the area of A they read, applies beta to them, and packs its A strips
+// and the B rows they read into its own arenas. It takes the K blocks in
+// order; a triangular product skips those outside the triangle and cuts
+// a straddling one at the diagonal, so for a T whose other triangle is
+// zero trmm equals the dense gemm bit for bit at half the flops. The
+// split only decides which thread computes an element, never what it
+// computes, so results are bit-identical at any pool size. The pool
+// composes with the simulator rather than fighting it: calls issued from
+// inside a simulated rank (exec::in_sim_rank()) always run
+// single-threaded, because sim::RankScheduler already multiplexes the p
+// ranks over the physical cores — only direct/library callers fan out.
 //
 // Single-core micro-wins: the inner kernels software-prefetch the packed
 // panels a few iterations ahead, and on the first K-blocking pass of a

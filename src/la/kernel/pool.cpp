@@ -2,6 +2,7 @@
 
 #include <immintrin.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <limits>
@@ -31,10 +32,10 @@ int env_threads() {
 }
 
 /// How long a waiter spins before giving the core away. Workers park on
-/// a condvar past this; the master and barrier waiters degrade to
-/// sched_yield. 120 us comfortably covers the gap between consecutive
-/// GEMM panels of a blocked triangular sweep while costing at most one
-/// idle core-slice after the last kernel call of a burst.
+/// a condvar past this; the master's join degrades to sched_yield. 120 us
+/// comfortably covers the gap between consecutive GEMM panels of a
+/// blocked triangular sweep while costing at most one idle core-slice
+/// after the last kernel call of a burst.
 constexpr std::chrono::microseconds kSpin{120};
 
 using SpinClock = std::chrono::steady_clock;
@@ -58,19 +59,6 @@ void spin_then_yield(F&& done) {
 }
 
 }  // namespace
-
-void TeamBarrier::wait(int nt) {
-  if (nt <= 1) return;
-  const std::uint32_t sense = sense_.load(std::memory_order_relaxed);
-  if (count_.fetch_add(1, std::memory_order_acq_rel) == nt - 1) {
-    count_.store(0, std::memory_order_relaxed);
-    sense_.store(sense + 1, std::memory_order_release);
-  } else {
-    spin_then_yield([&] {
-      return sense_.load(std::memory_order_acquire) != sense;
-    });
-  }
-}
 
 struct ThreadPool::Impl {
   std::mutex dispatch_mu;  // serializes concurrent masters

@@ -6,12 +6,12 @@
 // sized from CATRSM_KERNEL_THREADS (default: hardware_concurrency; 1
 // reproduces the single-threaded behavior exactly). Its one dispatch
 // shape is run_team: run the SAME body on every participant as
-// (tid, nt) — the body owns its partitioning and synchronizes internally
-// with a TeamBarrier. The GEMM driver uses it for ONE fork-join per gemm
-// call, with cheap spin barriers between the cooperative B-packing step
-// and the macro-kernel sweep, instead of a fork-join per blocking-loop
-// iteration (a condvar wake costs hundreds of microseconds on some OS
-// kernels, which is why a per-loop fork-join never scaled).
+// (tid, nt) — the body owns its partitioning. The GEMM driver uses it
+// for ONE fork-join per large product, whose participants each own a
+// band of C rows and never wait on one another, instead of a fork-join
+// per blocking-loop iteration (a condvar wake costs hundreds of
+// microseconds on some OS kernels, which is why a per-loop fork-join
+// never scaled).
 //
 // Workers SPIN briefly (120 us) waiting for the next job before parking
 // on a condvar, so back-to-back kernel calls — a blocked TRSM runs one
@@ -31,25 +31,10 @@
 // rank would oversubscribe the machine. Only direct callers (Plan on
 // p = 1, tests, benches) use the workers.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 namespace catrsm::la::kernel {
-
-/// Sense-reversing barrier for run_team bodies: all nt participants must
-/// call wait(nt) before any proceeds. Spins with a pause hint, degrading
-/// to yield when the wait runs long (oversubscribed pool). A barrier
-/// object is reusable across any number of wait rounds but must always
-/// be passed the same nt within one team job.
-class TeamBarrier {
- public:
-  void wait(int nt);
-
- private:
-  std::atomic<int> count_{0};
-  std::atomic<std::uint32_t> sense_{0};
-};
 
 class ThreadPool {
  public:
@@ -67,8 +52,7 @@ class ThreadPool {
   /// Run body(tid, nt, ctx) on nt participants (tid 0 = the caller,
   /// tids 1..nt-1 on workers) and join. nt is clamped to
   /// active_threads(); with an effective team of 1 the body runs inline
-  /// as (0, 1). The body may synchronize internally via a TeamBarrier
-  /// shared through ctx.
+  /// as (0, 1).
   void run_team(int nt, void (*body)(int tid, int nt, void* ctx), void* ctx);
 
   /// Number of multi-threaded fan-outs since process start. Test hook:

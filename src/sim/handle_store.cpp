@@ -64,9 +64,13 @@ HandleStore::Entry& HandleStore::entry(std::uint64_t id) const {
   return *e;
 }
 
+std::span<la::Matrix> HandleStore::slots(std::uint64_t id) {
+  return entry(id).locals;
+}
+
 la::Matrix& HandleStore::local(std::uint64_t id, int rank) {
   CATRSM_CHECK(rank >= 0 && rank < p_, "HandleStore: rank out of range");
-  return entry(id).locals[static_cast<std::size_t>(rank)];
+  return slots(id)[static_cast<std::size_t>(rank)];
 }
 
 std::uint64_t HandleStore::epoch(std::uint64_t id) const {

@@ -9,7 +9,8 @@
 // once and solved against many times with no per-execute redistribution.
 // During a run, each rank touches only its own slot, so concurrent access
 // from the rank fibers is data-race free by construction; the mutex only
-// guards the id -> entry map and the bookkeeping fields.
+// guards the id -> entry map and the bookkeeping fields, and ranks never
+// take it (a run hands them its entries' slot spans, looked up at launch).
 //
 // The store holds la::Matrix values (moved in and out — never copied on
 // the hot path). The layout that gives the blocks meaning lives with the
@@ -22,6 +23,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -58,8 +60,13 @@ class HandleStore {
   /// Live entry count (observability for leak tests).
   std::size_t count() const;
 
-  /// Rank `rank`'s slot of entry `id`. The reference stays valid until
-  /// release(id); distinct ranks may use their slots concurrently.
+  /// Entry `id`'s p per-rank slots, indexed by rank. The span stays valid
+  /// until release(id); distinct ranks may use their slots concurrently.
+  /// A run looks up each entry it touches once, on the host at launch, so
+  /// its ranks index their slots without taking the store's lock.
+  std::span<la::Matrix> slots(std::uint64_t id);
+
+  /// Rank `rank`'s slot of entry `id` (host callers; slots(id)[rank]).
   la::Matrix& local(std::uint64_t id, int rank);
 
   /// Monotonic write stamp of the entry (assigned at creation; entries
@@ -124,8 +131,9 @@ class HandleStore {
   std::uint64_t next_id_ = 1;
   std::uint64_t writes_ = 0;
   std::uint64_t resident_bytes_ = 0;
-  // unique_ptr values: entry addresses stay stable across map rehashes,
-  // so the references ranks hold during a run never dangle.
+  // unique_ptr values: entry addresses stay stable across map rehashes
+  // and an entry's slots are never resized, so the slot spans a run
+  // holds never dangle.
   std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> entries_;
 };
 

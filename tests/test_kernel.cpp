@@ -293,13 +293,13 @@ double frobenius_distance(const Matrix& a, const Matrix& b) {
 }
 
 TEST(KernelPool, GemmBitIdenticalAcrossPoolSizes) {
-  // The team split only decides WHICH thread owns a band of C rows and
-  // which B strips it packs, never what any element computes, so any pool
-  // size must reproduce the single-threaded result exactly (Frobenius
-  // distance 0, not merely small). Sizes sit past the MT flop threshold
-  // (2n^3 > 3.0e8) so the pool genuinely engages: n = 543 (odd) exercises
-  // the remainder rows of the band split, n = 1024 multiple kc passes AND
-  // multiple mc blocks per thread band under the new partitioning.
+  // The team split only decides WHICH thread owns a band of C rows, never
+  // what any element computes, so any pool size must reproduce the
+  // single-threaded result exactly (Frobenius distance 0, not merely
+  // small). Sizes sit past the MT flop threshold (2n^3 > 3.0e8) so the
+  // pool genuinely engages: n = 543 (odd) exercises the remainder rows of
+  // the band split, n = 1024 multiple kc passes AND multiple mc blocks per
+  // thread band.
   for (const index_t n : {543, 1024}) {
     const Matrix a = make_dense(901 + n, n, n);
     const Matrix b = make_dense(902 + n, n, n);
@@ -318,6 +318,35 @@ TEST(KernelPool, GemmBitIdenticalAcrossPoolSizes) {
       EXPECT_TRUE(c1.equals(cn)) << "n=" << n << " threads=" << threads;
       EXPECT_EQ(frobenius_distance(c1, cn), 0.0)
           << "n=" << n << " threads=" << threads;
+    }
+  }
+  // Every participant applies beta to its own band: alpha = 0.5 and
+  // beta = 0.25 on a C that starts nonzero. (200, 1500, 600) spans two NC
+  // blocks (n > 1024); (1500, 200, 600) gives each participant several
+  // MC blocks; both span three K blocks (k > 256) and fan out (3.6e8
+  // flops).
+  struct Gemm {
+    index_t m, n, k;
+  };
+  for (const Gemm sh : {Gemm{200, 1500, 600}, Gemm{1500, 200, 600}}) {
+    const Matrix a = make_dense(903, sh.m, sh.k);
+    const Matrix b = make_dense(904, sh.k, sh.n);
+    const Matrix c0 = make_dense(905, sh.m, sh.n);
+    Matrix c1 = c0;
+    {
+      PoolThreads single(1);
+      gemm(0.5, a, b, 0.25, c1);
+    }
+    for (const int threads : {2, 3, 4}) {
+      PoolThreads multi(threads);
+      Matrix cn = c0;
+      const auto before = kernel::ThreadPool::dispatches();
+      gemm(0.5, a, b, 0.25, cn);
+      EXPECT_GT(kernel::ThreadPool::dispatches(), before)
+          << "gemm " << sh.m << "x" << sh.n << "x" << sh.k
+          << " threads=" << threads;
+      EXPECT_TRUE(c1.equals(cn)) << "gemm " << sh.m << "x" << sh.n << "x"
+                                 << sh.k << " threads=" << threads;
     }
   }
   // Below the threshold every pool size stays inline; results must of
@@ -393,6 +422,34 @@ TEST(KernelPool, TrsmAndTriInvBitIdenticalAcrossPoolSizes) {
         EXPECT_TRUE(p1.equals(pn))
             << "trmm n=" << sh.n << " threads=" << threads;
       }
+    }
+  }
+  // The residual's product, as la::trsm_residual calls it: C = T * X - B
+  // (beta = -1), each participant scaling its own band of B.
+  const index_t n = 1024, k = 256;
+  const Matrix x = make_rhs(915, n, k);
+  const Matrix b = make_rhs(916, n, k);
+  for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+    const Matrix t = uplo == Uplo::kLower ? make_lower_triangular(917, n)
+                                          : make_upper_triangular(917, n);
+    const auto residual = [&] {
+      Matrix r = b;
+      kernel::trmm(uplo == Uplo::kLower, n, k, 1.0, t.ptr(), n, x.ptr(), k,
+                   -1.0, r.ptr(), k);
+      return r;
+    };
+    Matrix r1;
+    {
+      PoolThreads single(1);
+      r1 = residual();
+    }
+    for (const int threads : {2, 3, 4}) {
+      PoolThreads multi(threads);
+      const auto before = kernel::ThreadPool::dispatches();
+      const Matrix rn = residual();
+      EXPECT_GT(kernel::ThreadPool::dispatches(), before)
+          << "residual threads=" << threads;
+      EXPECT_TRUE(r1.equals(rn)) << "residual threads=" << threads;
     }
   }
 }
